@@ -10,8 +10,10 @@
 //!
 //! The proposal loop runs on the same allocation-free machinery as the
 //! proposed flow's search ([`sea_opt::optimized`]): moves are drawn by
-//! index from the lazy neighbourhood, applied in place and undone via the
-//! inverse move on rejection, and candidates are evaluated through the
+//! index from the lazy neighbourhood in `O(N)`, applied in place and
+//! undone via the inverse move on rejection, with the mapping's own
+//! per-core counts answering the size and validity queries in `O(C)`,
+//! and candidates are evaluated through the
 //! delta-based [`IncrementalEvaluator`] into `Copy` summaries (bitwise
 //! identical to the full path — see the README's "Engine internals"). The
 //! budget-parity contract therefore keeps comparing mapping *objectives*,
@@ -23,7 +25,7 @@ use serde::{Deserialize, Serialize};
 
 use sea_arch::{CoreId, ScalingVector};
 use sea_opt::clock::{Clock, WallClock};
-use sea_opt::optimized::{apply_counted, move_keeps_all_cores, neighbourhood_len_from_counts};
+use sea_opt::optimized::move_keeps_all_cores;
 use sea_opt::{OptError, SearchBudget};
 use sea_sched::metrics::{EvalContext, EvalSummary, MappingEvaluation};
 use sea_sched::{IncrementalEvaluator, Mapping};
@@ -180,13 +182,9 @@ impl SimulatedAnnealing {
         let mut best_summary = current_summary;
         let mut best_score = current_score;
 
-        // Per-core occupancy cache for the O(C) validity check and
-        // neighbourhood size.
-        let mut counts: Vec<usize> = Vec::new();
-        current.count_per_core_into(&mut counts);
-        let n_tasks = current.n_tasks();
-        let mut n_moves = neighbourhood_len_from_counts(n_tasks, &counts);
-        debug_assert_eq!(n_moves, current.neighbourhood_len());
+        // The mapping keeps its per-core counts in step with `apply`, so
+        // the neighbourhood size and the validity check are O(C).
+        let mut n_moves = current.neighbourhood_len();
 
         let mut temperature = self.config.initial_temperature;
         let mut consecutive_skips = 0usize;
@@ -207,7 +205,7 @@ impl SimulatedAnnealing {
             // flow's annealer freezes cooling on skips for the same
             // reason, keeping the two schedules budget-matched. The skip
             // cap guards a degenerate all-invalid neighbourhood.
-            if require_all_cores && !move_keeps_all_cores(&counts, &current, mv) {
+            if require_all_cores && !move_keeps_all_cores(&current, mv) {
                 consecutive_skips += 1;
                 if consecutive_skips > n_moves.saturating_mul(50) {
                     break;
@@ -215,7 +213,7 @@ impl SimulatedAnnealing {
                 continue;
             }
             consecutive_skips = 0;
-            let inverse = apply_counted(&mut current, &mut counts, mv);
+            let inverse = current.apply(mv);
             let summary = ev.evaluate_move(&current, scaling, mv)?;
             evaluations += 1;
             let score = score_of(&summary);
@@ -230,8 +228,7 @@ impl SimulatedAnnealing {
                 ev.accept();
                 current_summary = summary;
                 current_score = score;
-                n_moves = neighbourhood_len_from_counts(n_tasks, &counts);
-                debug_assert_eq!(n_moves, current.neighbourhood_len());
+                n_moves = current.neighbourhood_len();
                 if current_score < best_score
                     || (current_summary.meets_deadline && !best_summary.meets_deadline)
                 {
@@ -241,7 +238,7 @@ impl SimulatedAnnealing {
                 }
             } else {
                 ev.reject();
-                apply_counted(&mut current, &mut counts, inverse);
+                current.apply(inverse);
             }
             temperature *= self.config.cooling;
         }

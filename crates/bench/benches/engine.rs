@@ -12,7 +12,9 @@
 //! The binary also *asserts* the engine's no-alloc contract before timing
 //! anything: a counting global allocator checks that both evaluators,
 //! pre-sized at construction, never touch the allocator — from the very
-//! first call, not merely at steady state.
+//! first call, not merely at steady state — and neither do the annealers'
+//! per-step mapping operations (`nth_neighbourhood_move`, `apply` and the
+//! new-best `clone_from`) on a 100-task × 6-core mapping.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -106,6 +108,30 @@ fn main() {
             allocations(),
             before,
             "IncrementalEvaluator allocated during prime or its first sweep"
+        );
+    }
+    // The annealers' per-step mapping operations: index draws across the
+    // whole neighbourhood, in-place moves and undos, and the new-best copy.
+    {
+        let assign = (0..100).map(|t| CoreId::new((t * 7 + t / 9) % 6)).collect();
+        let mut current = Mapping::try_new(assign, 6).unwrap();
+        let mut best = current.clone();
+        let len = current.neighbourhood_len();
+        let before = allocations();
+        for i in (0..len).step_by(7) {
+            let mv = current.nth_neighbourhood_move(i).unwrap();
+            let inverse = current.apply(mv);
+            if i % 2 == 0 {
+                best.clone_from(&current);
+            } else {
+                current.apply(inverse);
+            }
+        }
+        black_box(&best);
+        assert_eq!(
+            allocations(),
+            before,
+            "nth_neighbourhood_move, apply or clone_from allocated"
         );
     }
 

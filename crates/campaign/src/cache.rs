@@ -664,18 +664,8 @@ pub fn validate_entry(source: &str, expected: Option<ContentHash>) -> Result<&st
 
 fn decode_entry(source: &str, unit: &Unit, hash: ContentHash) -> Result<UnitResult, String> {
     let parts = parse_entry(source, Some(hash))?;
-    let mut record = parts.record;
     let payload = decode_payload(parts.kind, parts.body, unit).map_err(|e| e.to_string())?;
-    // Index and scenario are presentation, not content: the entry may have
-    // been written by a different campaign whose enumeration placed this
-    // unit elsewhere.
-    record.index = unit.index;
-    record.scenario = unit.scenario.clone();
-    Ok(UnitResult {
-        unit: unit.clone(),
-        payload,
-        record,
-    })
+    Ok(UnitResult::rebound(unit, payload, parts.record))
 }
 
 /// Encodes a completed unit result in the self-describing entry format —

@@ -82,7 +82,7 @@ use sea_sim::SimError;
 use sea_taskgraph::SpecError;
 
 /// Errors produced by campaign parsing and execution.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 #[non_exhaustive]
 pub enum CampaignError {
     /// Malformed campaign spec (message carries the line number).

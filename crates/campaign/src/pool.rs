@@ -12,6 +12,12 @@
 //!
 //! [`run_units_configured`] layers the persistence machinery on top:
 //!
+//! * **Within-campaign dedupe** — pending units with equal
+//!   [`unit_hash`] are one computation (index and scenario are
+//!   presentation). Each such group evaluates its lowest index once, and
+//!   that result completes the others, rebound to their own index and
+//!   scenario ([`RunOutcome::deduped`]). A leader's hard error fails its
+//!   followers too.
 //! * **Journal prefills** ([`RunConfig::prefilled`]) — units restored
 //!   from a `--resume` journal are never re-executed (unless the caller
 //!   [`RunConfig::need_payloads`] and the cache cannot supply the typed
@@ -26,11 +32,13 @@
 //!   record before the final report exists, so a killed campaign loses
 //!   at most its in-flight units.
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 
 use crate::cache::Cache;
-use crate::hash::unit_hash;
+use crate::hash::{unit_hash, ContentHash};
 use crate::journal::JournalWriter;
 use crate::sink::Sink;
 use crate::unit::{run_unit_cancellable, Unit, UnitRecord, UnitResult};
@@ -76,6 +84,9 @@ pub struct RunOutcome {
     pub executed: usize,
     /// Units restored from the result cache.
     pub cache_hits: usize,
+    /// Units completed from the result of an earlier unit of this run
+    /// with the same [`unit_hash`], instead of their own evaluation.
+    pub deduped: usize,
     /// Units restored from the resume journal without re-execution.
     pub resumed: usize,
 }
@@ -239,6 +250,7 @@ pub struct RunState {
     resumed: usize,
     executed: usize,
     cache_hits: usize,
+    deduped: usize,
     outstanding: usize,
     journal_error: Option<CampaignError>,
 }
@@ -297,6 +309,7 @@ impl RunState {
             resumed,
             executed: 0,
             cache_hits: 0,
+            deduped: 0,
             outstanding,
             journal_error: None,
         }
@@ -359,12 +372,37 @@ impl RunState {
         if self.is_filled(index) {
             return true;
         }
-        self.outstanding -= 1;
         if from_cache {
             self.cache_hits += 1;
         } else {
             self.executed += 1;
         }
+        self.settle(index, result, sink)
+    }
+
+    /// [`RunState::complete`] for a unit completed from an equal-hash
+    /// unit's result, counted as deduped.
+    fn complete_duplicate(
+        &mut self,
+        index: usize,
+        result: Result<UnitResult, CampaignError>,
+        sink: &mut dyn Sink,
+    ) -> bool {
+        if self.is_filled(index) {
+            return true;
+        }
+        self.deduped += 1;
+        self.settle(index, result, sink)
+    }
+
+    /// Streams, journals and slots one counted completion.
+    fn settle(
+        &mut self,
+        index: usize,
+        result: Result<UnitResult, CampaignError>,
+        sink: &mut dyn Sink,
+    ) -> bool {
+        self.outstanding -= 1;
         match result {
             Ok(r) => {
                 sink.unit_completed(&r.record);
@@ -416,8 +454,71 @@ impl RunState {
             units: units_out,
             executed: self.executed,
             cache_hits: self.cache_hits,
+            deduped: self.deduped,
             resumed: self.resumed,
         })
+    }
+}
+
+/// The followers of each pending unit that leads a [`unit_hash`] group:
+/// the group's lowest index is the only one evaluated, and its result
+/// completes the others.
+struct Duplicates {
+    /// Leader → its followers, in enumeration order. Only leaders with
+    /// followers have an entry, so only they pay for the fan-out.
+    followers: HashMap<usize, Vec<usize>>,
+}
+
+impl Duplicates {
+    /// Groups `pending` once per plan. Returns the leaders, the units to
+    /// produce, in enumeration order.
+    fn group(units: &[Unit], pending: &[usize]) -> (Vec<usize>, Self) {
+        let mut first: HashMap<ContentHash, usize> = HashMap::with_capacity(pending.len());
+        let mut leaders = Vec::with_capacity(pending.len());
+        let mut followers: HashMap<usize, Vec<usize>> = HashMap::new();
+        for &i in pending {
+            match first.entry(unit_hash(&units[i])) {
+                Entry::Vacant(slot) => {
+                    slot.insert(i);
+                    leaders.push(i);
+                }
+                Entry::Occupied(leader) => followers.entry(*leader.get()).or_default().push(i),
+            }
+        }
+        (leaders, Duplicates { followers })
+    }
+
+    /// Completes a leader, then each of its followers with a copy of its
+    /// result (or of its hard error). Returns `false` when the run must
+    /// halt, as [`RunState::complete`] does.
+    fn complete(
+        &mut self,
+        state: &mut RunState,
+        units: &[Unit],
+        done: Completion,
+        sink: &mut dyn Sink,
+    ) -> bool {
+        let Some(followers) = self.followers.remove(&done.index) else {
+            return state.complete(done, sink);
+        };
+        let copies: Vec<(usize, Result<UnitResult, CampaignError>)> = followers
+            .into_iter()
+            .map(|f| {
+                let copy = match &done.result {
+                    Ok(r) => Ok(UnitResult::rebound(
+                        &units[f],
+                        r.payload.clone(),
+                        r.record.clone(),
+                    )),
+                    Err(e) => Err(e.clone()),
+                };
+                (f, copy)
+            })
+            .collect();
+        state.complete(done, sink)
+            && copies
+                .into_iter()
+                .all(|(f, copy)| state.complete_duplicate(f, copy, sink))
     }
 }
 
@@ -462,7 +563,9 @@ pub fn run_units_configured(
     // still covers every unit.
     sink.begin(state.pending().len());
 
-    let pending = state.pending().to_vec();
+    // Equal-hash units are one computation: only each group's leader is
+    // produced, and its completion fans out to the rest.
+    let (pending, mut duplicates) = Duplicates::group(units, state.pending());
     let requested = jobs.max(1);
     let jobs = requested.min(pending.len().max(1));
     // Narrow campaigns must not strand capacity: when there are fewer
@@ -478,7 +581,7 @@ pub fn run_units_configured(
         // are easier to follow.
         for &i in &pending {
             let done = produce_unit(i, &units[i], cache, inner_jobs);
-            if !state.complete(done, sink) {
+            if !duplicates.complete(&mut state, units, done, sink) {
                 break;
             }
         }
@@ -506,7 +609,7 @@ pub fn run_units_configured(
             }
             drop(tx);
             for done in rx {
-                if !state.complete(done, sink) {
+                if !duplicates.complete(&mut state, units, done, sink) {
                     // Dropping the receiver makes the workers' next
                     // send fail, winding the pool down.
                     break;
@@ -664,6 +767,30 @@ count = 15
         let outcome = state.finish(&mut NullSink).unwrap();
         assert_eq!(outcome.executed, units.len(), "duplicates not counted");
         assert_eq!(outcome.units.len(), units.len());
+    }
+
+    #[test]
+    fn a_failing_leader_fills_its_followers() {
+        let mut units = parse_campaign(SMALL).unwrap().expand();
+        // Unit 2 becomes a duplicate of unit 0 under another scenario.
+        units[2] = Unit {
+            index: 2,
+            scenario: "copy".into(),
+            ..units[0].clone()
+        };
+        let mut state = RunState::plan(&units, Vec::new(), false, None);
+        let (leaders, mut duplicates) = Duplicates::group(&units, state.pending());
+        assert_eq!(leaders.len(), units.len() - 1);
+        assert!(!leaders.contains(&2));
+        let failed = Completion {
+            index: 0,
+            result: Err(CampaignError::Spec("boom".into())),
+            from_cache: false,
+        };
+        assert!(duplicates.complete(&mut state, &units, failed, &mut NullSink));
+        assert!(state.is_filled(2), "the follower failed with its leader");
+        assert_eq!(state.outstanding(), units.len() - 2);
+        assert_eq!((state.executed(), state.deduped), (1, 1));
     }
 
     #[test]

@@ -409,6 +409,23 @@ pub struct UnitResult {
     pub record: UnitRecord,
 }
 
+impl UnitResult {
+    /// A payload and record computed for any unit with `unit`'s
+    /// [`crate::unit_hash`], as `unit`'s own result. Index and scenario
+    /// are presentation, not content, so they are taken from `unit`: a
+    /// cache entry may come from a campaign that placed the unit
+    /// elsewhere, and a duplicate unit copies an earlier one's result.
+    pub(crate) fn rebound(unit: &Unit, payload: UnitPayload, mut record: UnitRecord) -> Self {
+        record.index = unit.index;
+        record.scenario = unit.scenario.clone();
+        UnitResult {
+            unit: unit.clone(),
+            payload,
+            record,
+        }
+    }
+}
+
 /// The flat, sink-facing view of one unit result.
 #[derive(Debug, Clone)]
 pub struct UnitRecord {

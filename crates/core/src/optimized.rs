@@ -32,22 +32,27 @@
 //! The engine underneath, [`optimized_mapping_scratch`], performs **zero
 //! steady-state heap allocation**: candidates are produced by applying a
 //! move in place and undone via the inverse [`Move`] when rejected
-//! (never by cloning the mapping), moves are drawn by index through
-//! [`Mapping::nth_neighbourhood_move`] (never by materializing a
+//! (never by cloning the mapping), a new best is copied into the
+//! incumbent's buffers with `clone_from`, moves are drawn by index
+//! through [`Mapping::nth_neighbourhood_move`] (never by materializing a
 //! `Vec<Move>`), evaluation goes through the delta-based
 //! [`IncrementalEvaluator`] (accepting a move commits its cached
 //! schedule; rejecting discards it), and scores travel as the `Copy`
-//! [`EvalSummary`]. Its decision sequence — RNG draws, acceptance tests,
-//! best tracking — is identical to the original clone-per-candidate
-//! implementation, so it returns the same design for the same seed, just
-//! faster; `SEA_INCREMENTAL=0` routes evaluation through the full
-//! scratch path for end-to-end diffing.
+//! [`EvalSummary`]. The search bookkeeping per step is small next to one
+//! evaluation: the mapping keeps its per-core task counts in step with
+//! [`Mapping::apply`], so the neighbourhood size and the all-cores
+//! validity check are `O(C)` and the move draw is `O(N)`. Its decision
+//! sequence — RNG draws, acceptance tests, best tracking — is identical
+//! to the original clone-per-candidate implementation, so it returns the
+//! same design for the same seed, just faster; `SEA_INCREMENTAL=0`
+//! routes evaluation through the full scratch path for end-to-end
+//! diffing.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use sea_arch::ScalingVector;
+use sea_arch::{CoreId, ScalingVector};
 use sea_sched::metrics::{EvalContext, EvalSummary, MappingEvaluation};
 use sea_sched::{IncrementalEvaluator, Mapping, Move};
 
@@ -261,14 +266,9 @@ pub fn optimized_mapping_scratch(
             .saturating_mul(n_moves.max(1))
     };
 
-    // Per-core occupancy, kept in sync with `current` so both the
-    // all-cores-stay-occupied validity check and the neighbourhood size
-    // are O(C) per proposal/acceptance.
-    let mut counts: Vec<usize> = Vec::new();
-    current.count_per_core_into(&mut counts);
-    let n_tasks = current.n_tasks();
-    let mut n_moves = neighbourhood_len_from_counts(n_tasks, &counts);
-    debug_assert_eq!(n_moves, current.neighbourhood_len());
+    // The mapping keeps its per-core counts in step with `apply`, so the
+    // neighbourhood size and the all-cores check below are O(C).
+    let mut n_moves = current.neighbourhood_len();
 
     let mut consecutive_skips = 0usize;
     while !budget.exhausted(evaluations, clock) && n_moves > 0 && since_best <= stale_limit(n_moves)
@@ -282,7 +282,7 @@ pub fn optimized_mapping_scratch(
         // on workloads where many relocations would empty a core. The
         // skip cap guards the degenerate all-invalid neighbourhood, which
         // would otherwise spin without ever touching the budget.
-        if require_all_cores && !move_keeps_all_cores(&counts, &current, mv) {
+        if require_all_cores && !move_keeps_all_cores(&current, mv) {
             consecutive_skips += 1;
             if consecutive_skips > n_moves.saturating_mul(50) {
                 break;
@@ -290,7 +290,7 @@ pub fn optimized_mapping_scratch(
             continue;
         }
         consecutive_skips = 0;
-        let inverse = apply_counted(&mut current, &mut counts, mv);
+        let inverse = current.apply(mv);
         let summary = ev.evaluate_move(&current, scaling, mv)?;
         evaluations += 1;
         let score = penalized_gamma(&summary, deadline);
@@ -305,8 +305,7 @@ pub fn optimized_mapping_scratch(
             ev.accept();
             current_summary = summary;
             current_score = score;
-            n_moves = neighbourhood_len_from_counts(n_tasks, &counts);
-            debug_assert_eq!(n_moves, current.neighbourhood_len());
+            n_moves = current.neighbourhood_len();
             if better(&current_summary, &best_summary, deadline) {
                 best.clone_from(&current);
                 best_summary = current_summary;
@@ -316,7 +315,7 @@ pub fn optimized_mapping_scratch(
             }
         } else {
             ev.reject();
-            apply_counted(&mut current, &mut counts, inverse);
+            current.apply(inverse);
             if temperature <= cold {
                 since_best += 1;
             }
@@ -338,52 +337,22 @@ pub fn optimized_mapping_scratch(
 
 /// Would `mv` leave every core occupied? Exactly
 /// `current.with_move(mv).uses_all_cores()`, computed in O(C) from the
-/// occupancy cache (`counts` as maintained by [`apply_counted`], seeded
-/// from [`Mapping::count_per_core_into`]) instead of cloning the mapping.
-/// Shared with `sea_baselines`' annealer, which runs the same in-place
-/// proposal loop.
+/// mapping's per-core counts instead of cloning it. Shared with
+/// `sea_baselines`' annealer, which runs the same in-place proposal loop.
 #[must_use]
-pub fn move_keeps_all_cores(counts: &[usize], current: &Mapping, mv: Move) -> bool {
+pub fn move_keeps_all_cores(current: &Mapping, mv: Move) -> bool {
     match mv {
         // The neighbourhood only contains cross-core swaps, which never
         // change per-core occupancy.
-        Move::Swap { .. } => counts.iter().all(|&k| k > 0),
+        Move::Swap { .. } => current.uses_all_cores(),
+        // The destination gains a task and the source loses one.
         Move::Relocate { task, to } => {
-            let from = current.core_of(task).index();
-            counts.iter().enumerate().all(|(c, &k)| {
-                let k = if c == from {
-                    k - 1
-                } else if c == to.index() {
-                    k + 1
-                } else {
-                    k
-                };
-                k > 0
-            })
+            let from = current.core_of(task);
+            (0..current.n_cores())
+                .map(CoreId::new)
+                .all(|c| c == to || current.count_on(c) > usize::from(c == from))
         }
     }
-}
-
-/// Applies `mv` in place, keeping the occupancy cache in sync; returns the
-/// inverse move for backtracking. Shared with `sea_baselines`' annealer.
-pub fn apply_counted(mapping: &mut Mapping, counts: &mut [usize], mv: Move) -> Move {
-    if let Move::Relocate { task, to } = mv {
-        let from = mapping.core_of(task);
-        counts[from.index()] -= 1;
-        counts[to.index()] += 1;
-    }
-    mapping.apply(mv)
-}
-
-/// `|neighbourhood|` in O(C) from the occupancy cache — equal to
-/// [`Mapping::neighbourhood_len`] (cross-core pairs are all pairs minus
-/// the same-core ones), without its O(N²) pair scan. Shared with
-/// `sea_baselines`' annealer, which maintains the same cache.
-#[must_use]
-pub fn neighbourhood_len_from_counts(n_tasks: usize, counts: &[usize]) -> usize {
-    let pairs = n_tasks * n_tasks.saturating_sub(1) / 2;
-    let same_core: usize = counts.iter().map(|&k| k * k.saturating_sub(1) / 2).sum();
-    n_tasks * (counts.len() - 1) + pairs - same_core
 }
 
 /// Geometric cooling factor that reaches 1 % of the initial temperature

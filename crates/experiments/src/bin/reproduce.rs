@@ -230,10 +230,10 @@ fn main() {
         }
         None => campaigns::run_configured(&units, config, &mut progress).expect("campaign run"),
     };
-    if !quiet && (cache.is_some() || journaled) {
+    if !quiet && (cache.is_some() || journaled || stats.deduped > 0) {
         eprintln!(
-            "units: {} evaluated, {} cache hit(s), {} journaled",
-            stats.executed, stats.cache_hits, stats.resumed
+            "units: {} evaluated, {} cache hit(s), {} deduped, {} journaled",
+            stats.executed, stats.cache_hits, stats.deduped, stats.resumed
         );
     }
 
@@ -268,7 +268,12 @@ fn main() {
     // Fig. 11.
     let f11 = fig11::from_results(&results[ranges[3].clone()]).expect("Fig. 11");
     println!("{}", f11.to_table().to_ascii());
-    let iso = fig11::level_isolation(&app60, 6, profile).expect("level isolation");
+    // The Fig. 11 3-level unit already optimized the reference design.
+    let iso = results[ranges[3].start + 1]
+        .payload
+        .require_design()
+        .and_then(|reference| fig11::level_isolation_from(&app60, 6, &reference.best))
+        .expect("level isolation");
     println!("fixed-mapping level isolation (busy-cycle accounting):");
     for (levels, p, g) in &iso {
         println!("  {levels} levels: P = {p:.2} mW, Gamma = {g:.3e}");

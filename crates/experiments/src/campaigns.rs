@@ -48,6 +48,10 @@ pub struct RunStats {
     pub executed: usize,
     /// Units restored from the result cache.
     pub cache_hits: usize,
+    /// Units completed from an equal unit's result (the merged
+    /// reproduction campaign repeats some units across tables and
+    /// figures).
+    pub deduped: usize,
     /// Units the resume journal already covered.
     pub resumed: usize,
 }
@@ -71,6 +75,7 @@ pub fn run_configured(
     let stats = RunStats {
         executed: outcome.executed,
         cache_hits: outcome.cache_hits,
+        deduped: outcome.deduped,
         resumed: outcome.resumed,
     };
     let results = outcome
@@ -100,6 +105,7 @@ pub fn run_configured_distributed(
     let stats = RunStats {
         executed: outcome.executed,
         cache_hits: outcome.cache_hits,
+        deduped: outcome.deduped,
         resumed: outcome.resumed,
     };
     let results = outcome

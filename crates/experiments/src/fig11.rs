@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use sea_arch::LevelSet;
 use sea_campaign::{AppRef, CampaignError, Unit, UnitKind, UnitResult};
-use sea_opt::{DesignOptimizer, OptError, OptimizerConfig, SelectionPolicy};
+use sea_opt::{DesignOptimizer, DesignPoint, OptError, OptimizerConfig, SelectionPolicy};
 use sea_sched::metrics::{EvalContext, ExposurePolicy};
 use sea_taskgraph::generator::RandomGraphConfig;
 use sea_taskgraph::Application;
@@ -139,9 +139,26 @@ pub fn level_isolation(
     let mut config = OptimizerConfig::paper(cores);
     config.budget = profile.budget();
     config.seed = profile.seed();
-    let reference = DesignOptimizer::new(config.clone()).optimize(app)?;
-    let mapping = reference.best.mapping.clone();
-    let coeffs = reference.best.scaling.coefficients().to_vec();
+    let reference = DesignOptimizer::new(config).optimize(app)?;
+    level_isolation_from(app, cores, &reference.best)
+}
+
+/// [`level_isolation`] from an already optimized three-level reference
+/// design — the best design of the Fig. 11 3-level unit
+/// ([`units_on`]), which optimizes the same problem under the same
+/// configuration, so a harness that ran that unit need not optimize it
+/// again.
+///
+/// # Errors
+///
+/// Propagates evaluation errors.
+pub fn level_isolation_from(
+    app: &Application,
+    cores: usize,
+    reference: &DesignPoint,
+) -> Result<Vec<(usize, f64, f64)>, OptError> {
+    let mapping = &reference.mapping;
+    let coeffs = reference.scaling.coefficients();
 
     let sets = [
         (2usize, LevelSet::arm7_two_level()),
@@ -172,7 +189,7 @@ pub fn level_isolation(
         let scaling = sea_arch::ScalingVector::try_new(clamped, arch)?;
         let eval = EvalContext::new(app, arch)
             .with_exposure(ExposurePolicy::BusyOnly)
-            .evaluate(&mapping, &scaling)?;
+            .evaluate(mapping, &scaling)?;
         out.push((levels, eval.power_mw, eval.gamma));
     }
     Ok(out)
@@ -252,6 +269,27 @@ mod tests {
         let (_, p3, g3) = find(3);
         assert!(p2 >= p3, "fixed-mapping P(2L) {p2} vs P(3L) {p3}");
         assert!(g2 <= g3, "fixed-mapping Gamma(2L) {g2} vs Gamma(3L) {g3}");
+    }
+
+    #[test]
+    fn level_isolation_reuses_the_three_level_unit() {
+        // The 3-level unit optimizes the same problem as level_isolation's
+        // own reference search (only the job count differs), so starting
+        // from its best design gives the same triples.
+        let app = Arc::new(RandomGraphConfig::paper(24).generate(3).unwrap());
+        let profile = EffortProfile::Smoke;
+        let units = units_on(&app, 3, profile);
+        assert_eq!(units[1].levels, 3);
+        let unit = sea_campaign::run_unit(&units[1]).unwrap();
+        let reference = &unit.payload.require_design().unwrap().best;
+        let from_unit = level_isolation_from(&app, 3, reference).unwrap();
+        let searched = level_isolation(&app, 3, profile).unwrap();
+        let bits = |v: &[(usize, f64, f64)]| -> Vec<(usize, u64, u64)> {
+            v.iter()
+                .map(|&(l, p, g)| (l, p.to_bits(), g.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&from_unit), bits(&searched));
     }
 
     #[test]

@@ -12,11 +12,19 @@ use sea_taskgraph::TaskId;
 use crate::SchedError;
 
 /// A complete assignment of every task to one core.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// Besides the assignment, a mapping keeps its per-core task counts in
+/// step with [`Mapping::apply`], so occupancy queries and the
+/// neighbourhood size are `O(C)` and drawing a neighbourhood move is
+/// `O(N)`. The counts are derived state, which equality, hashing and
+/// `Debug` ignore.
+#[derive(Serialize, Deserialize)]
 pub struct Mapping {
     /// `assign[t]` = core of task `t`.
     assign: Vec<CoreId>,
     n_cores: usize,
+    /// `counts[c]` = number of tasks on core `c`.
+    counts: Vec<usize>,
 }
 
 impl Mapping {
@@ -37,7 +45,20 @@ impl Mapping {
                 });
             }
         }
-        Ok(Mapping { assign, n_cores })
+        Ok(Mapping::with_counts(assign, n_cores))
+    }
+
+    /// The mapping of a validated assignment, with its per-core counts.
+    fn with_counts(assign: Vec<CoreId>, n_cores: usize) -> Self {
+        let mut counts = vec![0; n_cores];
+        for c in &assign {
+            counts[c.index()] += 1;
+        }
+        Mapping {
+            assign,
+            n_cores,
+            counts,
+        }
     }
 
     /// Creates a mapping from per-core task groups (0-based task indices),
@@ -74,10 +95,7 @@ impl Mapping {
     /// Maps every task to core 0 (useful as a degenerate baseline).
     #[must_use]
     pub fn all_on_one_core(n_tasks: usize, n_cores: usize) -> Self {
-        Mapping {
-            assign: vec![CoreId::new(0); n_tasks],
-            n_cores,
-        }
+        Mapping::with_counts(vec![CoreId::new(0); n_tasks], n_cores)
     }
 
     /// Number of tasks covered.
@@ -118,21 +136,14 @@ impl Mapping {
         self.tasks_on_iter(core).collect()
     }
 
-    /// Number of tasks mapped on `core` (allocation-free).
+    /// Number of tasks mapped on `core`, in O(1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range.
     #[must_use]
     pub fn count_on(&self, core: CoreId) -> usize {
-        self.tasks_on_iter(core).count()
-    }
-
-    /// Fills `counts` with the per-core task counts (reusing its storage),
-    /// the occupancy cache the searches maintain incrementally via
-    /// [`Mapping::apply`]'s returned inverse.
-    pub fn count_per_core_into(&self, counts: &mut Vec<usize>) {
-        counts.clear();
-        counts.resize(self.n_cores, 0);
-        for c in &self.assign {
-            counts[c.index()] += 1;
-        }
+        self.counts[core.index()]
     }
 
     /// All per-core groups, in core order (empty cores yield empty groups).
@@ -146,17 +157,14 @@ impl Mapping {
     }
 
     /// True if every core holds at least one task (the paper's
-    /// `InitialSEAMapping` guarantees this when `N ≥ C`).
+    /// `InitialSEAMapping` guarantees this when `N ≥ C`), in O(C).
     #[must_use]
     pub fn uses_all_cores(&self) -> bool {
-        let mut used = vec![false; self.n_cores];
-        for c in &self.assign {
-            used[c.index()] = true;
-        }
-        used.into_iter().all(|u| u)
+        self.counts.iter().all(|&k| k > 0)
     }
 
-    /// Applies a move in place. Returns the inverse move for backtracking.
+    /// Applies a move in place, in O(1). Returns the inverse move for
+    /// backtracking.
     ///
     /// # Panics
     ///
@@ -167,6 +175,8 @@ impl Mapping {
                 assert!(to.index() < self.n_cores, "{to} out of range");
                 let from = self.assign[task.index()];
                 self.assign[task.index()] = to;
+                self.counts[from.index()] -= 1;
+                self.counts[to.index()] += 1;
                 Move::Relocate { task, to: from }
             }
             Move::Swap { a, b } => {
@@ -213,28 +223,24 @@ impl Mapping {
         relocations.chain(swaps)
     }
 
-    /// Size of [`Mapping::neighbourhood`] without materializing it:
-    /// `N·(C−1)` relocations plus the cross-core task pairs.
+    /// Size of [`Mapping::neighbourhood`] without materializing it, in
+    /// O(C): `N·(C−1)` relocations plus the cross-core task pairs (all
+    /// pairs minus the same-core ones).
     #[must_use]
     pub fn neighbourhood_len(&self) -> usize {
         let n = self.assign.len();
-        let mut swaps = 0usize;
-        for a in 0..n {
-            for b in (a + 1)..n {
-                if self.assign[a] != self.assign[b] {
-                    swaps += 1;
-                }
-            }
-        }
-        n * (self.n_cores - 1) + swaps
+        n * (self.n_cores - 1) + pairs(n) - self.counts.iter().map(|&k| pairs(k)).sum::<usize>()
     }
 
     /// The `index`-th move of [`Mapping::neighbourhood`] without
-    /// materializing the list (`None` past the end). Relocations are
-    /// addressed in O(1); swaps by a scan over task pairs. Together with
-    /// [`Mapping::neighbourhood_len`] this lets a search sample the
-    /// neighbourhood uniformly with zero heap allocation, drawing the same
-    /// move the materialized `Vec<Move>` would yield at the same index.
+    /// materializing the list (`None` past the end), in O(N) and with no
+    /// heap allocation on up to 64 cores. Relocations are addressed in
+    /// O(1). Swaps are ordered by their first task `a`, and row `a` holds
+    /// `(N−1−a) − |{b > a on a's core}|` cross-core pairs, so the draw
+    /// skips whole rows by that size and scans only the row holding
+    /// `index`. Together with [`Mapping::neighbourhood_len`] this lets a
+    /// search sample the neighbourhood uniformly, drawing the same move
+    /// the materialized `Vec<Move>` would yield at the same index.
     #[must_use]
     pub fn nth_neighbourhood_move(&self, index: usize) -> Option<Move> {
         let n = self.assign.len();
@@ -251,18 +257,32 @@ impl Mapping {
             });
         }
         let mut rest = index - reloc_total;
+        // `passed[c]` = tasks on core `c` among the rows already skipped.
+        let mut stack = [0usize; STACK_CORES];
+        let mut heap = Vec::new();
+        let passed: &mut [usize] = if self.n_cores <= STACK_CORES {
+            &mut stack[..self.n_cores]
+        } else {
+            heap.resize(self.n_cores, 0);
+            &mut heap
+        };
         for a in 0..n {
-            for b in (a + 1)..n {
-                if self.assign[a] != self.assign[b] {
-                    if rest == 0 {
-                        return Some(Move::Swap {
-                            a: TaskId::new(a),
-                            b: TaskId::new(b),
-                        });
-                    }
-                    rest -= 1;
-                }
+            let core = self.assign[a];
+            let own = core.index();
+            passed[own] += 1;
+            let row = (n - 1 - a) - (self.counts[own] - passed[own]);
+            if rest >= row {
+                rest -= row;
+                continue;
             }
+            let b = ((a + 1)..n)
+                .filter(|&b| self.assign[b] != core)
+                .nth(rest)
+                .expect("the row holds `row` cross-core partners");
+            return Some(Move::Swap {
+                a: TaskId::new(a),
+                b: TaskId::new(b),
+            });
         }
         None
     }
@@ -271,6 +291,59 @@ impl Mapping {
     #[must_use]
     pub fn neighbourhood(&self) -> Vec<Move> {
         self.neighbourhood_iter().collect()
+    }
+}
+
+/// Cores up to which [`Mapping::nth_neighbourhood_move`] keeps its
+/// per-core scratch on the stack; larger architectures take one heap
+/// allocation per swap draw.
+const STACK_CORES: usize = 64;
+
+/// Unordered pairs among `k` items.
+fn pairs(k: usize) -> usize {
+    k * k.saturating_sub(1) / 2
+}
+
+impl Clone for Mapping {
+    fn clone(&self) -> Self {
+        Mapping {
+            assign: self.assign.clone(),
+            n_cores: self.n_cores,
+            counts: self.counts.clone(),
+        }
+    }
+
+    /// Field-wise, so the annealers' `best.clone_from(&current)` reuses
+    /// `best`'s buffers instead of allocating (the derived impl would
+    /// fall back to `*self = source.clone()`).
+    fn clone_from(&mut self, source: &Self) {
+        self.assign.clone_from(&source.assign);
+        self.n_cores = source.n_cores;
+        self.counts.clone_from(&source.counts);
+    }
+}
+
+impl PartialEq for Mapping {
+    fn eq(&self, other: &Self) -> bool {
+        self.n_cores == other.n_cores && self.assign == other.assign
+    }
+}
+
+impl Eq for Mapping {}
+
+impl std::hash::Hash for Mapping {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.assign.hash(state);
+        self.n_cores.hash(state);
+    }
+}
+
+impl fmt::Debug for Mapping {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Mapping")
+            .field("assign", &self.assign)
+            .field("n_cores", &self.n_cores)
+            .finish()
     }
 }
 
@@ -405,21 +478,74 @@ mod tests {
 
     #[test]
     fn lazy_neighbourhood_matches_materialized() {
-        for groups in [
-            vec![vec![0usize, 1], vec![2]],
-            vec![vec![0, 1, 2], vec![3], vec![4, 5]],
-            vec![vec![0], vec![1], vec![2], vec![3]],
+        // Deterministic xorshift draws: sea-sched has no RNG dependency.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let mut mappings = Vec::new();
+        for (groups, cores) in [
+            (vec![vec![0usize, 1], vec![2]], 2),
+            (vec![vec![0, 1, 2], vec![3], vec![4, 5]], 3),
+            (vec![vec![0], vec![1], vec![2], vec![3]], 4),
+            // An empty core.
+            (vec![vec![0, 3], vec![], vec![1, 2, 4]], 3),
+            // C = 1: no relocations and no cross-core pairs.
+            (vec![vec![0, 1, 2, 3]], 1),
         ] {
             let refs: Vec<&[usize]> = groups.iter().map(Vec::as_slice).collect();
-            let m = Mapping::from_groups(&refs, groups.len()).unwrap();
-            let eager = m.neighbourhood();
+            mappings.push(Mapping::from_groups(&refs, cores).unwrap());
+        }
+        // The last shape exceeds the draw's on-stack per-core scratch.
+        for (n, cores) in [(7, 2), (30, 3), (64, 6), (100, 6), (120, 8), (90, 70)] {
+            let assign = (0..n).map(|_| c(draw(cores))).collect();
+            mappings.push(Mapping::try_new(assign, cores).unwrap());
+        }
+
+        let check_every_index = |m: &Mapping| {
             let lazy: Vec<Move> = m.neighbourhood_iter().collect();
-            assert_eq!(eager, lazy);
-            assert_eq!(eager.len(), m.neighbourhood_len());
-            for (i, &mv) in eager.iter().enumerate() {
-                assert_eq!(m.nth_neighbourhood_move(i), Some(mv), "index {i}");
+            assert_eq!(m.neighbourhood(), lazy);
+            assert_eq!(lazy.len(), m.neighbourhood_len());
+            for (i, &mv) in lazy.iter().enumerate() {
+                assert_eq!(m.nth_neighbourhood_move(i), Some(mv), "index {i} of {m}");
             }
-            assert_eq!(m.nth_neighbourhood_move(eager.len()), None);
+            assert_eq!(m.nth_neighbourhood_move(lazy.len()), None);
+        };
+        let hash = |m: &Mapping| {
+            use std::hash::{Hash, Hasher};
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            m.hash(&mut h);
+            h.finish()
+        };
+        for mut m in mappings {
+            check_every_index(&m);
+            // A random walk of moves and undos keeps the derived per-core
+            // counts equal to a recount from the assignment.
+            for step in 0..300 {
+                let len = m.neighbourhood_len();
+                if len == 0 {
+                    break;
+                }
+                let mv = m.nth_neighbourhood_move(draw(len)).unwrap();
+                let inverse = m.apply(mv);
+                if step % 3 == 0 {
+                    m.apply(inverse);
+                }
+                assert_eq!(m.neighbourhood_len(), m.neighbourhood_iter().count());
+                let groups = m.groups();
+                assert_eq!(m.uses_all_cores(), groups.iter().all(|g| !g.is_empty()));
+                for (core, group) in groups.iter().enumerate() {
+                    assert_eq!(m.count_on(c(core)), group.len());
+                }
+                // Equality and hashing are functions of the assignment.
+                let recounted = Mapping::try_new(m.assign.clone(), m.n_cores()).unwrap();
+                assert_eq!(m, recounted);
+                assert_eq!(hash(&m), hash(&recounted));
+            }
+            check_every_index(&m);
         }
     }
 
@@ -433,9 +559,6 @@ mod tests {
             assert_eq!(owned, lazy);
             assert_eq!(m.count_on(c), owned.len());
         }
-        let mut counts = Vec::new();
-        m.count_per_core_into(&mut counts);
-        assert_eq!(counts, vec![2, 1, 0]);
     }
 
     #[test]

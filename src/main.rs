@@ -357,6 +357,12 @@ fn run_campaign(c: &CampaignArgs) -> Result<(), String> {
             outcome.cache_hits, outcome.executed
         );
     }
+    if cache.is_some() || c.resume.is_some() || outcome.deduped > 0 {
+        eprintln!(
+            "units: {} evaluated, {} cache hit(s), {} deduped, {} journaled",
+            outcome.executed, outcome.cache_hits, outcome.deduped, outcome.resumed
+        );
+    }
     pruning_summary(&outcome.units);
     if c.report_aggregates {
         sink.report_aggregates(&outcome.records());
