@@ -16,8 +16,14 @@
 //! and candidates are evaluated through the
 //! delta-based [`IncrementalEvaluator`] into `Copy` summaries (bitwise
 //! identical to the full path — see the README's "Engine internals"). The
-//! budget-parity contract therefore keeps comparing mapping *objectives*,
-//! not allocator pressure: both flows pay the same per-candidate cost.
+//! acceptance rule is the proposed flow's own [`Acceptance`], so the
+//! evaluator stops scheduling a candidate once its rejection is proven
+//! here too: every objective (`R`, `TM`, `TM·R`, penalized or not) is
+//! non-decreasing in `TM`, and a rejection under the unpenalized `R`
+//! score is proven before any placement (barring a draw within the
+//! proof's margin). The budget-parity contract therefore keeps comparing
+//! mapping *objectives*, not allocator pressure: both flows pay the same
+//! per-candidate cost.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -25,7 +31,7 @@ use serde::{Deserialize, Serialize};
 
 use sea_arch::{CoreId, ScalingVector};
 use sea_opt::clock::{Clock, WallClock};
-use sea_opt::optimized::move_keeps_all_cores;
+use sea_opt::optimized::{move_keeps_all_cores, Acceptance};
 use sea_opt::{OptError, SearchBudget};
 use sea_sched::metrics::{EvalContext, EvalSummary, MappingEvaluation};
 use sea_sched::{IncrementalEvaluator, Mapping};
@@ -161,13 +167,13 @@ impl SimulatedAnnealing {
         clock: &dyn Clock,
     ) -> Result<SaOutcome, OptError> {
         let deadline = ctx.app().deadline_s();
-        let score_of = |eval: &EvalSummary| {
+        let rule = Acceptance::new(|eval: &EvalSummary| {
             if penalize_deadline {
                 objective.penalized_summary(eval, deadline)
             } else {
                 objective.score_summary(eval)
             }
-        };
+        });
         let n_cores = ctx.arch().n_cores();
         let require_all_cores = ctx.app().graph().len() >= n_cores;
         let mut rng = StdRng::seed_from_u64(self.config.seed);
@@ -175,7 +181,7 @@ impl SimulatedAnnealing {
 
         let mut current = balanced_seed(ctx, n_cores);
         let mut current_summary = ev.prime(&current, scaling)?;
-        let mut current_score = score_of(&current_summary);
+        let mut current_score = rule.score(&current_summary);
         let mut evaluations = 1usize;
 
         let mut best = current.clone();
@@ -214,17 +220,17 @@ impl SimulatedAnnealing {
             }
             consecutive_skips = 0;
             let inverse = current.apply(mv);
-            let summary = ev.evaluate_move(&current, scaling, mv)?;
+            let accepted = rule.step(
+                &mut ev,
+                &current,
+                scaling,
+                mv,
+                current_score,
+                temperature,
+                &mut rng,
+            )?;
             evaluations += 1;
-            let score = score_of(&summary);
-
-            let accept = if score <= current_score {
-                true
-            } else {
-                let delta = (score - current_score) / current_score.abs().max(f64::MIN_POSITIVE);
-                rng.gen_range(0.0..1.0f64) < (-delta / temperature.max(1e-12)).exp()
-            };
-            if accept {
+            if let Some((summary, score)) = accepted {
                 ev.accept();
                 current_summary = summary;
                 current_score = score;

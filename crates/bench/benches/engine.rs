@@ -14,7 +14,9 @@
 //! pre-sized at construction, never touch the allocator — from the very
 //! first call, not merely at steady state — and neither do the annealers'
 //! per-step mapping operations (`nth_neighbourhood_move`, `apply` and the
-//! new-best `clone_from`) on a 100-task × 6-core mapping.
+//! new-best `clone_from`) on a 100-task × 6-core mapping, nor
+//! `evaluate_move` when it proves a candidate rejected before or during
+//! the replay on that mapping.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,8 +25,8 @@ use criterion::{black_box, Criterion};
 use sea_arch::{Architecture, CoreId, LevelSet, ScalingVector};
 use sea_opt::{DesignOptimizer, OptimizerConfig, SearchBudget};
 use sea_sched::evaluator::Evaluator;
-use sea_sched::metrics::EvalContext;
-use sea_sched::{IncrementalEvaluator, Mapping};
+use sea_sched::metrics::{EvalContext, EvalSummary};
+use sea_sched::{IncrementalEvaluator, Mapping, Move, RejectionTest};
 use sea_taskgraph::generator::RandomGraphConfig;
 use sea_taskgraph::mpeg2;
 
@@ -62,6 +64,24 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
+/// Rejects every candidate whose makespan reaches the threshold — exact,
+/// because a makespan bound at or past it proves the rejection.
+struct RejectFrom(f64);
+
+impl RejectionTest for RejectFrom {
+    fn checkpoint(&self, _bound: &EvalSummary) -> f64 {
+        self.0
+    }
+
+    fn proves_rejection(&self, bound: &EvalSummary) -> bool {
+        bound.tm_seconds >= self.0
+    }
+
+    fn rejects(&self, summary: &EvalSummary) -> bool {
+        summary.tm_seconds >= self.0
+    }
+}
+
 fn main() {
     let app = mpeg2::application();
     let arch = Architecture::homogeneous(4, LevelSet::arm7_three_level());
@@ -96,7 +116,12 @@ fn main() {
         ev.prime(&m, &scaling).unwrap();
         for (i, &mv) in moves.iter().enumerate() {
             let inverse = m.apply(mv);
-            black_box(ev.evaluate_move(&m, &scaling, mv).unwrap().gamma);
+            black_box(
+                ev.evaluate_move(&m, &scaling, mv, None)
+                    .unwrap()
+                    .unwrap()
+                    .gamma,
+            );
             if i % 3 == 0 {
                 ev.accept();
             } else {
@@ -110,11 +135,51 @@ fn main() {
             "IncrementalEvaluator allocated during prime or its first sweep"
         );
     }
+    let app100 = RandomGraphConfig::paper(100)
+        .generate(7)
+        .expect("paper(100) generates");
+    let assign100x6 = (0..100).map(|t| CoreId::new((t * 7 + t / 9) % 6)).collect();
+    let mapping100x6 = Mapping::try_new(assign100x6, 6).unwrap();
+    // Early rejection: one candidate proven rejected before any placement
+    // (a zero makespan threshold) and one part-way through the replay (a
+    // threshold at its own makespan, which only the replay reaches).
+    {
+        let arch6 = Architecture::homogeneous(6, LevelSet::arm7_three_level());
+        let ctx6 = EvalContext::new(&app100, &arch6);
+        let scaling6 = ScalingVector::uniform(2, &arch6).unwrap();
+        let mut ev = IncrementalEvaluator::new(ctx6.clone());
+        let mut m = mapping100x6.clone();
+        ev.prime(&m, &scaling6).unwrap();
+        let task = ev.soa().schedule_order()[20];
+        let mv = Move::Relocate {
+            task,
+            to: CoreId::new((m.core_of(task).index() + 1) % 6),
+        };
+        m.apply(mv);
+        let tm = ctx6.evaluate(&m, &scaling6).unwrap().tm_seconds;
+        let (before_replay, during_replay) = (RejectFrom(0.0), RejectFrom(tm));
+        let before = allocations();
+        for test in [&before_replay, &during_replay] {
+            let outcome = ev.evaluate_move(&m, &scaling6, mv, Some(test)).unwrap();
+            assert!(outcome.is_none(), "the rejection was not proven");
+            ev.reject();
+        }
+        assert_eq!(
+            allocations(),
+            before,
+            "evaluate_move allocated while proving a rejection"
+        );
+        let stats = ev.stats();
+        assert_eq!(
+            (stats.rejected_before_replay, stats.rejected_during_replay),
+            (1, 1),
+            "the rejections were not proven where expected: {stats:?}"
+        );
+    }
     // The annealers' per-step mapping operations: index draws across the
     // whole neighbourhood, in-place moves and undos, and the new-best copy.
     {
-        let assign = (0..100).map(|t| CoreId::new((t * 7 + t / 9) % 6)).collect();
-        let mut current = Mapping::try_new(assign, 6).unwrap();
+        let mut current = mapping100x6.clone();
         let mut best = current.clone();
         let len = current.neighbourhood_len();
         let before = allocations();
@@ -167,7 +232,11 @@ fn main() {
             let mut acc = 0.0f64;
             for &mv in &moves {
                 let inverse = m.apply(mv);
-                acc += ev.evaluate_move(&m, &scaling, mv).unwrap().gamma;
+                acc += ev
+                    .evaluate_move(&m, &scaling, mv, None)
+                    .unwrap()
+                    .unwrap()
+                    .gamma;
                 ev.reject();
                 m.apply(inverse);
             }
@@ -186,9 +255,6 @@ fn main() {
     // ~10× outliers. A deterministic stride keeps the sweep to ~1/16 of
     // the ~5k neighbourhood moves so one sample stays in the tens of
     // milliseconds.
-    let app100 = RandomGraphConfig::paper(100)
-        .generate(7)
-        .expect("paper(100) generates");
     let arch8 = Architecture::homogeneous(8, LevelSet::arm7_three_level());
     let ctx100 = EvalContext::new(&app100, &arch8);
     let scaling8 = ScalingVector::uniform(2, &arch8).unwrap();
@@ -216,7 +282,11 @@ fn main() {
             let mut acc = 0.0f64;
             for &mv in &moves100 {
                 let inverse = m.apply(mv);
-                acc += ev.evaluate_move(&m, &scaling8, mv).unwrap().gamma;
+                acc += ev
+                    .evaluate_move(&m, &scaling8, mv, None)
+                    .unwrap()
+                    .unwrap()
+                    .gamma;
                 ev.reject();
                 m.apply(inverse);
             }

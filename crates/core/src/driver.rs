@@ -605,7 +605,7 @@ impl DesignOptimizer {
                     // The losing start's evaluation is charged here; the
                     // winner's is charged inside the search.
                     extra_evaluations += 1;
-                    if prefer_start(&warm_summary, &init_summary, app.deadline_s()) {
+                    if prefer_start(&warm_summary, &init_summary) {
                         (w.clone(), warm_summary)
                     } else {
                         (initial, init_summary)

@@ -16,6 +16,7 @@
 //! cooling) — the same metaheuristic strength the soft error-unaware
 //! baselines get, so comparisons between the flows isolate the paper's
 //! actual variable: the mapping *objective*, soft error-aware or not.
+//! Both annealers take that rule from one type, [`Acceptance`].
 //! Greedy full-neighbourhood descent (the literal Fig. 7 loop) spends an
 //! entire `O(N²)` scan per step and starves small budgets; one
 //! evaluation per generated movement keeps the cost per accepted move
@@ -38,15 +39,23 @@
 //! `Vec<Move>`), evaluation goes through the delta-based
 //! [`IncrementalEvaluator`] (accepting a move commits its cached
 //! schedule; rejecting discards it), and scores travel as the `Copy`
-//! [`EvalSummary`]. The search bookkeeping per step is small next to one
-//! evaluation: the mapping keeps its per-core task counts in step with
-//! [`Mapping::apply`], so the neighbourhood size and the all-cores
-//! validity check are `O(C)` and the move draw is `O(N)`. Its decision
-//! sequence — RNG draws, acceptance tests, best tracking — is identical
-//! to the original clone-per-candidate implementation, so it returns the
-//! same design for the same seed, just faster; `SEA_INCREMENTAL=0`
-//! routes evaluation through the full scratch path for end-to-end
-//! diffing.
+//! [`EvalSummary`]. Most candidates are rejected, and most rejections
+//! are settled before their schedule is finished: [`Acceptance::step`]
+//! peeks the step's uniform draw from a clone of the RNG and hands the
+//! evaluator the acceptance rule as a [`RejectionTest`], which stops the
+//! replay once a lower bound on the candidate's makespan proves the
+//! rule rejects it (see `sea_sched::incremental`). The draw is consumed
+//! exactly when the plain rule would read it, and the early-rejected
+//! candidate is charged to the budget like any other. The search
+//! bookkeeping per step is small next to one evaluation: the mapping
+//! keeps its per-core task counts in step with [`Mapping::apply`], so the
+//! neighbourhood size and the all-cores validity check are `O(C)` and
+//! the move draw is `O(N)`. Its decision sequence — RNG draws,
+//! acceptance tests, best tracking — is identical to the original
+//! clone-per-candidate implementation, so it returns the same design for
+//! the same seed, just faster; `SEA_INCREMENTAL=0` routes evaluation
+//! through the full scratch path, which never rejects early, for
+//! end-to-end diffing.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -54,7 +63,7 @@ use serde::{Deserialize, Serialize};
 
 use sea_arch::{CoreId, ScalingVector};
 use sea_sched::metrics::{EvalContext, EvalSummary, MappingEvaluation};
-use sea_sched::{IncrementalEvaluator, Mapping, Move};
+use sea_sched::{IncrementalEvaluator, Mapping, Move, RejectionTest};
 
 use crate::clock::{Clock, WallClock};
 use crate::OptError;
@@ -172,34 +181,6 @@ pub fn optimized_mapping(
     )
 }
 
-/// [`optimized_mapping`] for callers that already evaluated the starting
-/// mapping (e.g. while choosing between warm starts) — the evaluation is
-/// reused instead of being recomputed, and is not charged to the budget
-/// again.
-///
-/// # Errors
-///
-/// Propagates evaluation errors ([`OptError::Sched`]).
-pub fn optimized_mapping_from(
-    ctx: &EvalContext<'_>,
-    scaling: &ScalingVector,
-    initial: Mapping,
-    initial_eval: MappingEvaluation,
-    budget: SearchBudget,
-    seed: u64,
-) -> Result<SearchOutcome, OptError> {
-    let mut ev = IncrementalEvaluator::new(ctx.clone());
-    optimized_mapping_scratch(
-        &mut ev,
-        scaling,
-        initial,
-        initial_eval.summary(),
-        budget,
-        seed,
-        &WallClock::start(),
-    )
-}
-
 /// The allocation-free search engine (see the module docs). `ev` supplies
 /// the reusable scratch buffers and committed-schedule cache and is
 /// typically shared across the scalings of one enumeration chunk;
@@ -242,7 +223,8 @@ pub fn optimized_mapping_scratch(
     let mut best = current.clone();
     let mut best_summary = current_summary;
 
-    let mut current_score = penalized_gamma(&current_summary, deadline);
+    let rule = Acceptance::new(|s: &EvalSummary| penalized_gamma(s, deadline));
+    let mut current_score = rule.score(&current_summary);
 
     // Annealing schedule sized to the evaluation budget: the temperature
     // decays geometrically to 1 % of its initial value by the time the
@@ -291,22 +273,22 @@ pub fn optimized_mapping_scratch(
         }
         consecutive_skips = 0;
         let inverse = current.apply(mv);
-        let summary = ev.evaluate_move(&current, scaling, mv)?;
+        let accepted = rule.step(
+            ev,
+            &current,
+            scaling,
+            mv,
+            current_score,
+            temperature,
+            &mut rng,
+        )?;
         evaluations += 1;
-        let score = penalized_gamma(&summary, deadline);
-
-        let accept = if score <= current_score {
-            true
-        } else {
-            let delta = (score - current_score) / current_score.abs().max(f64::MIN_POSITIVE);
-            rng.gen_range(0.0..1.0f64) < (-delta / temperature.max(1e-12)).exp()
-        };
-        if accept {
+        if let Some((summary, score)) = accepted {
             ev.accept();
             current_summary = summary;
             current_score = score;
             n_moves = current.neighbourhood_len();
-            if better(&current_summary, &best_summary, deadline) {
+            if better(&current_summary, &best_summary) {
                 best.clone_from(&current);
                 best_summary = current_summary;
                 since_best = 0;
@@ -388,16 +370,165 @@ fn penalized_gamma(eval: &EvalSummary, deadline_s: f64) -> f64 {
     eval.gamma * deadline_penalty_factor(eval, deadline_s)
 }
 
+/// Relative margin on the `exp` comparison of a rejection proof: the
+/// draw must exceed the acceptance probability at the score bound by
+/// 2⁻⁴⁰, so the proof never assumes `exp` is monotone bit for bit (libm's
+/// `exp` is accurate to within an ulp, 2⁻⁵² relative).
+const EXP_MARGIN: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// The acceptance rule both annealers share: improvements always, a
+/// regression with probability `exp(−Δ/T)` on the relative score delta
+/// `Δ`. One type serves the real decision and the proof behind
+/// [`IncrementalEvaluator::evaluate_move`]'s early rejection, so the two
+/// cannot drift.
+///
+/// `score` must be non-decreasing in `TM` at fixed register usage (every
+/// annealer score is: penalized `Γ`; `R`, `TM` and `TM · R`, with or
+/// without the deadline penalty).
+#[derive(Debug, Clone, Copy)]
+pub struct Acceptance<F> {
+    score: F,
+}
+
+impl<F: Fn(&EvalSummary) -> f64> Acceptance<F> {
+    /// The rule for `score` (see the type docs).
+    pub fn new(score: F) -> Self {
+        Acceptance { score }
+    }
+
+    /// The annealing score of a summary (lower is better).
+    pub fn score(&self, summary: &EvalSummary) -> f64 {
+        (self.score)(summary)
+    }
+
+    /// The rule at one step: the current score, the temperature and the
+    /// step's uniform draw.
+    pub fn at(&self, current: f64, temperature: f64, draw: f64) -> AcceptanceStep<'_, F> {
+        AcceptanceStep {
+            rule: self,
+            current,
+            temperature,
+            draw,
+        }
+    }
+
+    /// One annealing step: evaluates `mapping` (the committed mapping
+    /// with `mv` applied) and decides on it, returning the accepted
+    /// candidate's summary and score, or `None` on rejection. Follow with
+    /// [`IncrementalEvaluator::accept`] or
+    /// [`IncrementalEvaluator::reject`] accordingly.
+    ///
+    /// The step's draw is peeked from a clone of `rng` so the evaluator
+    /// can prove a rejection before the schedule is finished. `rng`
+    /// advances past the draw exactly when the decision reads it — on
+    /// every regression, proven early or not — so the draw sequence is
+    /// the one the plain rule consumes.
+    ///
+    /// # Errors
+    ///
+    /// Propagates evaluation errors ([`OptError::Sched`]).
+    #[allow(clippy::too_many_arguments)]
+    pub fn step(
+        &self,
+        ev: &mut IncrementalEvaluator<'_>,
+        mapping: &Mapping,
+        scaling: &ScalingVector,
+        mv: Move,
+        current: f64,
+        temperature: f64,
+        rng: &mut StdRng,
+    ) -> Result<Option<(EvalSummary, f64)>, OptError> {
+        let mut after_draw = rng.clone();
+        let step = self.at(current, temperature, after_draw.gen_range(0.0..1.0f64));
+        let Some(summary) = ev.evaluate_move(mapping, scaling, mv, Some(&step))? else {
+            *rng = after_draw;
+            return Ok(None);
+        };
+        let score = self.score(&summary);
+        if !step.improves(score) {
+            *rng = after_draw;
+        }
+        Ok(step.accepts(score).then_some((summary, score)))
+    }
+}
+
+/// [`Acceptance`] at one annealing step; the [`RejectionTest`] the
+/// evaluator consults.
+#[derive(Debug, Clone, Copy)]
+pub struct AcceptanceStep<'r, F> {
+    rule: &'r Acceptance<F>,
+    current: f64,
+    temperature: f64,
+    draw: f64,
+}
+
+impl<F: Fn(&EvalSummary) -> f64> AcceptanceStep<'_, F> {
+    /// True if a candidate scoring `score` is accepted with this step's
+    /// draw.
+    #[must_use]
+    pub fn accepts(&self, score: f64) -> bool {
+        self.improves(score) || self.draw < self.probability(score)
+    }
+
+    /// True if `score` is no regression: accepted without reading the
+    /// draw.
+    fn improves(&self, score: f64) -> bool {
+        score <= self.current
+    }
+
+    /// The probability of accepting a regression to `score`.
+    fn probability(&self, score: f64) -> f64 {
+        let delta = (score - self.current) / self.current.abs().max(f64::MIN_POSITIVE);
+        (-delta / self.temperature.max(1e-12)).exp()
+    }
+}
+
+impl<F: Fn(&EvalSummary) -> f64> RejectionTest for AcceptanceStep<'_, F> {
+    /// Where the score, extrapolated linearly in `TM` from the bound,
+    /// reaches the one the draw rejects by the real-valued criterion,
+    /// `current · (1 + T · (−ln u))`.
+    fn checkpoint(&self, bound: &EvalSummary) -> f64 {
+        let scale = self.current.abs().max(f64::MIN_POSITIVE);
+        let target = self.current + scale * self.temperature.max(1e-12) * -self.draw.ln();
+        if !target.is_finite() {
+            // A zero draw: no proof can succeed (it needs the draw to
+            // exceed a probability).
+            return f64::INFINITY;
+        }
+        let score = self.rule.score(bound);
+        if score >= target {
+            bound.tm_seconds
+        } else if score > 0.0 {
+            bound.tm_seconds * (target / score)
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    /// The plain rule on the bound's score, with a 2⁻⁴⁰ margin on the
+    /// `exp` comparison: a score above the current one reads the draw,
+    /// and every score at or above the bound's has an acceptance
+    /// probability no larger than the bound's.
+    fn proves_rejection(&self, bound: &EvalSummary) -> bool {
+        let score = self.rule.score(bound);
+        score > self.current && self.draw > self.probability(score) * (1.0 + EXP_MARGIN)
+    }
+
+    fn rejects(&self, summary: &EvalSummary) -> bool {
+        !self.accepts(self.rule.score(summary))
+    }
+}
+
 /// Public form of the search ordering for callers choosing between warm
 /// starts: `true` if `a` is a strictly better starting point than `b`.
 #[must_use]
-pub fn prefer_start(a: &EvalSummary, b: &EvalSummary, deadline: f64) -> bool {
-    better(a, b, deadline)
+pub fn prefer_start(a: &EvalSummary, b: &EvalSummary) -> bool {
+    better(a, b)
 }
 
 /// Search ordering (Fig. 7 steps E–F): infeasible points descend on `TM`;
 /// feasible points descend on `Γ`; feasible always beats infeasible.
-fn better(candidate: &EvalSummary, incumbent: &EvalSummary, _deadline: f64) -> bool {
+fn better(candidate: &EvalSummary, incumbent: &EvalSummary) -> bool {
     match (candidate.meets_deadline, incumbent.meets_deadline) {
         (true, false) => true,
         (false, true) => false,
@@ -526,6 +657,61 @@ mod tests {
         assert_eq!(a1.evaluations, b1.evaluations);
         assert_eq!(a2.mapping, b2.mapping);
         assert_eq!(a2.evaluations, b2.evaluations);
+    }
+
+    #[test]
+    fn early_rejection_leaves_the_search_unchanged() {
+        // The disabled (full) path never rejects early and the delta path
+        // proves most rejections before finishing the schedule, so equal
+        // searches pin early rejection's exactness end to end — across
+        // the deadline penalty's jump too, at the tighter deadline.
+        let mpeg2 = mpeg2::application();
+        let random = sea_taskgraph::generator::RandomGraphConfig::paper(40)
+            .generate(3)
+            .unwrap();
+        for (app, deadline_scale) in [
+            (&mpeg2, 1.0),
+            (&mpeg2, 0.45),
+            (&random, 1.0),
+            (&random, 0.6),
+        ] {
+            let app = app
+                .with_deadline(app.deadline_s() * deadline_scale)
+                .unwrap();
+            let arch = Architecture::homogeneous(4, LevelSet::arm7_three_level());
+            let ctx = EvalContext::new(&app, &arch);
+            let s = ScalingVector::try_new(vec![2, 2, 3, 2], &arch).unwrap();
+            let run = |enabled: bool| {
+                let mut ev = IncrementalEvaluator::new(ctx.clone()).with_enabled(enabled);
+                let initial = initial_sea_mapping(&ctx, &s).unwrap();
+                let summary = ev.evaluate_fresh(&initial, &s).unwrap();
+                let clock = WallClock::start();
+                let out = optimized_mapping_scratch(
+                    &mut ev,
+                    &s,
+                    initial,
+                    summary,
+                    SearchBudget::fast(),
+                    11,
+                    &clock,
+                )
+                .unwrap();
+                (out, ev.stats())
+            };
+            let (delta, stats) = run(true);
+            let (full, _) = run(false);
+            assert_eq!(delta.mapping, full.mapping);
+            assert_eq!(delta.evaluations, full.evaluations);
+            assert!(sea_sched::summaries_bitwise_eq(
+                &delta.evaluation.summary(),
+                &full.evaluation.summary()
+            ));
+            assert_eq!(delta.evaluation, full.evaluation);
+            assert!(
+                stats.rejected_before_replay + stats.rejected_during_replay > 0,
+                "no early rejection at deadline scale {deadline_scale}: {stats:?}"
+            );
+        }
     }
 
     #[test]

@@ -43,12 +43,46 @@
 //! identical float operations on identical inputs, so the fallback is a
 //! pure performance decision — results are bitwise identical either way.
 //!
+//! # Early rejection
+//!
+//! An annealer schedules a candidate only to compare it with the
+//! incumbent, and most comparisons reject. So
+//! [`IncrementalEvaluator::evaluate_move`] takes the caller's acceptance
+//! rule as a [`RejectionTest`] and stops scheduling as soon as the rule
+//! proves the candidate rejected.
+//! Register unions depend on the mapping only, so the move's count shift
+//! runs before the replay. The candidate's makespan `TM` is then bounded
+//! below, before any placement, by the largest of
+//!
+//! * the unchanged prefix makespan `fill_at[p]` at the move's first order
+//!   position `p` (also when the fallback replays from position 0),
+//! * the scaling's mapping-independent [`tm_lower_bound`], and
+//! * the busiest core's busy time under the new mapping. Durations depend
+//!   on the mapping only, so the committed busy times are patched in
+//!   O(degree) from the moved tasks and their successors, then scaled by
+//!   [`BOUND_SLACK`] (the patch rounds differently from the replay's
+//!   visit-order sums); in pipelined mode that busy time also bounds the
+//!   period, which adds `(I − 1) ·` it.
+//!
+//! During the replay the bound rises with the running makespan. At fixed
+//! register unions every annealer score is non-decreasing in `TM`, and
+//! `Γ` at the bound, computed through the same per-core expression, is at
+//! most the real `Γ` bit for bit — so a rule that rejects at the bound
+//! rejects the finished candidate. The rule supplies the `TM` checkpoint
+//! at which a proof is worth its cost; a failed proof stops the checks
+//! for that candidate, so the checkpoint decides only when a proof runs,
+//! never what it concludes. A rejected candidate is never committed:
+//! follow it with [`IncrementalEvaluator::reject`]. The
+//! [`ExposurePolicy::BusyOnly`] policy never rejects early (its `Γ` does
+//! not factor through `TM`), and neither does the disabled (full) path.
+//!
 //! # Determinism cross-check
 //!
 //! Debug builds re-evaluate every candidate through the full
 //! [`Evaluator`] and `debug_assert!` bitwise equality of the summaries,
-//! so any drift between the paths fails the test suite immediately. The
-//! `SEA_INCREMENTAL=0` environment escape hatch
+//! or, for an early rejection, that the rule rejects the full summary
+//! too, so any drift between the paths fails the test suite immediately.
+//! The `SEA_INCREMENTAL=0` environment escape hatch
 //! ([`incremental_default`]) routes every call through the full path in
 //! release builds too, which CI uses to diff end-to-end reports.
 
@@ -59,10 +93,13 @@ use sea_arch::{CoreId, ScalingVector, VoltageLevel};
 use sea_taskgraph::units::Bits;
 use sea_taskgraph::{ExecutionMode, RegisterModel, TaskGraphSoa, TaskId};
 
+use crate::bounds::{tm_lower_bound, BOUND_SLACK};
 use crate::evaluator::Evaluator;
 use crate::mapping::{Mapping, Move};
-use crate::metrics::{core_scalars_cached, EvalContext, EvalSummary, MappingEvaluation};
-use crate::schedule::{check_shapes, place_task, ScheduledTask};
+use crate::metrics::{
+    core_scalars_cached, EvalContext, EvalSummary, ExposurePolicy, MappingEvaluation,
+};
+use crate::schedule::{check_shapes, place_task, task_duration, ScheduledTask};
 use crate::SchedError;
 
 /// Numerator of the largest suffix fraction worth replaying.
@@ -99,6 +136,33 @@ pub fn summaries_bitwise_eq(a: &EvalSummary, b: &EvalSummary) -> bool {
         && a.r_total == b.r_total
 }
 
+/// A caller's acceptance rule, consulted by
+/// [`IncrementalEvaluator::evaluate_move`] to stop scheduling a candidate
+/// once its rejection is proven (see the module docs).
+///
+/// The evaluator hands the rule *bound summaries*: the candidate's exact
+/// register usage evaluated at a lower bound on its makespan. Their
+/// `tm_seconds`, `tm_nominal_cycles` and `gamma` are at most the finished
+/// candidate's, bit for bit; `power_mw` is 0, a trivial bound; and
+/// `meets_deadline` compares the bound with the deadline, so it holds
+/// whenever the candidate's own flag does. Every score both annealers use
+/// is non-decreasing in `TM` at fixed register usage.
+pub trait RejectionTest {
+    /// The makespan bound, in seconds, from which
+    /// [`RejectionTest::proves_rejection`] is worth running, given the
+    /// bound summary before the replay. It only decides when the proof
+    /// runs: a wrong checkpoint costs speed, never exactness.
+    fn checkpoint(&self, bound: &EvalSummary) -> f64;
+
+    /// True only if every candidate with `bound`'s register usage and a
+    /// makespan at or above `bound.tm_seconds` is rejected.
+    fn proves_rejection(&self, bound: &EvalSummary) -> bool;
+
+    /// The rule's decision on a finished summary: true if it rejects.
+    /// Debug builds check every early rejection against it.
+    fn rejects(&self, summary: &EvalSummary) -> bool;
+}
+
 /// Counters describing how candidates were evaluated (observability for
 /// benches and the fallback-boundary tests).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -120,6 +184,10 @@ pub struct IncrementalStats {
     /// Total suffix lengths (visit-order positions from the first moved
     /// task to the end) across all suffix replays.
     pub replay_window: u64,
+    /// Moves whose rejection was proven before any task was placed.
+    pub rejected_before_replay: u64,
+    /// Moves whose rejection was proven part-way through the replay.
+    pub rejected_during_replay: u64,
 }
 
 /// One complete cached schedule: everything needed to reconstruct any
@@ -160,15 +228,16 @@ impl ScheduleCache {
 /// 1. [`IncrementalEvaluator::prime`] evaluates the current design fully
 ///    and commits it as the cache base (once per scaling).
 /// 2. [`IncrementalEvaluator::evaluate_move`] evaluates `current + move`
-///    into a candidate buffer without touching the committed base.
+///    into a candidate buffer without touching the committed base, or
+///    answers that the caller's [`RejectionTest`] rejects it.
 /// 3. [`IncrementalEvaluator::accept`] promotes the candidate to the new
 ///    base (two buffer swaps); [`IncrementalEvaluator::reject`] simply
-///    discards it.
+///    discards it, and is the only valid follow-up to a rejection.
 ///
 /// When disabled (`SEA_INCREMENTAL=0` or
 /// [`IncrementalEvaluator::with_enabled`]), every call delegates to the
-/// wrapped full evaluator and `accept`/`reject` are no-ops, so callers
-/// keep a single code path.
+/// wrapped full evaluator, rejection tests are ignored and
+/// `accept`/`reject` are no-ops, so callers keep a single code path.
 #[derive(Debug, Clone)]
 pub struct IncrementalEvaluator<'a> {
     full: Evaluator<'a>,
@@ -188,6 +257,8 @@ pub struct IncrementalEvaluator<'a> {
     lambdas: Vec<f64>,
     /// Cost scale for one fill pass (1 / iterations).
     scale: f64,
+    /// [`tm_lower_bound`] under the cached scaling.
+    tm_lb: f64,
     /// Nominal (level-1) frequency — architecture constant.
     nominal_f: f64,
     /// Switched-capacitance load — architecture constant.
@@ -246,6 +317,15 @@ pub struct IncrementalEvaluator<'a> {
     clean_busy: Vec<f64>,
     /// Order position the last candidate was replayed from.
     cand_from_pos: usize,
+    /// Scratch: per-core busy times of the candidate mapping, patched
+    /// from the committed ones for the early-rejection bound.
+    busy_bound: Vec<f64>,
+    /// Scratch: per-task marks deduplicating the tasks whose duration a
+    /// move changes (all false between calls).
+    touched: Vec<bool>,
+    /// True when the last `evaluate_move` proved its candidate rejected;
+    /// its schedule was never finished, so it must not be accepted.
+    rejected: bool,
     stats: IncrementalStats,
 }
 
@@ -279,6 +359,7 @@ impl<'a> IncrementalEvaluator<'a> {
             levels: Vec::with_capacity(n_cores),
             lambdas: Vec::with_capacity(n_cores),
             scale: 1.0,
+            tm_lb: 0.0,
             nominal_f,
             c_load,
             n_blocks,
@@ -294,6 +375,9 @@ impl<'a> IncrementalEvaluator<'a> {
             lane_done: vec![false; n_cores],
             clean_busy: vec![0.0; n_cores],
             cand_from_pos: 0,
+            busy_bound: vec![0.0; n_cores],
+            touched: vec![false; n],
+            rejected: false,
             stats: IncrementalStats::default(),
         }
     }
@@ -379,12 +463,15 @@ impl<'a> IncrementalEvaluator<'a> {
         }
         check_shapes(self.ctx().app(), self.ctx().arch(), mapping, scaling)?;
         self.load_scaling(scaling);
-        let summary = self.compute_candidate(mapping, 0, None);
+        let summary = self
+            .compute_candidate(mapping, 0, None, None)
+            .expect("no rejection test, no rejection");
         self.candidate.summary_commit_guard();
         std::mem::swap(&mut self.committed, &mut self.candidate);
         self.commit_candidate();
         self.primed = true;
         self.candidate_valid = false;
+        self.rejected = false;
         self.stats.primes += 1;
         Ok(summary)
     }
@@ -394,6 +481,12 @@ impl<'a> IncrementalEvaluator<'a> {
     /// first order position, or a threshold fallback from position 0.
     /// Follow with [`IncrementalEvaluator::accept`] or
     /// [`IncrementalEvaluator::reject`].
+    ///
+    /// With a `test`, returns `Ok(None)` as soon as the test proves the
+    /// candidate rejected (see the module docs); its schedule is left
+    /// unfinished, so only [`IncrementalEvaluator::reject`] may follow.
+    /// Every summary returned is the complete one, bitwise equal to the
+    /// full path.
     ///
     /// Without a committed base for the active scaling the candidate is
     /// computed fully (and may still be accepted); callers need not
@@ -407,12 +500,14 @@ impl<'a> IncrementalEvaluator<'a> {
         mapping: &Mapping,
         scaling: &ScalingVector,
         mv: Move,
-    ) -> Result<EvalSummary, SchedError> {
+        test: Option<&dyn RejectionTest>,
+    ) -> Result<Option<EvalSummary>, SchedError> {
+        self.rejected = false;
         if !self.enabled {
             self.stats.bypassed += 1;
-            return self.full.evaluate(mapping, scaling);
+            return self.full.evaluate(mapping, scaling).map(Some);
         }
-        let summary = if self.primed && self.scaling == scaling.coefficients() {
+        let outcome = if self.primed && self.scaling == scaling.coefficients() {
             debug_assert_eq!(mapping.n_tasks(), self.soa().len());
             let n = self.soa().len();
             let p = match mv {
@@ -426,29 +521,46 @@ impl<'a> IncrementalEvaluator<'a> {
                 self.stats.incremental += 1;
                 p
             };
-            self.compute_candidate(mapping, from_pos, Some(mv))
+            self.compute_candidate(mapping, from_pos, Some((mv, p)), test)
         } else {
             check_shapes(self.ctx().app(), self.ctx().arch(), mapping, scaling)?;
             self.load_scaling(scaling);
             self.stats.fallback += 1;
-            self.compute_candidate(mapping, 0, None)
+            self.compute_candidate(mapping, 0, None, None)
         };
-        self.candidate_valid = true;
         #[cfg(debug_assertions)]
         {
             let reference = self.full.evaluate(mapping, scaling)?;
-            debug_assert!(
-                summaries_bitwise_eq(&summary, &reference),
-                "incremental evaluation diverged from the full path for {mv}:\n  incremental: {summary:?}\n  full:        {reference:?}"
-            );
+            match (&outcome, test) {
+                (Some(summary), _) => debug_assert!(
+                    summaries_bitwise_eq(summary, &reference),
+                    "incremental evaluation diverged from the full path for {mv}:\n  incremental: {summary:?}\n  full:        {reference:?}"
+                ),
+                (None, Some(test)) => debug_assert!(
+                    test.rejects(&reference),
+                    "early rejection of {mv} disagrees with the rule on the full path: {reference:?}"
+                ),
+                (None, None) => unreachable!("rejected without a rejection test"),
+            }
         }
-        Ok(summary)
+        self.candidate_valid = outcome.is_some();
+        self.rejected = outcome.is_none();
+        Ok(outcome)
     }
 
     /// Promotes the last evaluated candidate to the committed base (the
     /// caller accepted the move). No-op when disabled or when nothing
     /// was evaluated since the last accept/reject.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic when the last `evaluate_move` proved its
+    /// candidate rejected: that schedule was never finished.
     pub fn accept(&mut self) {
+        debug_assert!(
+            !self.rejected,
+            "accept() after evaluate_move proved the candidate rejected"
+        );
         if self.enabled && self.candidate_valid {
             // The candidate's block shift (if any) now describes the
             // committed mapping — keep it.
@@ -524,11 +636,12 @@ impl<'a> IncrementalEvaluator<'a> {
             );
         }
         self.candidate_valid = false;
+        self.rejected = false;
     }
 
     /// Caches the per-scaling constants: effective frequencies,
-    /// operating points and SER rates per core, and the fill-pass cost
-    /// scale. Invalidates the committed base.
+    /// operating points and SER rates per core, the fill-pass cost scale
+    /// and the makespan lower bound. Invalidates the committed base.
     fn load_scaling(&mut self, scaling: &ScalingVector) {
         let Self {
             full,
@@ -537,6 +650,7 @@ impl<'a> IncrementalEvaluator<'a> {
             levels,
             lambdas,
             scale,
+            tm_lb,
             primed,
             ..
         } = self;
@@ -555,26 +669,30 @@ impl<'a> IncrementalEvaluator<'a> {
             lambdas.push(ser.lambda(level.vdd));
         }
         *scale = 1.0 / f64::from(ctx.app().mode().iterations());
+        *tm_lb = tm_lower_bound(full.soa(), ctx.app().mode(), arch, scaling);
         *primed = false;
     }
 
     /// Evaluates `mapping` into the candidate buffer, replaying the
     /// visit order from `from_pos` on prefix state reconstructed from
     /// the committed cache. `delta` is the move separating `mapping`
-    /// from the committed base; with it, the suffix replay is restricted
-    /// to the move's cone of influence (dirty tasks/cores) and register
-    /// unions are updated by occupancy-count transitions instead of
-    /// per-core rescans (`None` recomputes everything from scratch).
-    /// Shares [`place_task`] with the full pass and accumulates in the
-    /// same order, so the result is bitwise identical to a full
+    /// from the committed base, with its first order position; with it,
+    /// the suffix replay is restricted to the move's cone of influence
+    /// (dirty tasks/cores), register unions are updated by
+    /// occupancy-count transitions instead of per-core rescans, and
+    /// `test` may end the evaluation early with `None` (see the module
+    /// docs). `None` recomputes everything from scratch. Shares
+    /// [`place_task`] with the full pass and accumulates in the same
+    /// order, so a returned summary is bitwise identical to a full
     /// evaluation of `mapping`.
     #[allow(clippy::too_many_lines)]
     fn compute_candidate(
         &mut self,
         mapping: &Mapping,
         from_pos: usize,
-        delta: Option<Move>,
-    ) -> EvalSummary {
+        delta: Option<(Move, usize)>,
+        test: Option<&dyn RejectionTest>,
+    ) -> Option<EvalSummary> {
         let Self {
             full,
             committed,
@@ -583,6 +701,7 @@ impl<'a> IncrementalEvaluator<'a> {
             scale,
             levels,
             lambdas,
+            tm_lb,
             nominal_f,
             c_load,
             n_blocks,
@@ -596,6 +715,8 @@ impl<'a> IncrementalEvaluator<'a> {
             lane_done,
             clean_busy,
             cand_from_pos,
+            busy_bound,
+            touched,
             stats,
             ..
         } = self;
@@ -626,6 +747,91 @@ impl<'a> IncrementalEvaluator<'a> {
             );
         }
 
+        // Register unions: a pure function of the mapping per core, so
+        // they are settled before the replay (the rejection bounds below
+        // need them). Bits are integers, so each core's union is the
+        // (order-insensitive) sum of the bits of its occupied blocks, and
+        // a move only shifts occupancy counts for the moved tasks' blocks
+        // — applied in place (undone on reject) rather than copied per
+        // candidate.
+        match delta {
+            None => {
+                block_counts.fill(0);
+                for t in 0..n {
+                    let t = TaskId::new(t);
+                    let base = mapping.core_of(t).index() * n_blocks;
+                    for &b in registers.task_blocks(t) {
+                        block_counts[base + b.index()] += 1;
+                    }
+                }
+                for c in 0..n_cores {
+                    let row = &block_counts[c * n_blocks..(c + 1) * n_blocks];
+                    let mut r = Bits::ZERO;
+                    for (blk, &count) in registers.blocks().iter().zip(row) {
+                        if count > 0 {
+                            r += blk.bits();
+                        }
+                    }
+                    r_bits[c] = r;
+                }
+            }
+            Some((mv, _)) => {
+                shift_move(
+                    registers,
+                    n_blocks,
+                    block_counts,
+                    r_bits,
+                    &committed.core,
+                    mv,
+                    false,
+                );
+                *pending_shift = Some(mv);
+            }
+        }
+        let (levels, lambdas, r_bits): (&[VoltageLevel], &[f64], &[Bits]) =
+            (levels, lambdas, r_bits);
+        let deadline = app.deadline_s();
+        let bound_at =
+            |tm: f64| bound_summary(tm, levels, lambdas, r_bits, exposure, *nominal_f, deadline);
+
+        // Early rejection: `tm_bound` is a lower bound on the candidate's
+        // makespan before any placement, and `period_tail` the pipelined
+        // steady-state share of it; the running fill plus that tail
+        // raises it during the replay. `check_fill` is the running fill
+        // at which the single in-replay proof runs (never, by default).
+        let mut tm_bound = 0.0f64;
+        let mut period_tail = 0.0f64;
+        let mut check_fill = f64::INFINITY;
+        let test = test.filter(|_| exposure == ExposurePolicy::WholeRun);
+        if let (Some(test), Some((mv, p))) = (test, delta) {
+            let busiest = busiest_core_busy(
+                soa, mapping, freq, *scale, committed, mv, busy_bound, touched,
+            ) * BOUND_SLACK;
+            period_tail = match app.mode() {
+                ExecutionMode::Batch => 0.0,
+                ExecutionMode::Pipelined { iterations } => busiest * f64::from(iterations - 1),
+            };
+            tm_bound = (fill_at[p].max(busiest) + period_tail).max(*tm_lb);
+            let bound = bound_at(tm_bound);
+            let checkpoint = test.checkpoint(&bound);
+            if tm_bound >= checkpoint {
+                if test.proves_rejection(&bound) {
+                    stats.rejected_before_replay += 1;
+                    return None;
+                }
+            } else {
+                check_fill = checkpoint - period_tail;
+            }
+        }
+        // The in-replay proof, once the running fill reaches `check_fill`:
+        // `fill + period_tail` bounds the makespan from below (fill only
+        // grows, and the tail's busy time bounds the period).
+        let proven_at = |fill: f64| {
+            test.is_some_and(|test| {
+                test.proves_rejection(&bound_at((fill + period_tail).max(tm_bound)))
+            })
+        };
+
         candidate.lanes.resize_with(n_cores, Vec::new);
         let mut fill = fill_at[from_pos];
         if from_pos == 0 {
@@ -653,6 +859,13 @@ impl<'a> IncrementalEvaluator<'a> {
                 );
                 candidate.dur[t.index()] = placed.dur_s;
                 fill = fill.max(candidate.finish[t.index()]);
+                if fill >= check_fill {
+                    if proven_at(fill) {
+                        stats.rejected_during_replay += 1;
+                        return None;
+                    }
+                    check_fill = f64::INFINITY;
+                }
             }
         } else {
             // Cone-of-influence replay. A suffix task's placement can
@@ -662,7 +875,7 @@ impl<'a> IncrementalEvaluator<'a> {
             // placement changed — everything else is bitwise unchanged
             // and simply kept. The visit order is topological, so each
             // task's predecessors are classified before it.
-            let mv = delta.expect("suffix replay requires the separating move");
+            let (mv, _) = delta.expect("suffix replay requires the separating move");
             dirty_task.fill(false);
             dirty_cores.fill(false);
             lane_done.fill(false);
@@ -731,13 +944,24 @@ impl<'a> IncrementalEvaluator<'a> {
                         &mut candidate.lanes,
                     );
                     candidate.dur[ti] = placed.dur_s;
+                    fill = fill.max(candidate.finish[ti]);
+                    // Only a re-placement is worth stopping for; a skipped
+                    // task that lifts the fill past the checkpoint is
+                    // seen at the next one.
+                    if fill >= check_fill {
+                        if proven_at(fill) {
+                            stats.rejected_during_replay += 1;
+                            return None;
+                        }
+                        check_fill = f64::INFINITY;
+                    }
                 } else {
                     // Skipped: keep accumulating the core's clean busy in
                     // visit order (a dirty core receives no clean tasks,
                     // so its value freezes exactly at materialization).
                     clean_busy[ci] += candidate.dur[ti];
+                    fill = fill.max(candidate.finish[ti]);
                 }
-                fill = fill.max(candidate.finish[ti]);
             }
             // A dirty core that received no placement (e.g. the move's
             // source core emptied of suffix tasks) still needs its lane
@@ -762,11 +986,11 @@ impl<'a> IncrementalEvaluator<'a> {
         // core ids are discrete); without a delta it is rebuilt.
         candidate.core.clear();
         match delta {
-            Some(Move::Relocate { task, to }) => {
+            Some((Move::Relocate { task, to }, _)) => {
                 candidate.core.extend_from_slice(&committed.core);
                 candidate.core[task.index()] = to;
             }
-            Some(Move::Swap { a, b }) => {
+            Some((Move::Swap { a, b }, _)) => {
                 candidate.core.extend_from_slice(&committed.core);
                 candidate.core.swap(a.index(), b.index());
             }
@@ -789,46 +1013,10 @@ impl<'a> IncrementalEvaluator<'a> {
                 )
             }
         };
-
-        // Register unions: a pure function of the mapping per core. Bits
-        // are integers, so each core's union is the (order-insensitive)
-        // sum of the bits of its occupied blocks, and a move only shifts
-        // occupancy counts for the moved tasks' blocks — applied in place
-        // (undone on reject) rather than copied per candidate.
-        match delta {
-            None => {
-                block_counts.fill(0);
-                for t in 0..n {
-                    let t = TaskId::new(t);
-                    let base = mapping.core_of(t).index() * n_blocks;
-                    for &b in registers.task_blocks(t) {
-                        block_counts[base + b.index()] += 1;
-                    }
-                }
-                for c in 0..n_cores {
-                    let row = &block_counts[c * n_blocks..(c + 1) * n_blocks];
-                    let mut r = Bits::ZERO;
-                    for (blk, &count) in registers.blocks().iter().zip(row) {
-                        if count > 0 {
-                            r += blk.bits();
-                        }
-                    }
-                    r_bits[c] = r;
-                }
-            }
-            Some(mv) => {
-                shift_move(
-                    registers,
-                    n_blocks,
-                    block_counts,
-                    r_bits,
-                    &committed.core,
-                    mv,
-                    false,
-                );
-                *pending_shift = Some(mv);
-            }
-        }
+        debug_assert!(
+            tm_bound <= tm,
+            "makespan bound {tm_bound} exceeds the makespan {tm}"
+        );
 
         // Same accumulation order as the full paths (core order), with
         // the per-scaling λ cache supplying the rates. The power sum
@@ -848,15 +1036,89 @@ impl<'a> IncrementalEvaluator<'a> {
         }
 
         let power_mw = watts_to_mw(power_acc * *c_load);
-        EvalSummary {
+        Some(EvalSummary {
             tm_seconds: tm,
             tm_nominal_cycles: tm * *nominal_f,
-            meets_deadline: tm <= app.deadline_s(),
+            meets_deadline: tm <= deadline,
             power_mw,
             gamma,
             r_total,
+        })
+    }
+}
+
+/// The summary a [`RejectionTest`] sees at makespan lower bound `tm`:
+/// `Γ` through the same per-core expression, in the same core order, as
+/// the finished summary (so at most it, bit for bit), the exact register
+/// usage, and power 0.
+fn bound_summary(
+    tm: f64,
+    levels: &[VoltageLevel],
+    lambdas: &[f64],
+    r_bits: &[Bits],
+    exposure: ExposurePolicy,
+    nominal_f: f64,
+    deadline: f64,
+) -> EvalSummary {
+    let mut gamma = 0.0f64;
+    let mut r_total = Bits::ZERO;
+    for ((&level, &lambda), &r) in levels.iter().zip(lambdas).zip(r_bits) {
+        gamma += core_scalars_cached(level, lambda, 0.0, tm, r, exposure).gamma;
+        r_total += r;
+    }
+    EvalSummary {
+        tm_seconds: tm,
+        tm_nominal_cycles: tm * nominal_f,
+        meets_deadline: tm <= deadline,
+        power_mw: 0.0,
+        gamma,
+        r_total,
+    }
+}
+
+/// The busiest core's fill-pass busy time under `mapping` (the committed
+/// mapping with `mv` applied). A task's duration depends on the mapping
+/// only, and a move changes it for the moved tasks and their successors
+/// alone, so the committed busy times are patched in O(degree) instead
+/// of re-summed. The patch rounds differently from the replay's
+/// visit-order sums; callers scale the result by [`BOUND_SLACK`].
+#[allow(clippy::too_many_arguments)]
+fn busiest_core_busy(
+    soa: &TaskGraphSoa,
+    mapping: &Mapping,
+    freq: &[f64],
+    scale: f64,
+    committed: &ScheduleCache,
+    mv: Move,
+    busy: &mut [f64],
+    touched: &mut [bool],
+) -> f64 {
+    let (first, second) = match mv {
+        Move::Relocate { task, .. } => (task, None),
+        Move::Swap { a, b } => (a, Some(b)),
+    };
+    let affected = || {
+        std::iter::once(first).chain(second).flat_map(|m| {
+            std::iter::once(m).chain(
+                soa.successors(m)
+                    .iter()
+                    .map(|&(s, _)| TaskId::new(s as usize)),
+            )
+        })
+    };
+    busy.copy_from_slice(&committed.busy);
+    for t in affected() {
+        let ti = t.index();
+        if !touched[ti] {
+            touched[ti] = true;
+            busy[committed.core[ti].index()] -= committed.dur[ti];
+            busy[mapping.core_of(t).index()] += task_duration(soa, mapping, freq, scale, t, |_| {});
         }
     }
+    for t in affected() {
+        touched[t.index()] = false;
+    }
+    busy.iter().fold(0.0f64, |acc, &b| acc.max(b))
 }
 
 /// Applies (or, with `revert`, exactly undoes) the occupancy-count
@@ -965,6 +1227,24 @@ mod tests {
         (arch, Mapping::try_new(assign, cores).unwrap())
     }
 
+    /// Rejects every candidate whose makespan reaches the threshold:
+    /// exact, because a makespan bound at or past it proves the rejection.
+    struct RejectFrom(f64);
+
+    impl RejectionTest for RejectFrom {
+        fn checkpoint(&self, _bound: &EvalSummary) -> f64 {
+            self.0
+        }
+
+        fn proves_rejection(&self, bound: &EvalSummary) -> bool {
+            bound.tm_seconds >= self.0
+        }
+
+        fn rejects(&self, summary: &EvalSummary) -> bool {
+            summary.tm_seconds >= self.0
+        }
+    }
+
     fn walk_neighbourhood(app: &Application, cores: usize) {
         let (arch, mut current) = setup(app, cores);
         let ctx = EvalContext::new(app, &arch);
@@ -979,18 +1259,32 @@ mod tests {
                 &primed,
                 &reference.evaluate(&current, &s).unwrap()
             ));
+            let mut committed_tm = primed.tm_seconds;
             // Evaluate every neighbour; accept every third move.
             let moves: Vec<Move> = current.neighbourhood();
             for (i, mv) in moves.into_iter().enumerate() {
                 let inverse = current.apply(mv);
-                let fast = ev.evaluate_move(&current, &s, mv).unwrap();
                 let full = reference.evaluate(&current, &s).unwrap();
+                // Beside the walk: the neighbour first meets a makespan
+                // threshold around the committed one, and an early
+                // rejection must agree with the full path.
+                let test = RejectFrom(committed_tm * [0.9, 1.0, 1.1][(i / 3) % 3]);
+                match ev.evaluate_move(&current, &s, mv, Some(&test)).unwrap() {
+                    Some(fast) => assert!(
+                        summaries_bitwise_eq(&fast, &full),
+                        "divergence under a test on {mv}: {fast:?} vs {full:?}"
+                    ),
+                    None => assert!(test.rejects(&full), "wrong rejection of {mv}"),
+                }
+                ev.reject();
+                let fast = ev.evaluate_move(&current, &s, mv, None).unwrap().unwrap();
                 assert!(
                     summaries_bitwise_eq(&fast, &full),
                     "divergence on {mv}: {fast:?} vs {full:?}"
                 );
                 if i % 3 == 0 {
                     ev.accept();
+                    committed_tm = fast.tm_seconds;
                 } else {
                     ev.reject();
                     current.apply(inverse);
@@ -1001,6 +1295,10 @@ mod tests {
         assert!(
             stats.incremental > 0,
             "no incremental evaluations: {stats:?}"
+        );
+        assert!(
+            stats.rejected_before_replay > 0 && stats.rejected_during_replay > 0,
+            "both early-rejection points must fire: {stats:?}"
         );
         assert_eq!(stats.bypassed, 0);
     }
@@ -1032,7 +1330,7 @@ mod tests {
         let to = CoreId::new((current.core_of(early).index() + 1) % 4);
         let mv = Move::Relocate { task: early, to };
         let inverse = current.apply(mv);
-        ev.evaluate_move(&current, &s, mv).unwrap();
+        ev.evaluate_move(&current, &s, mv, None).unwrap();
         ev.reject();
         current.apply(inverse);
         assert_eq!(ev.stats().fallback, 1);
@@ -1043,7 +1341,7 @@ mod tests {
         let to = CoreId::new((current.core_of(boundary).index() + 1) % 4);
         let mv = Move::Relocate { task: boundary, to };
         current.apply(mv);
-        ev.evaluate_move(&current, &s, mv).unwrap();
+        ev.evaluate_move(&current, &s, mv, None).unwrap();
         ev.accept();
         assert_eq!(ev.stats().incremental, 1);
 
@@ -1052,7 +1350,7 @@ mod tests {
         let to = CoreId::new((current.core_of(below).index() + 1) % 4);
         let mv = Move::Relocate { task: below, to };
         current.apply(mv);
-        ev.evaluate_move(&current, &s, mv).unwrap();
+        ev.evaluate_move(&current, &s, mv, None).unwrap();
         ev.accept();
         assert_eq!(ev.stats().fallback, 2);
     }
@@ -1072,7 +1370,7 @@ mod tests {
         ));
         let mv = current.nth_neighbourhood_move(0).unwrap();
         current.apply(mv);
-        let fast = ev.evaluate_move(&current, &s, mv).unwrap();
+        let fast = ev.evaluate_move(&current, &s, mv, None).unwrap().unwrap();
         assert!(summaries_bitwise_eq(
             &fast,
             &reference.evaluate(&current, &s).unwrap()
@@ -1082,6 +1380,25 @@ mod tests {
         let stats = ev.stats();
         assert_eq!(stats.bypassed, 2);
         assert_eq!(stats.incremental + stats.fallback + stats.primes, 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "accept() after evaluate_move proved the candidate rejected")]
+    fn accept_after_a_rejection_panics_in_debug_builds() {
+        let app = mpeg2::application();
+        let (arch, mut current) = setup(&app, 4);
+        let ctx = EvalContext::new(&app, &arch);
+        let mut ev = IncrementalEvaluator::new(ctx).with_enabled(true);
+        let s = ScalingVector::all_nominal(&arch);
+        ev.prime(&current, &s).unwrap();
+        let mv = current.nth_neighbourhood_move(0).unwrap();
+        current.apply(mv);
+        let outcome = ev
+            .evaluate_move(&current, &s, mv, Some(&RejectFrom(0.0)))
+            .unwrap();
+        assert!(outcome.is_none());
+        ev.accept();
     }
 
     #[test]
@@ -1095,7 +1412,7 @@ mod tests {
         // No prime: the first move computes fully and can be accepted.
         let mv = current.nth_neighbourhood_move(1).unwrap();
         current.apply(mv);
-        let fast = ev.evaluate_move(&current, &s, mv).unwrap();
+        let fast = ev.evaluate_move(&current, &s, mv, None).unwrap().unwrap();
         assert!(summaries_bitwise_eq(
             &fast,
             &reference.evaluate(&current, &s).unwrap()
@@ -1104,7 +1421,7 @@ mod tests {
         // Subsequent moves run incrementally off the recovered base.
         let mv = current.nth_neighbourhood_move(4).unwrap();
         current.apply(mv);
-        let fast = ev.evaluate_move(&current, &s, mv).unwrap();
+        let fast = ev.evaluate_move(&current, &s, mv, None).unwrap().unwrap();
         assert!(summaries_bitwise_eq(
             &fast,
             &reference.evaluate(&current, &s).unwrap()

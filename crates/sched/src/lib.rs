@@ -16,7 +16,8 @@
 //! * [`incremental`] — the delta-evaluation [`IncrementalEvaluator`]: a
 //!   cached-schedule wrapper that replays only the suffix a single
 //!   neighbourhood move can invalidate, bitwise identical to the full
-//!   path (see the README's "Engine internals" section).
+//!   path, and stops early once the caller's [`RejectionTest`] proves a
+//!   candidate rejected (see the README's "Engine internals" sections).
 //! * [`bounds`] — mapping-independent lower bounds on `TM`
 //!   ([`tm_lower_bound`]), the foundation of `sea-opt`'s bound-and-prune
 //!   scaling enumeration.
@@ -59,7 +60,7 @@ pub use bounds::{prune_default, tm_lower_bound};
 pub use evaluator::Evaluator;
 pub use incremental::{
     fallback_cutoff, incremental_default, summaries_bitwise_eq, IncrementalEvaluator,
-    IncrementalStats,
+    IncrementalStats, RejectionTest,
 };
 pub use mapping::{Mapping, Move};
 pub use metrics::{CoreEval, EvalContext, EvalSummary, ExposurePolicy, MappingEvaluation};

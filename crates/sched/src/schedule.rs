@@ -256,10 +256,36 @@ pub(crate) struct Placement {
     pub(crate) dur_s: f64,
 }
 
+/// One task's duration in seconds on its mapped core: its computation
+/// plus the inbound cross-core communication, which occupies the consumer
+/// core (eq. 7 counts `d_jk` in `T_i`). A function of the mapping and the
+/// per-core effective frequencies only — never of the schedule — shared by
+/// [`place_task`] and the incremental evaluator's busy-time bound.
+/// `each_pred` sees every predecessor index on the way, so `place_task`
+/// finds the data-ready time in the same pass.
+#[inline]
+pub(crate) fn task_duration(
+    soa: &TaskGraphSoa,
+    mapping: &Mapping,
+    freq: &[f64],
+    scale: f64,
+    t: TaskId,
+    mut each_pred: impl FnMut(usize),
+) -> f64 {
+    let core = mapping.core_of(t);
+    let mut comm_cycles = 0.0f64;
+    for &(p, comm) in soa.predecessors(t) {
+        each_pred(p as usize);
+        if mapping.core_of(TaskId::new(p as usize)) != core {
+            comm_cycles += comm * scale;
+        }
+    }
+    (soa.wcec(t) * scale + comm_cycles) / freq[core.index()]
+}
+
 /// Places one task on its mapped core's timeline: computes the data-ready
-/// time and duration (inbound cross-core communication is charged on the
-/// consumer core, eq. 7), finds the earliest insertion slot, and records
-/// the placement into `finish`/`busy`/`lanes`.
+/// time and [`task_duration`], finds the earliest insertion slot, and
+/// records the placement into `finish`/`busy`/`lanes`.
 ///
 /// This is the *single* placement routine shared by the full pass and the
 /// incremental suffix replay (`crate::incremental`), so the two paths
@@ -277,20 +303,12 @@ pub(crate) fn place_task(
     lanes: &mut [Vec<ScheduledTask>],
 ) -> Placement {
     let core = mapping.core_of(t);
-    let f = freq[core.index()];
 
     // Earliest data-ready time: all producers done.
     let mut ready_s = 0.0f64;
-    let mut comm_cycles = 0.0f64;
-    for &(p, comm) in soa.predecessors(t) {
-        ready_s = ready_s.max(finish[p as usize]);
-        if mapping.core_of(TaskId::new(p as usize)) != core {
-            comm_cycles += comm * scale;
-        }
-    }
-    // Inbound cross-core communication occupies the consumer core
-    // (eq. 7 counts d_jk in T_i).
-    let dur = (soa.wcec(t) * scale + comm_cycles) / f;
+    let dur = task_duration(soa, mapping, freq, scale, t, |p| {
+        ready_s = ready_s.max(finish[p]);
+    });
 
     // Insertion placement: earliest slot on the core's timeline (an
     // inter-task gap or the tail) that starts at or after `ready_s`

@@ -240,7 +240,7 @@ proptest! {
             }
             let mv = current.nth_neighbourhood_move(pick.index(len)).unwrap();
             let inverse = current.apply(mv);
-            let got = inc.evaluate_move(&current, &scaling, mv).unwrap();
+            let got = inc.evaluate_move(&current, &scaling, mv, None).unwrap().unwrap();
             let want = full.evaluate(&current, &scaling).unwrap();
             prop_assert!(
                 summaries_bitwise_eq(&got, &want),
@@ -266,7 +266,7 @@ proptest! {
             let mv = Move::Relocate { task, to };
             let before = inc.stats();
             current.apply(mv);
-            let got = inc.evaluate_move(&current, &scaling, mv).unwrap();
+            let got = inc.evaluate_move(&current, &scaling, mv, None).unwrap().unwrap();
             let want = full.evaluate(&current, &scaling).unwrap();
             prop_assert!(summaries_bitwise_eq(&got, &want));
             inc.accept();
@@ -280,6 +280,129 @@ proptest! {
                 u64::from(!expect_incremental)
             );
         }
+    }
+
+    /// Early rejection is exact. On random batch graphs and the pipelined
+    /// MPEG-2 decoder, under deadlines straddling the makespan (so the
+    /// penalty jump is crossed), for every annealer score shape with and
+    /// without the deadline penalty, current scores around the
+    /// candidate's true score, temperatures down to the 1e-12 clamp and
+    /// draws of 0 and just below 1: every "rejected" answer agrees with
+    /// the full evaluation's decision for the same draw, every returned
+    /// summary is bitwise the full path's (also right after a rejection),
+    /// and the busy-only exposure policy never rejects early.
+    #[test]
+    fn early_rejection_agrees_with_the_full_decision(
+        graph in (any::<bool>(), arb_application()),
+        raw_mapping in proptest::collection::vec(0usize..4, 24),
+        s in 1u8..=3,
+        deadline_scale in 0.7f64..1.3,
+        walk in proptest::collection::vec(
+            (any::<prop::sample::Index>(), 0usize..7, -0.4f64..0.4, 0usize..4, 0.0f64..1.0),
+            1..24,
+        ),
+    ) {
+        use sea_dse::baselines::Objective;
+        use sea_dse::opt::optimized::{deadline_penalty_factor, Acceptance};
+        use sea_dse::sched::metrics::{EvalSummary, ExposurePolicy};
+        use sea_dse::sched::{summaries_bitwise_eq, Evaluator, IncrementalEvaluator, RejectionTest};
+        use sea_dse::taskgraph::mpeg2;
+
+        let (use_mpeg2, random) = graph;
+        let base = if use_mpeg2 { mpeg2::application() } else { random };
+        let arch = Architecture::homogeneous(4, LevelSet::arm7_three_level());
+        let n = base.graph().len();
+        let mut current = Mapping::try_new(
+            raw_mapping[..n].iter().map(|&c| CoreId::new(c)).collect(),
+            4,
+        ).unwrap();
+        let scaling = ScalingVector::uniform(s, &arch).unwrap();
+        let tm0 = EvalContext::new(&base, &arch).evaluate(&current, &scaling).unwrap().tm_seconds;
+        let app = base.with_deadline(tm0 * deadline_scale).unwrap();
+        let deadline = app.deadline_s();
+
+        let ctx = EvalContext::new(&app, &arch);
+        let busy_ctx = ctx.clone().with_exposure(ExposurePolicy::BusyOnly);
+        let mut full = Evaluator::new(ctx.clone());
+        let mut busy_full = Evaluator::new(busy_ctx.clone());
+        let mut inc = IncrementalEvaluator::new(ctx).with_enabled(true);
+        let mut busy = IncrementalEvaluator::new(busy_ctx).with_enabled(true);
+        inc.prime(&current, &scaling).unwrap();
+        busy.prime(&current, &scaling).unwrap();
+
+        let objectives = [
+            Objective::RegisterUsage,
+            Objective::Parallelism,
+            Objective::RegTimeProduct,
+        ];
+        for (pick, shape, offset, t_pick, u) in walk {
+            let len = current.neighbourhood_len();
+            if len == 0 {
+                break;
+            }
+            let mv = current.nth_neighbourhood_move(pick.index(len)).unwrap();
+            let inverse = current.apply(mv);
+            let want = full.evaluate(&current, &scaling).unwrap();
+
+            // Shape 0 is the proposed flow's penalized Γ; 1–3 the
+            // baselines' objectives with the penalty, 4–6 without.
+            let score = move |eval: &EvalSummary| match shape {
+                0 => eval.gamma * deadline_penalty_factor(eval, deadline),
+                1..=3 => objectives[shape - 1].penalized_summary(eval, deadline),
+                _ => objectives[shape - 4].score_summary(eval),
+            };
+            let rule = Acceptance::new(score);
+            let true_score = rule.score(&want);
+            let current_score = if offset.abs() < 0.05 {
+                true_score
+            } else {
+                true_score * (1.0 + offset)
+            };
+            let temperature = [0.1, 1e-3, 1e-12, 1e-300][t_pick];
+            let draw = if u < 0.1 {
+                0.0
+            } else if u > 0.9 {
+                1.0 - f64::EPSILON / 2.0
+            } else {
+                u
+            };
+            let step = rule.at(current_score, temperature, draw);
+
+            let rejected = match inc.evaluate_move(&current, &scaling, mv, Some(&step)).unwrap() {
+                None => {
+                    prop_assert!(
+                        step.rejects(&want),
+                        "{} rejected early but the full decision accepts {:?}",
+                        mv, want
+                    );
+                    true
+                }
+                Some(got) => {
+                    prop_assert!(
+                        summaries_bitwise_eq(&got, &want),
+                        "summary diverged on {}: {:?} vs {:?}",
+                        mv, got, want
+                    );
+                    step.rejects(&got)
+                }
+            };
+            let busy_got = busy.evaluate_move(&current, &scaling, mv, Some(&step)).unwrap();
+            prop_assert!(busy_got.is_some(), "busy-only exposure rejected {} early", mv);
+            prop_assert!(summaries_bitwise_eq(
+                &busy_got.unwrap(),
+                &busy_full.evaluate(&current, &scaling).unwrap()
+            ));
+            if rejected {
+                inc.reject();
+                busy.reject();
+                current.apply(inverse);
+            } else {
+                inc.accept();
+                busy.accept();
+            }
+        }
+        let stats = busy.stats();
+        prop_assert_eq!(stats.rejected_before_replay + stats.rejected_during_replay, 0);
     }
 
     /// The SER model is multiplicative in λ_ref and decreasing in Vdd.
