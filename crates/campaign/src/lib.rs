@@ -65,8 +65,8 @@ pub use pool::{
     Completion, RunConfig, RunOutcome, RunState, UnitOutcome,
 };
 pub use sink::{
-    csv_report, human_report, json_record, jsonl_report, CsvSink, HumanSink, JsonlSink, NullSink,
-    Sink,
+    csv_report, human_report, json_escape, json_record, jsonl_report, CsvSink, HumanSink,
+    JsonlSink, NullSink, Sink,
 };
 pub use spec::{parse_campaign, Campaign, Scenario, ScenarioKind};
 pub use unit::{

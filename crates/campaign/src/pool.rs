@@ -10,7 +10,9 @@
 //! fields ([`crate::unit`]), which is the whole guarantee: scheduling can
 //! only change wall-clock and the interleaving of progress lines.
 //!
-//! [`run_units_configured`] layers the persistence machinery on top:
+//! [`run_units_configured`] layers the persistence machinery on top, all
+//! of it decided and enforced by [`RunState`], which every backend
+//! drives:
 //!
 //! * **Within-campaign dedupe** — pending units with equal
 //!   [`unit_hash`] are one computation (index and scenario are
@@ -129,7 +131,7 @@ pub struct RunConfig<'a> {
     pub need_payloads: bool,
     /// Write-ahead journal appender; each newly completed unit is durably
     /// recorded in completion order. Owned, so long-lived callers (the
-    /// `sea-serve` daemon keeps one `RunState` per active campaign) need
+    /// `sea-dist` coordinator keeps one `RunState` per active campaign) need
     /// no borrow arena behind their state registry.
     pub journal: Option<JournalWriter>,
 }
@@ -230,8 +232,8 @@ pub fn produce_unit_cancellable(
 
 /// The unit-source/result-slot state machine shared by every execution
 /// backend: the in-process thread pool ([`run_units_configured`]) and the
-/// TCP dispatcher (`sea-dist`) both *drive* a `RunState` instead of
-/// re-implementing the prefill/cache/journal discipline.
+/// `sea-dist` coordinator both *drive* a `RunState` instead of
+/// re-implementing the dedupe/prefill/cache/journal discipline.
 ///
 /// [`RunState::plan`] makes the one decision that must never drift
 /// between backends — "does this unit need evaluation, and where does its
@@ -245,6 +247,10 @@ pub struct RunState {
     slots: Vec<Option<UnitOutcome>>,
     errors: Vec<Option<CampaignError>>,
     pending: Vec<usize>,
+    /// Leader → the index and unit of each pending unit with its
+    /// [`unit_hash`], in enumeration order. Only leaders with followers
+    /// have an entry, so only they pay for the fan-out.
+    followers: HashMap<usize, Vec<(usize, Unit)>>,
     journaled: Vec<bool>,
     journal: Option<JournalWriter>,
     resumed: usize,
@@ -256,7 +262,9 @@ pub struct RunState {
 }
 
 impl RunState {
-    /// Plans a run: decides, per unit, whether it still needs evaluation.
+    /// Plans a run: decides, per unit, whether it still needs evaluation,
+    /// and groups the units that do by [`unit_hash`]: each group's lowest
+    /// index leads and is the only one a backend produces.
     ///
     /// A prefilled (journal-restored) record satisfies its unit unless the
     /// caller needs typed payloads, in which case the unit re-enters the
@@ -300,10 +308,24 @@ impl RunState {
             }
         }
         let outstanding = pending.len();
+        let mut first: HashMap<ContentHash, usize> = HashMap::with_capacity(outstanding);
+        let mut followers: HashMap<usize, Vec<(usize, Unit)>> = HashMap::new();
+        pending.retain(|&i| match first.entry(unit_hash(&units[i])) {
+            Entry::Vacant(slot) => {
+                slot.insert(i);
+                true
+            }
+            Entry::Occupied(leader) => {
+                let follower = (i, units[i].clone());
+                followers.entry(*leader.get()).or_default().push(follower);
+                false
+            }
+        });
         RunState {
             errors: (0..units.len()).map(|_| None).collect(),
             slots,
             pending,
+            followers,
             journaled,
             journal,
             resumed,
@@ -315,14 +337,16 @@ impl RunState {
         }
     }
 
-    /// The enumeration indices that still need a completion, in
-    /// enumeration order. This is the work list a backend dispatches.
+    /// The enumeration indices a backend must produce: the leader of
+    /// each group of equal-hash units that need a completion, in
+    /// enumeration order. Completing a leader completes its group.
     #[must_use]
     pub fn pending(&self) -> &[usize] {
         &self.pending
     }
 
-    /// How many pending units have not completed yet.
+    /// How many units (leaders and their followers) have not completed
+    /// yet. At plan time this is the count a progress stream runs to.
     #[must_use]
     pub fn outstanding(&self) -> usize {
         self.outstanding
@@ -354,9 +378,18 @@ impl RunState {
         self.slots[index].is_some() || self.errors[index].is_some()
     }
 
-    /// Records one completion: streams it to the sink (completion order),
-    /// appends it to the journal (once — prefilled records are already
-    /// durable), and slots it by enumeration index.
+    /// The record slotted at `index` — restored at plan time or completed
+    /// since — or `None` while it is missing, failed or out of range.
+    #[must_use]
+    pub fn record(&self, index: usize) -> Option<&UnitRecord> {
+        self.slots.get(index)?.as_ref().map(UnitOutcome::record)
+    }
+
+    /// Records one completion and, for a group leader, a copy of it (or
+    /// of its hard error) for each follower, rebound to the follower's
+    /// own index and scenario and counted as deduped. Each streams to the
+    /// sink (completion order), appends to the journal (once — prefilled
+    /// records are already durable), and slots by enumeration index.
     ///
     /// Returns `false` when the run must halt because a journal append
     /// failed (the write-ahead guarantee is gone); the error surfaces from
@@ -377,22 +410,31 @@ impl RunState {
         } else {
             self.executed += 1;
         }
+        let copies: Vec<(usize, Result<UnitResult, CampaignError>)> = self
+            .followers
+            .remove(&index)
+            .unwrap_or_default()
+            .into_iter()
+            .map(|(f, unit)| {
+                let copy = match &result {
+                    Ok(r) => Ok(UnitResult::rebound(
+                        &unit,
+                        r.payload.clone(),
+                        r.record.clone(),
+                    )),
+                    Err(e) => Err(e.clone()),
+                };
+                (f, copy)
+            })
+            .collect();
         self.settle(index, result, sink)
-    }
-
-    /// [`RunState::complete`] for a unit completed from an equal-hash
-    /// unit's result, counted as deduped.
-    fn complete_duplicate(
-        &mut self,
-        index: usize,
-        result: Result<UnitResult, CampaignError>,
-        sink: &mut dyn Sink,
-    ) -> bool {
-        if self.is_filled(index) {
-            return true;
-        }
-        self.deduped += 1;
-        self.settle(index, result, sink)
+            && copies.into_iter().all(|(f, copy)| {
+                if self.is_filled(f) {
+                    return true;
+                }
+                self.deduped += 1;
+                self.settle(f, copy, sink)
+            })
     }
 
     /// Streams, journals and slots one counted completion.
@@ -460,68 +502,6 @@ impl RunState {
     }
 }
 
-/// The followers of each pending unit that leads a [`unit_hash`] group:
-/// the group's lowest index is the only one evaluated, and its result
-/// completes the others.
-struct Duplicates {
-    /// Leader → its followers, in enumeration order. Only leaders with
-    /// followers have an entry, so only they pay for the fan-out.
-    followers: HashMap<usize, Vec<usize>>,
-}
-
-impl Duplicates {
-    /// Groups `pending` once per plan. Returns the leaders, the units to
-    /// produce, in enumeration order.
-    fn group(units: &[Unit], pending: &[usize]) -> (Vec<usize>, Self) {
-        let mut first: HashMap<ContentHash, usize> = HashMap::with_capacity(pending.len());
-        let mut leaders = Vec::with_capacity(pending.len());
-        let mut followers: HashMap<usize, Vec<usize>> = HashMap::new();
-        for &i in pending {
-            match first.entry(unit_hash(&units[i])) {
-                Entry::Vacant(slot) => {
-                    slot.insert(i);
-                    leaders.push(i);
-                }
-                Entry::Occupied(leader) => followers.entry(*leader.get()).or_default().push(i),
-            }
-        }
-        (leaders, Duplicates { followers })
-    }
-
-    /// Completes a leader, then each of its followers with a copy of its
-    /// result (or of its hard error). Returns `false` when the run must
-    /// halt, as [`RunState::complete`] does.
-    fn complete(
-        &mut self,
-        state: &mut RunState,
-        units: &[Unit],
-        done: Completion,
-        sink: &mut dyn Sink,
-    ) -> bool {
-        let Some(followers) = self.followers.remove(&done.index) else {
-            return state.complete(done, sink);
-        };
-        let copies: Vec<(usize, Result<UnitResult, CampaignError>)> = followers
-            .into_iter()
-            .map(|f| {
-                let copy = match &done.result {
-                    Ok(r) => Ok(UnitResult::rebound(
-                        &units[f],
-                        r.payload.clone(),
-                        r.record.clone(),
-                    )),
-                    Err(e) => Err(e.clone()),
-                };
-                (f, copy)
-            })
-            .collect();
-        state.complete(done, sink)
-            && copies
-                .into_iter()
-                .all(|(f, copy)| state.complete_duplicate(f, copy, sink))
-    }
-}
-
 /// Executes `units` under the full persistence configuration, streaming
 /// completions to `sink`.
 ///
@@ -561,11 +541,11 @@ pub fn run_units_configured(
     // on a resume, "[3/3]" (not a never-reached "[3/10]") is what tells
     // an observer the run finished rather than aborted. The final report
     // still covers every unit.
-    sink.begin(state.pending().len());
+    sink.begin(state.outstanding());
 
     // Equal-hash units are one computation: only each group's leader is
     // produced, and its completion fans out to the rest.
-    let (pending, mut duplicates) = Duplicates::group(units, state.pending());
+    let pending = state.pending().to_vec();
     let requested = jobs.max(1);
     let jobs = requested.min(pending.len().max(1));
     // Narrow campaigns must not strand capacity: when there are fewer
@@ -581,7 +561,7 @@ pub fn run_units_configured(
         // are easier to follow.
         for &i in &pending {
             let done = produce_unit(i, &units[i], cache, inner_jobs);
-            if !duplicates.complete(&mut state, units, done, sink) {
+            if !state.complete(done, sink) {
                 break;
             }
         }
@@ -609,7 +589,7 @@ pub fn run_units_configured(
             }
             drop(tx);
             for done in rx {
-                if !duplicates.complete(&mut state, units, done, sink) {
+                if !state.complete(done, sink) {
                     // Dropping the receiver makes the workers' next
                     // send fail, winding the pool down.
                     break;
@@ -779,15 +759,15 @@ count = 15
             ..units[0].clone()
         };
         let mut state = RunState::plan(&units, Vec::new(), false, None);
-        let (leaders, mut duplicates) = Duplicates::group(&units, state.pending());
-        assert_eq!(leaders.len(), units.len() - 1);
-        assert!(!leaders.contains(&2));
+        assert_eq!(state.pending().len(), units.len() - 1);
+        assert!(!state.pending().contains(&2));
+        assert_eq!(state.outstanding(), units.len());
         let failed = Completion {
             index: 0,
             result: Err(CampaignError::Spec("boom".into())),
             from_cache: false,
         };
-        assert!(duplicates.complete(&mut state, &units, failed, &mut NullSink));
+        assert!(state.complete(failed, &mut NullSink));
         assert!(state.is_filled(2), "the follower failed with its leader");
         assert_eq!(state.outstanding(), units.len() - 2);
         assert_eq!((state.executed(), state.deduped), (1, 1));

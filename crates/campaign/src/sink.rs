@@ -285,7 +285,10 @@ pub fn csv_report(records: &[UnitRecord]) -> String {
     out
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
+/// Escapes `s` for the inside of a JSON string literal: quotes,
+/// backslashes and every control character.
+#[must_use]
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -27,7 +27,7 @@ use std::io::{Read, Write};
 ///
 /// History: version 1 was the worker dialect alone (kinds 1–8);
 /// version 2 added the client-facing service frames (kinds 9+ — submit,
-/// subscribe, status, cancel, stop) for the `sea-serve` daemon. The
+/// subscribe, status, cancel, stop) for the daemon. The
 /// frame *grammar* and the unit encoding (`sea_opt::codec::WIRE_VERSION`)
 /// are unchanged, but an old worker would see unknown kind bytes from a
 /// new daemon's Refuse-with-status path, so the exact-match rule bumps.

@@ -15,15 +15,20 @@
 //! * [`wire`] — the canonical unit encoding dispatched to workers
 //!   (including fully inlined applications for harness-built workloads)
 //!   and the work/result frame bodies.
-//! * [`coordinator`] — [`serve_units`] drives
-//!   the same [`sea_campaign::RunState`] unit-source/result-slot machine
-//!   as the in-process thread pool: results slot by enumeration index,
-//!   stream to the sink in completion order, and append to the
-//!   write-ahead journal exactly once — so final reports are
-//!   **byte-identical** to a local `--jobs N` run for any worker count,
-//!   join/leave order or network interleaving. Worker disconnects and
-//!   heartbeat timeouts re-queue in-flight units; `--resume` journals and
-//!   the shared result cache work across the network boundary.
+//! * [`daemon`] — the one coordinator: an event loop over a listener
+//!   and a shared worker fleet, keeping one [`sea_campaign::RunState`]
+//!   per campaign — the unit-source/result-slot machine the in-process
+//!   thread pool drives too. Results slot by enumeration index, stream
+//!   to the sink in completion order, and append to the write-ahead
+//!   journal exactly once, so final reports are **byte-identical** to a
+//!   local `--jobs N` run for any worker count, join/leave order or
+//!   network interleaving. Each distinct unit evaluates once, within a
+//!   campaign and across concurrent ones. Worker disconnects and
+//!   heartbeat timeouts re-queue in-flight units; `--resume` journals
+//!   and the shared result cache work across the network boundary.
+//!   [`run_daemon`] runs it as a long-lived service accepting
+//!   wire-submitted campaigns; [`serve_units`] runs one in-process
+//!   campaign and returns when it is done.
 //! * [`worker`] — [`run_worker`] connects, evaluates
 //!   dispatched units through the exact
 //!   [`sea_campaign::produce_unit`] path the thread-pool workers run
@@ -31,17 +36,17 @@
 //!   back while heartbeating.
 //!
 //! [`run_distributed_local`] wires a localhost coordinator to N
-//! in-process workers — the smoke path `reproduce --distributed` and the
+//! in-process workers — the path `reproduce --distributed` and the
 //! integration tests use.
 //!
 //! [`Unit`]: sea_campaign::Unit
 
-pub mod coordinator;
+pub mod daemon;
 pub mod frame;
 pub mod wire;
 pub mod worker;
 
-pub use coordinator::{serve_units, ServeConfig};
+pub use daemon::{run_daemon, serve_units, DaemonConfig, DaemonReport, ServeConfig, WorkerStats};
 pub use worker::{run_worker, WorkerConfig, WorkerReport};
 
 use std::net::TcpListener;
@@ -66,12 +71,13 @@ pub fn configure_stream(stream: &std::net::TcpStream) -> std::io::Result<()> {
     stream.set_nodelay(true)
 }
 
-/// Runs `units` through a localhost coordinator plus `workers` in-process
-/// TCP workers — the full network path on one machine. The coordinator
-/// owns the persistence configuration (`config.cache` is probed before
-/// dispatch and published to on receipt; `config.prefilled`/`journal`
-/// resume across the network boundary); `config.jobs` is handed to each
-/// worker as its inner job count. The outcome — and every report rendered
+/// Runs `units` through a localhost coordinator ([`serve_units`]) plus
+/// `workers` in-process TCP workers — the full network path on one
+/// machine. The coordinator owns the persistence configuration
+/// (`config.cache` is probed on the dispatch path and published to on
+/// receipt; `config.prefilled`/`journal` resume across the network
+/// boundary); `config.jobs` is handed to each worker as its inner job
+/// count. The outcome — and every report rendered
 /// from it — is byte-identical to [`sea_campaign::run_units_configured`]
 /// on the same configuration.
 ///
@@ -94,8 +100,14 @@ pub fn run_distributed_local(
     std::thread::scope(|s| {
         for _ in 0..workers.max(1) {
             s.spawn(move || {
+                // The listener is up before any worker starts, so the
+                // first connect needs no retry window, and a reconnect
+                // fails at once after the listener is gone. A worker that
+                // only reached the backlog when the campaign finished
+                // thus ends at once instead of retrying for seconds.
                 let worker_config = WorkerConfig {
                     inner_jobs,
+                    connect_retry: std::time::Duration::ZERO,
                     ..WorkerConfig::default()
                 };
                 // A worker that loses its connection mid-campaign is the
@@ -104,10 +116,11 @@ pub fn run_distributed_local(
             });
         }
         let result = serve_units(&listener, units, ServeConfig::new(config), sink);
-        // A fully-probed (warm-cache or fully-prefilled) campaign returns
-        // without ever accepting: connections then sit in the listen
-        // backlog with workers awaiting a welcome. Closing the listener
-        // resets them so the workers unblock and the scope can join.
+        // A campaign can finish before every worker was greeted (a warm
+        // cache drains on the first one, a fully journaled one on none):
+        // the rest then sit in the listen backlog awaiting a welcome.
+        // Closing the listener resets them so the workers unblock and
+        // the scope can join.
         drop(listener);
         result
     })

@@ -1,21 +1,20 @@
-//! `sea-serve` — a multi-campaign coordinator daemon over the `sea-dist`
-//! frame protocol.
+//! `sea-serve` — the client side of the `sea-dist` coordinator daemon.
 //!
-//! The single-campaign coordinator (`sea_dist::serve_units`) binds one
-//! unit list to one listener and exits when it drains. This crate turns
-//! that into a *service*: [`run_daemon`] accepts campaign submissions
-//! while it runs, multiplexes every registered campaign over one shared
-//! worker fleet, deduplicates identical units across concurrent
-//! campaigns (one evaluation fans out to every interested campaign),
-//! shares one content-addressed cache and one write-ahead journal
-//! directory fleet-wide, and streams per-completion records to
-//! subscribed clients in enumeration order.
+//! The daemon itself lives in `sea-dist` ([`sea_dist::daemon`]): one
+//! event loop that runs wire-submitted campaigns and in-process ones
+//! alike over one shared worker fleet, deduplicates identical units
+//! (one evaluation fans out to every interested campaign), shares one
+//! content-addressed cache and one write-ahead journal directory
+//! fleet-wide, and streams per-completion records to subscribed clients
+//! in enumeration order. This crate re-exports it under its established
+//! paths ([`run_daemon`], [`DaemonConfig`], [`DaemonReport`],
+//! [`WorkerStats`], and the [`daemon`] module) and adds the [`client`]
+//! verbs that speak the service dialect of protocol version 2
+//! ([`sea_dist::frame::FrameKind::Submit`] and friends).
 //!
 //! Workers are unchanged `sea_dist::run_worker` processes — the worker
-//! dialect (Hello / Work / Result / Heartbeat) is identical whether the
-//! far end is a coordinator or a daemon. Clients use the service verbs
-//! of protocol version 2 ([`sea_dist::frame::FrameKind::Submit`] and
-//! friends) via the [`client`] helpers.
+//! dialect (Hello / Work / Result / Heartbeat) is the same whichever way
+//! the coordinator was started.
 //!
 //! The determinism contract carries over unweakened: every campaign's
 //! streamed records and final report are byte-identical to the same
@@ -24,10 +23,10 @@
 //! or other in-flight campaigns.
 
 pub mod client;
-pub mod daemon;
 
 pub use client::{cancel, status, stop, submit, submit_watch, SubmitOutcome};
-pub use daemon::{run_daemon, DaemonConfig, DaemonReport, WorkerStats};
+pub use sea_dist::daemon;
+pub use sea_dist::daemon::{run_daemon, DaemonConfig, DaemonReport, WorkerStats};
 
 use sea_campaign::CampaignError;
 

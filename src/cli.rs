@@ -96,7 +96,7 @@ pub struct ServeArgs {
     /// Write-ahead journal path (`--resume`), exactly as on `campaign`.
     pub resume: Option<String>,
     /// Result-cache directory (`--cache`/`SEA_CACHE`), probed
-    /// coordinator-side before dispatch.
+    /// coordinator-side on the dispatch path.
     pub cache_dir: Option<String>,
     /// Heartbeat timeout in seconds (`--timeout`): a worker holding a
     /// unit silent this long is presumed dead and its unit re-queued.
@@ -127,7 +127,7 @@ pub struct DaemonArgs {
     /// printed to stderr).
     pub listen: String,
     /// Fleet-wide result-cache directory (`--cache`/`SEA_CACHE`),
-    /// probed daemon-side before dispatch.
+    /// probed daemon-side on the dispatch path.
     pub cache_dir: Option<String>,
     /// Directory for per-campaign write-ahead journals
     /// (`--journal-dir`): each accepted campaign journals to
@@ -470,7 +470,8 @@ DIST:      `serve` expands a campaign and fans units to TCP workers
            stdout report is byte-identical to a local `campaign` run for
            any worker count, join/leave order or mid-run worker kill.
            --resume and --cache work across the network boundary (the
-           cache is probed coordinator-side before dispatch). See README
+           cache is probed coordinator-side on the dispatch path, so a
+           warm run sends no work but waits for one worker). See README
            \"Distributed campaigns\" for the frame-protocol spec.
 SERVICE:   `daemon` is the long-running multi-campaign coordinator: the
            same workers connect to it, while `submit` registers campaign

@@ -19,11 +19,14 @@
 //!   experiments Exp:1–Exp:3 and the random-mapping sweep of Fig. 3.
 //! * [`campaign`] — declarative multi-scenario campaigns: spec grammar,
 //!   deterministic cross-scenario worker pool, streaming result sinks.
-//! * [`dist`] — distributed campaigns over TCP: coordinator, workers,
-//!   and the length-prefixed frame protocol between them.
-//! * [`serve`] — the multi-campaign coordinator daemon: wire-submitted
-//!   campaigns, fair scheduling over a shared worker fleet,
-//!   cross-campaign dedupe and live result streaming.
+//! * [`dist`] — distributed campaigns over TCP: workers, the
+//!   length-prefixed frame protocol, and the one coordinator — an event
+//!   loop that runs wire-submitted campaigns (the daemon) and in-process
+//!   ones (`serve`, `reproduce --distributed`) alike, with fair
+//!   scheduling over a shared worker fleet, dedupe and live result
+//!   streaming.
+//! * [`serve`] — the daemon's client verbs (submit, watch, status,
+//!   cancel, stop), plus the daemon re-exported from [`dist`].
 //! * [`experiments`] — harnesses regenerating every table and figure,
 //!   defined as campaign unit lists.
 //!

@@ -149,6 +149,49 @@ fn concurrent_campaigns_match_local_runs_and_share_the_overlap() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+// Two scenarios naming the same problem: one campaign, two equal units.
+const TWINS: &str = "\
+name = \"twins\"
+budget = \"fast\"
+
+[scenario]
+name = \"first\"
+kind = \"optimize\"
+apps = \"mpeg2\"
+cores = \"4\"
+seeds = \"42\"
+
+[scenario]
+name = \"second\"
+kind = \"optimize\"
+apps = \"mpeg2\"
+cores = \"4\"
+seeds = \"42\"
+";
+
+#[test]
+fn duplicate_units_within_a_campaign_evaluate_once() {
+    let golden = local_jsonl(TWINS);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let (report, records, rep) = std::thread::scope(|s| {
+        let daemon = s.spawn(|| run_daemon(&listener, &DaemonConfig::new()));
+        let worker_addr = addr.clone();
+        let worker = s.spawn(move || run_worker(&worker_addr, &WorkerConfig::default()));
+        let mut records = Vec::new();
+        let mut rep = Vec::new();
+        let outcome = submit_watch(&addr, TWINS, &mut records, &mut rep).unwrap();
+        assert_eq!(outcome.n_units, 2);
+        stop(&addr).unwrap();
+        worker.join().unwrap().unwrap();
+        (daemon.join().unwrap().unwrap(), records, rep)
+    });
+    assert_eq!(String::from_utf8_lossy(&rep), golden);
+    assert_eq!(records, rep, "stream == report bytes");
+    assert_eq!(report.evaluated, 1, "the twin rides its leader's result");
+    assert_eq!(report.deduped, 1);
+}
+
 #[test]
 fn cancel_withdraws_a_campaign_and_is_idempotent() {
     // No workers connect, so the campaign sits queued until cancelled.

@@ -16,7 +16,7 @@ use sea_dse::campaign::{
 use sea_dse::dist::{
     configure_stream, run_distributed_local, run_worker, serve_units, ServeConfig, WorkerConfig,
 };
-use sea_dse::experiments::campaigns::builtin;
+use sea_dse::experiments::campaigns::{builtin, merge};
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -86,6 +86,26 @@ fn distributed_reports_are_byte_identical_to_the_local_pool() {
         for unit in &outcome.units {
             assert!(unit.result().is_some());
         }
+    }
+}
+
+#[test]
+fn distributed_runs_evaluate_each_distinct_unit_once() {
+    // The quickstart twice over: 10 units, 5 distinct content hashes.
+    let (units, _) = merge(vec![quickstart_units(), quickstart_units()]);
+    let local =
+        sea_dse::campaign::run_units_configured(&units, RunConfig::new(2), &mut NullSink).unwrap();
+    assert_eq!((local.executed, local.deduped), (5, 5));
+    let golden = reports(&local.records());
+    for workers in [1, 2] {
+        let outcome =
+            run_distributed_local(&units, RunConfig::new(1), workers, &mut NullSink).unwrap();
+        assert_eq!(golden, reports(&outcome.records()), "workers={workers}");
+        assert_eq!(
+            (outcome.executed, outcome.deduped),
+            (local.executed, local.deduped),
+            "workers={workers}"
+        );
     }
 }
 
@@ -257,8 +277,8 @@ fn coordinator_cache_probe_short_circuits_dispatch() {
     assert_eq!(cold.cache_hits, 0);
     let golden = reports(&cold.records());
 
-    // Warm run: every unit completes from the cache before dispatch, so
-    // zero units travel (zero workers would work just as well).
+    // Warm run: every unit completes from the cache on the dispatch path,
+    // so zero units travel (the one worker only has to connect).
     let mut config = RunConfig::new(1);
     config.cache = Some(&cache);
     let warm = run_distributed_local(&units, config, 1, &mut NullSink).unwrap();
