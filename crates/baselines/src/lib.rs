@@ -34,9 +34,9 @@ pub mod sa;
 pub mod sweep;
 
 pub use objectives::Objective;
-pub use sa::{SaConfig, SimulatedAnnealing};
 
 use sea_arch::ScalingVector;
+use sea_opt::clock::WallClock;
 use sea_opt::scaling::ScalingIter;
 use sea_opt::{DesignPoint, OptError, OptimizationOutcome, OptimizerConfig, ScalingOutcome};
 use sea_sched::metrics::EvalContext;
@@ -48,7 +48,6 @@ use sea_taskgraph::Application;
 pub struct BaselineOptimizer {
     config: OptimizerConfig,
     objective: Objective,
-    sa: SaConfig,
 }
 
 impl BaselineOptimizer {
@@ -57,19 +56,7 @@ impl BaselineOptimizer {
     /// experiment (Exp:1/2/3).
     #[must_use]
     pub fn new(config: OptimizerConfig, objective: Objective) -> Self {
-        let sa = SaConfig::from_budget(config.budget, config.seed);
-        BaselineOptimizer {
-            config,
-            objective,
-            sa,
-        }
-    }
-
-    /// Overrides the annealing schedule.
-    #[must_use]
-    pub fn with_sa(mut self, sa: SaConfig) -> Self {
-        self.sa = sa;
-        self
+        BaselineOptimizer { config, objective }
     }
 
     /// The objective in use.
@@ -117,8 +104,9 @@ impl BaselineOptimizer {
 
         // Stage 1: objective-driven mapping at nominal scaling.
         let nominal = ScalingVector::all_nominal(arch);
-        let annealer = SimulatedAnnealing::new(self.sa);
-        let mapped = annealer.map_unconstrained(&ctx, &nominal, self.objective)?;
+        let (budget, seed) = (self.config.budget, self.config.seed);
+        let clock = WallClock::start();
+        let mapped = sa::map_unconstrained(&ctx, &nominal, self.objective, budget, seed, &clock)?;
         let mapping = mapped.mapping;
         let mut total_evaluations = mapped.evaluations;
 

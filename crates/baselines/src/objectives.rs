@@ -19,7 +19,7 @@ pub enum Objective {
 
 impl Objective {
     /// Raw objective value for an evaluation summary (lower is better) —
-    /// the `Copy`, allocation-free form used by the annealer's hot loop.
+    /// the `Copy`, allocation-free form the annealing loop scores with.
     #[must_use]
     pub fn score_summary(self, eval: &EvalSummary) -> f64 {
         match self {
@@ -35,7 +35,7 @@ impl Objective {
         self.score_summary(&eval.summary())
     }
 
-    /// [`Objective::penalized_score`] over a summary (hot-loop form).
+    /// [`Objective::penalized_score`] over a summary.
     #[must_use]
     pub fn penalized_summary(self, eval: &EvalSummary, deadline_s: f64) -> f64 {
         self.score_summary(eval) * sea_opt::optimized::deadline_penalty_factor(eval, deadline_s)
@@ -43,9 +43,9 @@ impl Objective {
 
     /// Score with a deadline penalty: infeasible designs are pushed above
     /// every feasible one, ordered by how badly they overshoot. The penalty
-    /// shape is shared with the proposed flow's annealer
-    /// ([`sea_opt::optimized::deadline_penalty_factor`]) so both flows
-    /// penalize infeasibility identically.
+    /// shape is the proposed flow's
+    /// ([`sea_opt::optimized::deadline_penalty_factor`]), so a penalized
+    /// score ranks infeasible designs the way that flow's annealer does.
     #[must_use]
     pub fn penalized_score(self, eval: &MappingEvaluation, deadline_s: f64) -> f64 {
         self.penalized_summary(&eval.summary(), deadline_s)

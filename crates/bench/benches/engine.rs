@@ -1,22 +1,21 @@
 //! Engine benchmarks for the allocation-free DSE pipeline:
 //!
-//! * evaluations/second of the seed clone-per-candidate path
-//!   (`Mapping::with_move` + `EvalContext::evaluate`) vs. the scratch
-//!   [`Evaluator`] with the in-place apply/undo move protocol vs. the
-//!   delta-based [`IncrementalEvaluator`] replaying only the affected
-//!   schedule suffix;
+//! * evaluations/second of the reference path as the seed used it
+//!   (`Mapping::with_move` + `EvalContext::evaluate` per candidate) vs. the
+//!   hot-path [`IncrementalEvaluator`] with the in-place apply/undo move
+//!   protocol, replaying only the affected schedule suffix;
 //! * full-optimizer wall-clock on `OptimizerConfig::paper(4)` / MPEG-2 as
 //!   a function of `--jobs` (the outcome is bitwise identical for every
 //!   job count, so the ratio is pure speedup).
 //!
 //! The binary also *asserts* the engine's no-alloc contract before timing
-//! anything: a counting global allocator checks that both evaluators,
-//! pre-sized at construction, never touch the allocator — from the very
-//! first call, not merely at steady state — and neither do the annealers'
-//! per-step mapping operations (`nth_neighbourhood_move`, `apply` and the
-//! new-best `clone_from`) on a 100-task × 6-core mapping, nor
-//! `evaluate_move` when it proves a candidate rejected before or during
-//! the replay on that mapping.
+//! anything: a counting global allocator checks that the incremental
+//! evaluator, pre-sized at construction, never touches the allocator —
+//! from the very first call, not merely at steady state — and neither do
+//! the annealing loop's per-step mapping operations
+//! (`nth_neighbourhood_move`, `apply` and the new-best `clone_from`) on a
+//! 100-task × 6-core mapping, nor `evaluate_move` when it proves a
+//! candidate rejected before or during the replay on that mapping.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,7 +23,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use criterion::{black_box, Criterion};
 use sea_arch::{Architecture, CoreId, LevelSet, ScalingVector};
 use sea_opt::{DesignOptimizer, OptimizerConfig, SearchBudget};
-use sea_sched::evaluator::Evaluator;
 use sea_sched::metrics::{EvalContext, EvalSummary};
 use sea_sched::{IncrementalEvaluator, Mapping, Move, RejectionTest};
 use sea_taskgraph::generator::RandomGraphConfig;
@@ -91,24 +89,9 @@ fn main() {
     // One full neighbourhood sweep per sample (the annealer's unit of work).
     let moves = mapping.neighbourhood();
 
-    // No-alloc contract, from call one: scratch construction pre-sizes
-    // every buffer from the (app, arch) shapes, so not even the first
+    // No-alloc contract, from call one: construction pre-sizes every
+    // buffer from the (app, arch) shapes, so not even the first
     // evaluation may allocate.
-    {
-        let mut ev = Evaluator::new(ctx.clone());
-        let mut m = mapping.clone();
-        let before = allocations();
-        for &mv in &moves {
-            let inverse = m.apply(mv);
-            black_box(ev.evaluate(&m, &scaling).unwrap().gamma);
-            m.apply(inverse);
-        }
-        assert_eq!(
-            allocations(),
-            before,
-            "scratch Evaluator allocated during its first neighbourhood sweep"
-        );
-    }
     {
         let mut ev = IncrementalEvaluator::new(ctx.clone());
         let mut m = mapping.clone();
@@ -176,7 +159,7 @@ fn main() {
             "the rejections were not proven where expected: {stats:?}"
         );
     }
-    // The annealers' per-step mapping operations: index draws across the
+    // The annealing loop's per-step mapping operations: index draws across the
     // whole neighbourhood, in-place moves and undos, and the new-best copy.
     {
         let mut current = mapping100x6.clone();
@@ -211,19 +194,6 @@ fn main() {
             black_box(acc)
         })
     });
-    c.bench_function("engine/evaluate scratch apply-undo", |b| {
-        let mut ev = Evaluator::new(ctx.clone());
-        let mut m = mapping.clone();
-        b.iter(|| {
-            let mut acc = 0.0f64;
-            for &mv in &moves {
-                let inverse = m.apply(mv);
-                acc += ev.evaluate(&m, &scaling).unwrap().gamma;
-                m.apply(inverse);
-            }
-            black_box(acc)
-        })
-    });
     c.bench_function("engine/evaluate incremental neighbourhood sweep", |b| {
         let mut ev = IncrementalEvaluator::new(ctx.clone());
         let mut m = mapping.clone();
@@ -244,36 +214,20 @@ fn main() {
         })
     });
 
-    // The same scratch-vs-delta comparison on a paper §V random workload
-    // (100 tasks, 8 cores): the regime ROADMAP's larger design spaces live
-    // in. The scratch evaluator pays O(cores × tasks) register-union
-    // rescans per candidate on top of the O(tasks) placement pass; the
-    // delta path replays only the move's cone of influence and shifts
-    // occupancy counts. Dense random graphs cascade (the cone covers
-    // ~70 % of the replay window here), so expect ~1.2–1.6× on the sweep
-    // average — late-order relocations, whose cones stay narrow, are the
-    // ~10× outliers. A deterministic stride keeps the sweep to ~1/16 of
-    // the ~5k neighbourhood moves so one sample stays in the tens of
-    // milliseconds.
+    // The delta path on a paper §V random workload (100 tasks, 8 cores):
+    // the regime larger design spaces live in. It replays only the move's
+    // cone of influence and shifts occupancy counts instead of rescanning
+    // register unions. Dense random graphs cascade (the cone covers ~70 %
+    // of the replay window here); late-order relocations, whose cones
+    // stay narrow, are the fast outliers. A deterministic stride keeps the
+    // sweep to ~1/16 of the ~5k neighbourhood moves so one sample stays in
+    // the tens of milliseconds.
     let arch8 = Architecture::homogeneous(8, LevelSet::arm7_three_level());
     let ctx100 = EvalContext::new(&app100, &arch8);
     let scaling8 = ScalingVector::uniform(2, &arch8).unwrap();
     let mapping100 = Mapping::try_new((0..100).map(|t| CoreId::new(t % 8)).collect(), 8).unwrap();
     let moves100: Vec<_> = mapping100.neighbourhood().into_iter().step_by(16).collect();
     let mut c = Criterion::default().sample_size(10);
-    c.bench_function("engine/evaluate random100x8 scratch sweep", |b| {
-        let mut ev = Evaluator::new(ctx100.clone());
-        let mut m = mapping100.clone();
-        b.iter(|| {
-            let mut acc = 0.0f64;
-            for &mv in &moves100 {
-                let inverse = m.apply(mv);
-                acc += ev.evaluate(&m, &scaling8).unwrap().gamma;
-                m.apply(inverse);
-            }
-            black_box(acc)
-        })
-    });
     c.bench_function("engine/evaluate random100x8 incremental sweep", |b| {
         let mut ev = IncrementalEvaluator::new(ctx100.clone());
         let mut m = mapping100.clone();

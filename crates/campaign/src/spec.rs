@@ -12,7 +12,7 @@
 //! name       = "mpeg2-cores"
 //! kind       = "optimize"    # optimize | baseline | sweep | simulate
 //! apps       = "mpeg2"       # comma list of app specs
-//! cores      = "2-4"         # comma list and/or a-b ranges
+//! cores      = "2-4"         # comma list and/or a-b ranges, 1-64
 //! levels     = "3"           # comma list of 2|3|4 (default 3)
 //! selections = "product"     # product | power | gamma (default product)
 //! # seeds    = "1,2,3"       # explicit seed axis; omitted = derived
@@ -33,6 +33,8 @@
 //! the *enumeration* — never of the worker count — so a campaign's
 //! results are bitwise identical for every `--jobs` value.
 
+use std::ops::RangeInclusive;
+
 use sea_baselines::Objective;
 use sea_opt::SelectionPolicy;
 use sea_taskgraph::AppSpec;
@@ -43,6 +45,11 @@ use crate::CampaignError;
 
 /// Default base seed when a campaign file sets none.
 pub const DEFAULT_BASE_SEED: u64 = 0x5EA;
+
+/// The largest core count a scenario's `cores` axis may list: more than
+/// ten times the largest count any builtin, example or experiment uses
+/// (6). Checked on range endpoints before a range expands.
+pub const MAX_CORES: usize = 64;
 
 /// A parsed campaign: header + scenarios, expandable to units.
 #[derive(Debug, Clone)]
@@ -421,18 +428,14 @@ impl RawSection {
                 "scenario `{name}` is missing `cores` (e.g. \"2-6\")"
             )));
         };
-        let cores = parse_usize_ranges(c_line, &cores)?;
-        if cores.contains(&0) {
-            return Err(err(c_line, "core counts must be at least 1"));
-        }
+        let cores = parse_usize_ranges(
+            c_line,
+            &cores,
+            1..=MAX_CORES,
+            &format!("core counts must be between 1 and {MAX_CORES}"),
+        )?;
         let levels = match self.take("levels") {
-            Some((lineno, v)) => {
-                let levels = parse_usize_ranges(lineno, &v)?;
-                if levels.iter().any(|&l| !(2..=4).contains(&l)) {
-                    return Err(err(lineno, "levels must be 2, 3 or 4"));
-                }
-                levels
-            }
+            Some((lineno, v)) => parse_usize_ranges(lineno, &v, 2..=4, "levels must be 2, 3 or 4")?,
             None => vec![3],
         };
         let selections = match self.take_either("selections", "selection") {
@@ -600,8 +603,22 @@ fn parse_u8_list(lineno: usize, value: &str) -> Result<Vec<u8>, CampaignError> {
     non_empty(lineno, "coefficient list", list)
 }
 
-/// Parses `"2,4-6"` into `[2, 4, 5, 6]`.
-fn parse_usize_ranges(lineno: usize, value: &str) -> Result<Vec<usize>, CampaignError> {
+/// Parses `"2,4-6"` into `[2, 4, 5, 6]`, refusing any value outside
+/// `domain` with `out_of_domain`. Range endpoints are checked before the
+/// range expands, so an oversized range is an error, never an allocation.
+fn parse_usize_ranges(
+    lineno: usize,
+    value: &str,
+    domain: RangeInclusive<usize>,
+    out_of_domain: &str,
+) -> Result<Vec<usize>, CampaignError> {
+    let in_domain = |v: usize| {
+        if domain.contains(&v) {
+            Ok(v)
+        } else {
+            Err(err(lineno, out_of_domain))
+        }
+    };
     let mut out = Vec::new();
     for item in split_list(value) {
         if let Some((lo, hi)) = item.split_once('-') {
@@ -616,12 +633,12 @@ fn parse_usize_ranges(lineno: usize, value: &str) -> Result<Vec<usize>, Campaign
             if hi < lo {
                 return Err(err(lineno, &format!("descending range `{item}`")));
             }
-            out.extend(lo..=hi);
+            out.extend(in_domain(lo)?..=in_domain(hi)?);
         } else {
-            out.push(
-                item.parse()
-                    .map_err(|_| err(lineno, &format!("cannot parse `{item}`")))?,
-            );
+            let v = item
+                .parse()
+                .map_err(|_| err(lineno, &format!("cannot parse `{item}`")))?;
+            out.push(in_domain(v)?);
         }
     }
     if out.is_empty() {
@@ -701,11 +718,51 @@ seeds = "7,8"
 
     #[test]
     fn range_and_list_syntax() {
-        assert_eq!(parse_usize_ranges(1, "2,4-6").unwrap(), vec![2, 4, 5, 6]);
-        assert_eq!(parse_usize_ranges(1, "3").unwrap(), vec![3]);
-        assert!(parse_usize_ranges(1, "6-2").is_err());
-        assert!(parse_usize_ranges(1, "").is_err());
-        assert!(parse_usize_ranges(1, "x").is_err());
+        let parse = |v: &str| parse_usize_ranges(1, v, 0..=usize::MAX, "out of domain");
+        assert_eq!(parse("2,4-6").unwrap(), vec![2, 4, 5, 6]);
+        assert_eq!(parse("3").unwrap(), vec![3]);
+        assert!(parse("6-2").is_err());
+        assert!(parse("").is_err());
+        assert!(parse("x").is_err());
+    }
+
+    #[test]
+    fn oversized_ranges_are_refused_before_they_expand() {
+        let spec = |cores: &str, levels: &str| {
+            format!(
+                "[scenario]\nkind = \"optimize\"\napps = \"mpeg2\"\ncores = \"{cores}\"\n\
+                 levels = \"{levels}\"\n"
+            )
+        };
+        // Both used to expand first: the first aborted on an 8 TB
+        // allocation, the second panicked on capacity overflow.
+        let e = parse_campaign(&spec("1-1000000000000", "3"))
+            .unwrap_err()
+            .to_string();
+        assert_eq!(
+            e,
+            "campaign spec error: line 4: core counts must be between 1 and 64"
+        );
+        let e = parse_campaign(&spec("4", "2-18446744073709551615"))
+            .unwrap_err()
+            .to_string();
+        assert_eq!(e, "campaign spec error: line 5: levels must be 2, 3 or 4");
+        // The domains' edges.
+        for (cores, levels) in [
+            ("0", "3"),
+            ("65", "3"),
+            ("0-4", "3"),
+            ("4", "1-3"),
+            ("4", "5"),
+        ] {
+            assert!(
+                parse_campaign(&spec(cores, levels)).is_err(),
+                "{cores} / {levels}"
+            );
+        }
+        let edges = parse_campaign(&spec("1,63-64", "2-4")).unwrap();
+        assert_eq!(edges.scenarios[0].cores, vec![1, 63, 64]);
+        assert_eq!(edges.scenarios[0].levels, vec![2, 3, 4]);
     }
 
     #[test]

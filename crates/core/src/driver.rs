@@ -43,7 +43,7 @@ use sea_taskgraph::{Application, TaskGraphSoa};
 
 use crate::clock::WallClock;
 use crate::initial::initial_sea_mapping;
-use crate::optimized::{optimized_mapping_scratch, prefer_start, SearchBudget};
+use crate::optimized::{better, optimized_mapping_scratch, SearchBudget};
 use crate::scaling::ScalingIter;
 use crate::OptError;
 
@@ -596,27 +596,21 @@ impl DesignOptimizer {
             .skip(chunk_index * SCALING_CHUNK)
             .take(SCALING_CHUNK)
         {
-            let initial = initial_sea_mapping(ev.ctx(), scaling)?;
-            let init_summary = ev.evaluate_fresh(&initial, scaling)?;
-            let (start, start_summary) = match &warm {
-                None => (initial, init_summary),
-                Some(w) => {
-                    let warm_summary = ev.evaluate_fresh(w, scaling)?;
-                    // The losing start's evaluation is charged here; the
-                    // winner's is charged inside the search.
-                    extra_evaluations += 1;
-                    if prefer_start(&warm_summary, &init_summary) {
-                        (w.clone(), warm_summary)
-                    } else {
-                        (initial, init_summary)
-                    }
+            let mut start = initial_sea_mapping(ev.ctx(), scaling)?;
+            if let Some(w) = warm.take() {
+                let warm_summary = ev.evaluate_full(&w, scaling)?.summary();
+                let init_summary = ev.evaluate_full(&start, scaling)?.summary();
+                // The losing start's evaluation is charged here; the
+                // winner's is charged inside the search.
+                extra_evaluations += 1;
+                if better(&warm_summary, &init_summary) {
+                    start = w;
                 }
-            };
+            }
             let out = optimized_mapping_scratch(
                 &mut ev,
                 scaling,
                 start,
-                start_summary,
                 self.config.budget,
                 // Decorrelate the perturbation streams across scalings;
                 // the seed depends on the global enumeration index only.

@@ -21,10 +21,12 @@
 //! The scaling enumeration runs on a chunked `std::thread::scope` worker
 //! pool ([`OptimizerConfig::jobs`]); the chunk partition and search seeds
 //! are functions of the enumeration alone, so **the outcome is bitwise
-//! identical for every job count** — see [`driver`] for the scheme. The
-//! per-candidate objective runs through the allocation-free
-//! [`sea_sched::Evaluator`] ([`optimized`]), and wall-clock-limited
-//! budgets read time from an injectable [`clock::Clock`].
+//! identical for every job count** — see [`driver`] for the scheme. Each
+//! per-scaling search is one run of [`optimized::anneal`], the annealing
+//! loop the soft error-unaware baselines run too; its per-candidate
+//! objective goes through the allocation-free
+//! [`sea_sched::IncrementalEvaluator`], and wall-clock-limited budgets read
+//! time from an injectable [`clock::Clock`].
 //!
 //! # Example
 //!

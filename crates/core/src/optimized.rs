@@ -16,7 +16,8 @@
 //! cooling) — the same metaheuristic strength the soft error-unaware
 //! baselines get, so comparisons between the flows isolate the paper's
 //! actual variable: the mapping *objective*, soft error-aware or not.
-//! Both annealers take that rule from one type, [`Acceptance`].
+//! Both flows run one loop, [`anneal`], generic over the score and the
+//! best-design ordering, with the Metropolis rule of [`Acceptance`].
 //! Greedy full-neighbourhood descent (the literal Fig. 7 loop) spends an
 //! entire `O(N²)` scan per step and starves small budgets; one
 //! evaluation per generated movement keeps the cost per accepted move
@@ -30,13 +31,13 @@
 //!
 //! # Allocation-free engine
 //!
-//! The engine underneath, [`optimized_mapping_scratch`], performs **zero
-//! steady-state heap allocation**: candidates are produced by applying a
-//! move in place and undone via the inverse [`Move`] when rejected
+//! The loop, [`anneal`], performs **zero steady-state heap allocation**:
+//! candidates are produced by applying a move in place and undone via the
+//! inverse [`Move`] when rejected
 //! (never by cloning the mapping), a new best is copied into the
 //! incumbent's buffers with `clone_from`, moves are drawn by index
 //! through [`Mapping::nth_neighbourhood_move`] (never by materializing a
-//! `Vec<Move>`), evaluation goes through the delta-based
+//! `Vec<Move>`), evaluation goes through the hot-path
 //! [`IncrementalEvaluator`] (accepting a move commits its cached
 //! schedule; rejecting discards it), and scores travel as the `Copy`
 //! [`EvalSummary`]. Most candidates are rejected, and most rejections
@@ -54,8 +55,8 @@
 //! acceptance tests, best tracking — is identical to the original
 //! clone-per-candidate implementation, so it returns the same design for
 //! the same seed, just faster; `SEA_INCREMENTAL=0` routes evaluation
-//! through the full scratch path, which never rejects early, for
-//! end-to-end diffing.
+//! through the reference path (`EvalContext::evaluate`), which never
+//! rejects early, for end-to-end diffing.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -169,67 +170,74 @@ pub fn optimized_mapping(
     seed: u64,
 ) -> Result<SearchOutcome, OptError> {
     let mut ev = IncrementalEvaluator::new(ctx.clone());
-    let initial_summary = ev.evaluate_fresh(&initial, scaling)?;
-    optimized_mapping_scratch(
-        &mut ev,
-        scaling,
-        initial,
-        initial_summary,
-        budget,
-        seed,
-        &WallClock::start(),
-    )
+    optimized_mapping_scratch(&mut ev, scaling, initial, budget, seed, &WallClock::start())
 }
 
-/// The allocation-free search engine (see the module docs). `ev` supplies
-/// the reusable scratch buffers and committed-schedule cache and is
-/// typically shared across the scalings of one enumeration chunk;
-/// `initial_summary` must be an evaluation of `initial` under `scaling`
-/// (it counts as the one initial evaluation; the priming pass that seeds
-/// the incremental cache is off-budget and bitwise-identical to it).
+/// The Fig. 7 search on a caller-owned evaluator: [`anneal`] on the
+/// deadline-penalized `Γ` score, keeping the best design under the Fig. 7
+/// E–F ordering. `ev` is typically shared across the scalings of one
+/// enumeration chunk.
+///
+/// # Errors
+///
+/// Propagates evaluation errors ([`OptError::Sched`]).
+pub fn optimized_mapping_scratch(
+    ev: &mut IncrementalEvaluator<'_>,
+    scaling: &ScalingVector,
+    initial: Mapping,
+    budget: SearchBudget,
+    seed: u64,
+    clock: &dyn Clock,
+) -> Result<SearchOutcome, OptError> {
+    let deadline = ev.ctx().app().deadline_s();
+    let rule = Acceptance::new(|s: &EvalSummary| penalized_gamma(s, deadline));
+    anneal(ev, scaling, initial, rule, better, budget, seed, clock)
+}
+
+/// The annealing loop both flows run (see the module docs): the proposed
+/// flow through [`optimized_mapping_scratch`], the soft error-unaware
+/// baselines through `sea_baselines::sa`. One loop keeps the schedule,
+/// the budget and the per-candidate cost of the two flows equal, so
+/// comparisons between them measure the mapping objective alone.
+///
+/// Primes `ev` with `initial` (the run's one initial evaluation), then
+/// draws one move per step, evaluates and decides it under `rule`, and
+/// keeps the best design seen: a candidate replaces it when
+/// `is_better(candidate, best)`. The temperature starts at 0.1 and cools
+/// geometrically to 1 % of that over `budget.max_evaluations`. The run
+/// stops when the budget is exhausted, the neighbourhood is empty, or the
+/// cooled search has gone `budget.max_stale_sweeps` neighbourhoods without
+/// a new best (`usize::MAX` never stops it). The returned evaluation is
+/// the reference one, off budget.
 ///
 /// # Errors
 ///
 /// Propagates evaluation errors ([`OptError::Sched`]).
 #[allow(clippy::too_many_arguments)]
-pub fn optimized_mapping_scratch(
+pub fn anneal<F, B>(
     ev: &mut IncrementalEvaluator<'_>,
     scaling: &ScalingVector,
     initial: Mapping,
-    initial_summary: EvalSummary,
+    rule: Acceptance<F>,
+    is_better: B,
     budget: SearchBudget,
     seed: u64,
     clock: &dyn Clock,
-) -> Result<SearchOutcome, OptError> {
+) -> Result<SearchOutcome, OptError>
+where
+    F: Fn(&EvalSummary) -> f64,
+    B: Fn(&EvalSummary, &EvalSummary) -> bool,
+{
     let require_all_cores = ev.ctx().app().graph().len() >= ev.ctx().arch().n_cores();
-    let deadline = ev.ctx().app().deadline_s();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut evaluations = 1usize; // the initial evaluation
 
     let mut current = initial;
-    // Seed the incremental cache with the starting design; the primed
-    // summary is bitwise-identical to `initial_summary`, so reusing the
-    // caller's value keeps the decision sequence byte-for-byte stable.
-    let primed = ev.prime(&current, scaling)?;
-    debug_assert!(
-        sea_sched::summaries_bitwise_eq(&primed, &initial_summary),
-        "caller-supplied initial summary diverges from the evaluator: {initial_summary:?} vs {primed:?}"
-    );
-    let mut current_summary = initial_summary;
-
-    // `best` tracks the incumbent under the search ordering: feasible
-    // beats infeasible, feasible points compare on Γ, infeasible points on
-    // TM — so even a never-feasible run returns its tightest design.
+    let mut current_summary = ev.prime(&current, scaling)?;
+    let mut current_score = rule.score(&current_summary);
+    let mut evaluations = 1usize; // the initial evaluation
     let mut best = current.clone();
     let mut best_summary = current_summary;
 
-    let rule = Acceptance::new(|s: &EvalSummary| penalized_gamma(s, deadline));
-    let mut current_score = rule.score(&current_summary);
-
-    // Annealing schedule sized to the evaluation budget: the temperature
-    // decays geometrically to 1 % of its initial value by the time the
-    // budget runs out (the same schedule `sea_baselines::SaConfig` derives
-    // from the same budget, so the two flows stay metaheuristic-matched).
     const INITIAL_TEMPERATURE: f64 = 0.1;
     let mut temperature = INITIAL_TEMPERATURE;
     let cooling = geometric_cooling(budget.max_evaluations);
@@ -288,7 +296,7 @@ pub fn optimized_mapping_scratch(
             current_summary = summary;
             current_score = score;
             n_moves = current.neighbourhood_len();
-            if better(&current_summary, &best_summary) {
+            if is_better(&current_summary, &best_summary) {
                 best.clone_from(&current);
                 best_summary = current_summary;
                 since_best = 0;
@@ -305,7 +313,7 @@ pub fn optimized_mapping_scratch(
         temperature *= cooling;
     }
 
-    // One off-budget full evaluation of the (already-evaluated) best
+    // One off-budget reference evaluation of the (already-evaluated) best
     // design materializes the per-core breakdown for the caller.
     let evaluation = ev.evaluate_full(&best, scaling)?;
     let feasible = evaluation.meets_deadline;
@@ -319,10 +327,8 @@ pub fn optimized_mapping_scratch(
 
 /// Would `mv` leave every core occupied? Exactly
 /// `current.with_move(mv).uses_all_cores()`, computed in O(C) from the
-/// mapping's per-core counts instead of cloning it. Shared with
-/// `sea_baselines`' annealer, which runs the same in-place proposal loop.
-#[must_use]
-pub fn move_keeps_all_cores(current: &Mapping, mv: Move) -> bool {
+/// mapping's per-core counts instead of cloning it.
+fn move_keeps_all_cores(current: &Mapping, mv: Move) -> bool {
     match mv {
         // The neighbourhood only contains cross-core swaps, which never
         // change per-core occupancy.
@@ -342,10 +348,7 @@ pub fn move_keeps_all_cores(current: &Mapping, mv: Move) -> bool {
 /// the lower bound keeps tiny budgets from quenching instantly, the upper
 /// bound keeps wall-clock-limited budgets (`max_evaluations == usize::MAX`,
 /// where `0.01^(1/len)` would round to exactly `1.0`) actually cooling.
-/// Shared with `sea_baselines`' annealer so both flows run the same
-/// schedule for the same budget.
-#[must_use]
-pub fn geometric_cooling(schedule_len: usize) -> f64 {
+fn geometric_cooling(schedule_len: usize) -> f64 {
     let len = schedule_len.clamp(100, 1_000_000);
     (0.01f64).powf(1.0 / len as f64)
 }
@@ -353,8 +356,8 @@ pub fn geometric_cooling(schedule_len: usize) -> f64 {
 /// Multiplier that ranks deadline-violating designs above every feasible
 /// one, ordered by how badly they overshoot — `1.0` for feasible designs.
 /// Keeps annealing acceptance gradients usable on both sides of the
-/// constraint; shared with `sea_baselines::Objective::penalized_score` so
-/// both flows penalize infeasibility identically.
+/// constraint; `sea_baselines::Objective::penalized_score` applies the
+/// same factor to the baseline objectives.
 #[must_use]
 pub fn deadline_penalty_factor(eval: &EvalSummary, deadline_s: f64) -> f64 {
     if eval.meets_deadline {
@@ -376,9 +379,9 @@ fn penalized_gamma(eval: &EvalSummary, deadline_s: f64) -> f64 {
 /// `exp` is accurate to within an ulp, 2⁻⁵² relative).
 const EXP_MARGIN: f64 = 1.0 / (1u64 << 40) as f64;
 
-/// The acceptance rule both annealers share: improvements always, a
-/// regression with probability `exp(−Δ/T)` on the relative score delta
-/// `Δ`. One type serves the real decision and the proof behind
+/// The acceptance rule of [`anneal`]: improvements always, a regression
+/// with probability `exp(−Δ/T)` on the relative score delta `Δ`. One type
+/// serves the real decision and the proof behind
 /// [`IncrementalEvaluator::evaluate_move`]'s early rejection, so the two
 /// cannot drift.
 ///
@@ -519,16 +522,12 @@ impl<F: Fn(&EvalSummary) -> f64> RejectionTest for AcceptanceStep<'_, F> {
     }
 }
 
-/// Public form of the search ordering for callers choosing between warm
-/// starts: `true` if `a` is a strictly better starting point than `b`.
+/// The Fig. 7 search ordering (steps E–F), for the best design and for
+/// choosing between warm starts: `true` if `candidate` is strictly better
+/// than `incumbent`. Infeasible points descend on `TM`, feasible points
+/// on `Γ`, and feasible always beats infeasible.
 #[must_use]
-pub fn prefer_start(a: &EvalSummary, b: &EvalSummary) -> bool {
-    better(a, b)
-}
-
-/// Search ordering (Fig. 7 steps E–F): infeasible points descend on `TM`;
-/// feasible points descend on `Γ`; feasible always beats infeasible.
-fn better(candidate: &EvalSummary, incumbent: &EvalSummary) -> bool {
+pub fn better(candidate: &EvalSummary, incumbent: &EvalSummary) -> bool {
     match (candidate.meets_deadline, incumbent.meets_deadline) {
         (true, false) => true,
         (false, true) => false,
@@ -622,8 +621,8 @@ mod tests {
 
     #[test]
     fn reusing_one_evaluator_matches_fresh_evaluators() {
-        // The driver shares one Evaluator across the scalings of a chunk;
-        // scratch reuse must not leak state between searches.
+        // The driver shares one IncrementalEvaluator across the scalings of
+        // a chunk; scratch reuse must not leak state between searches.
         let app = mpeg2::application();
         let arch = Architecture::homogeneous(4, LevelSet::arm7_three_level());
         let ctx = EvalContext::new(&app, &arch);
@@ -633,17 +632,8 @@ mod tests {
         let clock = WallClock::start();
         let mut run_shared = |s: &ScalingVector, seed| {
             let initial = initial_sea_mapping(&ctx, s).unwrap();
-            let summary = shared.evaluate_fresh(&initial, s).unwrap();
-            optimized_mapping_scratch(
-                &mut shared,
-                s,
-                initial,
-                summary,
-                SearchBudget::fast(),
-                seed,
-                &clock,
-            )
-            .unwrap()
+            optimized_mapping_scratch(&mut shared, s, initial, SearchBudget::fast(), seed, &clock)
+                .unwrap()
         };
         let a1 = run_shared(&s1, 9);
         let a2 = run_shared(&s2, 10);
@@ -661,7 +651,7 @@ mod tests {
 
     #[test]
     fn early_rejection_leaves_the_search_unchanged() {
-        // The disabled (full) path never rejects early and the delta path
+        // The disabled (reference) path never rejects early and the delta path
         // proves most rejections before finishing the schedule, so equal
         // searches pin early rejection's exactness end to end — across
         // the deadline penalty's jump too, at the tighter deadline.
@@ -684,13 +674,11 @@ mod tests {
             let run = |enabled: bool| {
                 let mut ev = IncrementalEvaluator::new(ctx.clone()).with_enabled(enabled);
                 let initial = initial_sea_mapping(&ctx, &s).unwrap();
-                let summary = ev.evaluate_fresh(&initial, &s).unwrap();
                 let clock = WallClock::start();
                 let out = optimized_mapping_scratch(
                     &mut ev,
                     &s,
                     initial,
-                    summary,
                     SearchBudget::fast(),
                     11,
                     &clock,
@@ -749,9 +737,8 @@ mod tests {
         let run = || {
             let initial = initial_sea_mapping(&ctx, &s).unwrap();
             let mut ev = IncrementalEvaluator::new(ctx.clone());
-            let summary = ev.evaluate_fresh(&initial, &s).unwrap();
             let clock = StepClock::new(step);
-            optimized_mapping_scratch(&mut ev, &s, initial, summary, budget, 5, &clock).unwrap()
+            optimized_mapping_scratch(&mut ev, &s, initial, budget, 5, &clock).unwrap()
         };
         let a = run();
         let b = run();

@@ -2,11 +2,13 @@
 //!
 //! The annealer's hot loop perturbs one accepted mapping by a single
 //! [`Move`] — relocate one task or swap two — evaluates the neighbour, and
-//! accepts or rejects. The full [`Evaluator`] re-schedules every task for
-//! every candidate; [`IncrementalEvaluator`] instead caches the last
+//! accepts or rejects. The reference [`EvalContext::evaluate`] re-schedules
+//! every task and allocates a per-core breakdown for every candidate;
+//! [`IncrementalEvaluator`], the hot path, instead caches the last
 //! *accepted* schedule (per-task placements, per-core lanes and busy
-//! times, per-core register unions) and replays only what a move can
-//! invalidate.
+//! times, per-core register unions) in buffers sized at construction,
+//! replays only what a move can invalidate, and returns the `Copy`
+//! [`EvalSummary`].
 //!
 //! # What a `Move` may invalidate
 //!
@@ -74,17 +76,20 @@
 //! never what it concludes. A rejected candidate is never committed:
 //! follow it with [`IncrementalEvaluator::reject`]. The
 //! [`ExposurePolicy::BusyOnly`] policy never rejects early (its `Γ` does
-//! not factor through `TM`), and neither does the disabled (full) path.
+//! not factor through `TM`), and neither does the disabled (reference)
+//! path.
 //!
 //! # Determinism cross-check
 //!
-//! Debug builds re-evaluate every candidate through the full
-//! [`Evaluator`] and `debug_assert!` bitwise equality of the summaries,
-//! or, for an early rejection, that the rule rejects the full summary
-//! too, so any drift between the paths fails the test suite immediately.
-//! The `SEA_INCREMENTAL=0` environment escape hatch
-//! ([`incremental_default`]) routes every call through the full path in
-//! release builds too, which CI uses to diff end-to-end reports.
+//! Debug builds re-evaluate every candidate through the reference path
+//! ([`IncrementalEvaluator::evaluate_full`]: [`EvalContext::evaluate`]'s
+//! schedule-then-score, on the evaluator's shared graph view) and
+//! `debug_assert!` bitwise equality of the summaries, or, for an early
+//! rejection, that the rule rejects the reference summary too, so any
+//! drift between the paths fails the test suite immediately. The
+//! `SEA_INCREMENTAL=0` environment escape hatch ([`incremental_default`])
+//! routes every call through the reference path in release builds too,
+//! which CI uses to diff end-to-end reports.
 
 use std::sync::Arc;
 
@@ -94,12 +99,9 @@ use sea_taskgraph::units::Bits;
 use sea_taskgraph::{ExecutionMode, RegisterModel, TaskGraphSoa, TaskId};
 
 use crate::bounds::{tm_lower_bound, BOUND_SLACK};
-use crate::evaluator::Evaluator;
 use crate::mapping::{Mapping, Move};
-use crate::metrics::{
-    core_scalars_cached, EvalContext, EvalSummary, ExposurePolicy, MappingEvaluation,
-};
-use crate::schedule::{check_shapes, place_task, task_duration, ScheduledTask};
+use crate::metrics::{core_scalars, EvalContext, EvalSummary, ExposurePolicy, MappingEvaluation};
+use crate::schedule::{check_shapes, list_schedule_on, place_task, task_duration, ScheduledTask};
 use crate::SchedError;
 
 /// Numerator of the largest suffix fraction worth replaying.
@@ -145,7 +147,7 @@ pub fn summaries_bitwise_eq(a: &EvalSummary, b: &EvalSummary) -> bool {
 /// `tm_seconds`, `tm_nominal_cycles` and `gamma` are at most the finished
 /// candidate's, bit for bit; `power_mw` is 0, a trivial bound; and
 /// `meets_deadline` compares the bound with the deadline, so it holds
-/// whenever the candidate's own flag does. Every score both annealers use
+/// whenever the candidate's own flag does. Every score either flow anneals
 /// is non-decreasing in `TM` at fixed register usage.
 pub trait RejectionTest {
     /// The makespan bound, in seconds, from which
@@ -174,7 +176,7 @@ pub struct IncrementalStats {
     /// Moves recomputed from position 0 (blast radius over the
     /// threshold, or no committed cache for the active scaling).
     pub fallback: u64,
-    /// Calls delegated verbatim to the full evaluator because
+    /// Calls delegated verbatim to the reference path because
     /// incremental evaluation is disabled.
     pub bypassed: u64,
     /// Tasks actually re-placed across all suffix replays (the cone of
@@ -220,8 +222,11 @@ impl ScheduleCache {
     }
 }
 
-/// A full [`Evaluator`] plus the committed-schedule cache that makes
-/// single-move candidates cheap.
+/// The hot-path evaluator for one `(application, architecture)` pair: an
+/// evaluation context and its shared graph view, plus the
+/// committed-schedule cache that makes single-move candidates cheap.
+/// Construction sizes every buffer from the two shapes, so not even the
+/// first call allocates; each thread of a parallel search owns one.
 ///
 /// The protocol mirrors the annealer's apply/undo loop:
 ///
@@ -236,11 +241,15 @@ impl ScheduleCache {
 ///
 /// When disabled (`SEA_INCREMENTAL=0` or
 /// [`IncrementalEvaluator::with_enabled`]), every call delegates to the
-/// wrapped full evaluator, rejection tests are ignored and
-/// `accept`/`reject` are no-ops, so callers keep a single code path.
+/// reference path ([`IncrementalEvaluator::evaluate_full`]), rejection
+/// tests are ignored and `accept`/`reject` are no-ops, so callers keep a
+/// single code path.
 #[derive(Debug, Clone)]
 pub struct IncrementalEvaluator<'a> {
-    full: Evaluator<'a>,
+    ctx: EvalContext<'a>,
+    /// Structure-of-arrays graph view (static schedule order, CSR
+    /// adjacency, costs), fixed for the application.
+    soa: Arc<TaskGraphSoa>,
     enabled: bool,
     /// True when `committed` holds the schedule of the last accepted
     /// mapping under the cached scaling constants.
@@ -344,13 +353,14 @@ impl<'a> IncrementalEvaluator<'a> {
     #[must_use]
     pub fn with_soa(ctx: EvalContext<'a>, soa: Arc<TaskGraphSoa>) -> Self {
         let n = soa.len();
+        debug_assert_eq!(n, ctx.app().graph().len(), "SoA/application mismatch");
         let n_cores = ctx.arch().n_cores();
         let n_blocks = ctx.app().registers().blocks().len();
         let nominal_f = ctx.arch().levels().level(1).f_hz;
         let c_load = ctx.arch().c_load_farads();
-        let full = Evaluator::with_soa(ctx, soa);
         IncrementalEvaluator {
-            full,
+            ctx,
+            soa,
             enabled: incremental_default(),
             primed: false,
             candidate_valid: false,
@@ -383,7 +393,7 @@ impl<'a> IncrementalEvaluator<'a> {
     }
 
     /// Overrides whether moves are evaluated incrementally; disabling
-    /// routes every call through the full evaluator.
+    /// routes every call through the reference path.
     #[must_use]
     pub fn with_enabled(mut self, enabled: bool) -> Self {
         self.enabled = enabled;
@@ -398,16 +408,16 @@ impl<'a> IncrementalEvaluator<'a> {
         self.enabled
     }
 
-    /// The wrapped evaluation context.
+    /// The evaluation context.
     #[must_use]
     pub fn ctx(&self) -> &EvalContext<'a> {
-        self.full.ctx()
+        &self.ctx
     }
 
     /// The structure-of-arrays graph view.
     #[must_use]
     pub fn soa(&self) -> &Arc<TaskGraphSoa> {
-        self.full.soa()
+        &self.soa
     }
 
     /// How candidates have been evaluated so far.
@@ -416,22 +426,11 @@ impl<'a> IncrementalEvaluator<'a> {
         self.stats
     }
 
-    /// Evaluates a design point through the full evaluator without
-    /// touching the committed cache (for warm-start comparisons and
-    /// other off-loop evaluations).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SchedError::ShapeMismatch`] for inconsistent shapes.
-    pub fn evaluate_fresh(
-        &mut self,
-        mapping: &Mapping,
-        scaling: &ScalingVector,
-    ) -> Result<EvalSummary, SchedError> {
-        self.full.evaluate(mapping, scaling)
-    }
-
-    /// Full evaluation with the per-core breakdown (off the hot loop).
+    /// The reference evaluation, with the per-core breakdown:
+    /// [`EvalContext::evaluate`] scheduled on the shared graph view. It
+    /// allocates and leaves the committed cache alone, so it serves off
+    /// the hot loop (warm-start comparisons, the returned best design),
+    /// the debug cross-check and the disabled mode.
     ///
     /// # Errors
     ///
@@ -441,7 +440,9 @@ impl<'a> IncrementalEvaluator<'a> {
         mapping: &Mapping,
         scaling: &ScalingVector,
     ) -> Result<MappingEvaluation, SchedError> {
-        self.full.evaluate_full(mapping, scaling)
+        let (app, arch) = (self.ctx.app(), self.ctx.arch());
+        let schedule = list_schedule_on(&self.soa, app, arch, mapping, scaling)?;
+        Ok(self.ctx.evaluate_scheduled(mapping, scaling, &schedule))
     }
 
     /// Fully evaluates `mapping` under `scaling`, commits the schedule
@@ -459,9 +460,9 @@ impl<'a> IncrementalEvaluator<'a> {
     ) -> Result<EvalSummary, SchedError> {
         if !self.enabled {
             self.stats.bypassed += 1;
-            return self.full.evaluate(mapping, scaling);
+            return Ok(self.evaluate_full(mapping, scaling)?.summary());
         }
-        check_shapes(self.ctx().app(), self.ctx().arch(), mapping, scaling)?;
+        check_shapes(self.ctx.app(), self.ctx.arch(), mapping, scaling)?;
         self.load_scaling(scaling);
         let summary = self
             .compute_candidate(mapping, 0, None, None)
@@ -486,7 +487,7 @@ impl<'a> IncrementalEvaluator<'a> {
     /// candidate rejected (see the module docs); its schedule is left
     /// unfinished, so only [`IncrementalEvaluator::reject`] may follow.
     /// Every summary returned is the complete one, bitwise equal to the
-    /// full path.
+    /// reference path.
     ///
     /// Without a committed base for the active scaling the candidate is
     /// computed fully (and may still be accepted); callers need not
@@ -505,7 +506,7 @@ impl<'a> IncrementalEvaluator<'a> {
         self.rejected = false;
         if !self.enabled {
             self.stats.bypassed += 1;
-            return self.full.evaluate(mapping, scaling).map(Some);
+            return Ok(Some(self.evaluate_full(mapping, scaling)?.summary()));
         }
         let outcome = if self.primed && self.scaling == scaling.coefficients() {
             debug_assert_eq!(mapping.n_tasks(), self.soa().len());
@@ -523,22 +524,22 @@ impl<'a> IncrementalEvaluator<'a> {
             };
             self.compute_candidate(mapping, from_pos, Some((mv, p)), test)
         } else {
-            check_shapes(self.ctx().app(), self.ctx().arch(), mapping, scaling)?;
+            check_shapes(self.ctx.app(), self.ctx.arch(), mapping, scaling)?;
             self.load_scaling(scaling);
             self.stats.fallback += 1;
             self.compute_candidate(mapping, 0, None, None)
         };
         #[cfg(debug_assertions)]
         {
-            let reference = self.full.evaluate(mapping, scaling)?;
+            let reference = self.evaluate_full(mapping, scaling)?.summary();
             match (&outcome, test) {
                 (Some(summary), _) => debug_assert!(
                     summaries_bitwise_eq(summary, &reference),
-                    "incremental evaluation diverged from the full path for {mv}:\n  incremental: {summary:?}\n  full:        {reference:?}"
+                    "incremental evaluation diverged from the reference path for {mv}:\n  incremental: {summary:?}\n  reference:   {reference:?}"
                 ),
                 (None, Some(test)) => debug_assert!(
                     test.rejects(&reference),
-                    "early rejection of {mv} disagrees with the rule on the full path: {reference:?}"
+                    "early rejection of {mv} disagrees with the rule on the reference path: {reference:?}"
                 ),
                 (None, None) => unreachable!("rejected without a rejection test"),
             }
@@ -582,7 +583,7 @@ impl<'a> IncrementalEvaluator<'a> {
     /// visit order, that placement performed. Rejects pay none of this.
     fn commit_candidate(&mut self) {
         let Self {
-            full,
+            soa,
             committed,
             candidate,
             busy_at,
@@ -601,7 +602,7 @@ impl<'a> IncrementalEvaluator<'a> {
                 std::mem::swap(accepted, previous);
             }
         }
-        let order = full.soa().schedule_order();
+        let order = soa.schedule_order();
         for q in *cand_from_pos..order.len() {
             let ti = order[q].index();
             let ci = committed.core[ti].index();
@@ -626,7 +627,7 @@ impl<'a> IncrementalEvaluator<'a> {
     pub fn reject(&mut self) {
         if let Some(mv) = self.pending_shift.take() {
             shift_move(
-                self.full.ctx().app().registers(),
+                self.ctx.app().registers(),
                 self.n_blocks,
                 &mut self.block_counts,
                 &mut self.r_bits,
@@ -644,7 +645,8 @@ impl<'a> IncrementalEvaluator<'a> {
     /// and the makespan lower bound. Invalidates the committed base.
     fn load_scaling(&mut self, scaling: &ScalingVector) {
         let Self {
-            full,
+            ctx,
+            soa,
             scaling: cached,
             freq,
             levels,
@@ -654,7 +656,6 @@ impl<'a> IncrementalEvaluator<'a> {
             primed,
             ..
         } = self;
-        let ctx = full.ctx();
         let arch = ctx.arch();
         let ser = *ctx.ser();
         cached.clear();
@@ -669,7 +670,7 @@ impl<'a> IncrementalEvaluator<'a> {
             lambdas.push(ser.lambda(level.vdd));
         }
         *scale = 1.0 / f64::from(ctx.app().mode().iterations());
-        *tm_lb = tm_lower_bound(full.soa(), ctx.app().mode(), arch, scaling);
+        *tm_lb = tm_lower_bound(soa, ctx.app().mode(), arch, scaling);
         *primed = false;
     }
 
@@ -682,9 +683,9 @@ impl<'a> IncrementalEvaluator<'a> {
     /// occupancy-count transitions instead of per-core rescans, and
     /// `test` may end the evaluation early with `None` (see the module
     /// docs). `None` recomputes everything from scratch. Shares
-    /// [`place_task`] with the full pass and accumulates in the same
-    /// order, so a returned summary is bitwise identical to a full
-    /// evaluation of `mapping`.
+    /// [`place_task`] with the reference scheduler and accumulates in the
+    /// same order, so a returned summary is bitwise identical to the
+    /// reference evaluation of `mapping`.
     #[allow(clippy::too_many_lines)]
     fn compute_candidate(
         &mut self,
@@ -694,7 +695,8 @@ impl<'a> IncrementalEvaluator<'a> {
         test: Option<&dyn RejectionTest>,
     ) -> Option<EvalSummary> {
         let Self {
-            full,
+            ctx,
+            soa,
             committed,
             candidate,
             freq,
@@ -722,8 +724,7 @@ impl<'a> IncrementalEvaluator<'a> {
         } = self;
         let n_blocks = *n_blocks;
         *cand_from_pos = from_pos;
-        let soa: &TaskGraphSoa = full.soa();
-        let ctx = full.ctx();
+        let soa: &TaskGraphSoa = soa;
         let app = ctx.app();
         let arch = ctx.arch();
         let registers = app.registers();
@@ -1018,7 +1019,7 @@ impl<'a> IncrementalEvaluator<'a> {
             "makespan bound {tm_bound} exceeds the makespan {tm}"
         );
 
-        // Same accumulation order as the full paths (core order), with
+        // Same accumulation order as the reference path (core order), with
         // the per-scaling λ cache supplying the rates. The power sum
         // reproduces `dynamic_power_w` term by term (left fold from 0.0
         // in core order), fused here to skip the activity staging pass.
@@ -1029,7 +1030,7 @@ impl<'a> IncrementalEvaluator<'a> {
             let level = levels[i];
             let busy = candidate.busy[i] * iter_mult;
             let r = r_bits[i];
-            let s = core_scalars_cached(level, lambdas[i], busy, tm, r, exposure);
+            let s = core_scalars(level, lambdas[i], busy, tm, r, exposure);
             gamma += s.gamma;
             r_total += r;
             power_acc += s.alpha * level.f_hz * level.vdd * level.vdd;
@@ -1063,7 +1064,7 @@ fn bound_summary(
     let mut gamma = 0.0f64;
     let mut r_total = Bits::ZERO;
     for ((&level, &lambda), &r) in levels.iter().zip(lambdas).zip(r_bits) {
-        gamma += core_scalars_cached(level, lambda, 0.0, tm, r, exposure).gamma;
+        gamma += core_scalars(level, lambda, 0.0, tm, r, exposure).gamma;
         r_total += r;
     }
     EvalSummary {
@@ -1249,7 +1250,6 @@ mod tests {
         let (arch, mut current) = setup(app, cores);
         let ctx = EvalContext::new(app, &arch);
         let mut ev = IncrementalEvaluator::new(ctx.clone()).with_enabled(true);
-        let mut reference = Evaluator::new(ctx.clone());
         for s in [
             ScalingVector::all_nominal(&arch),
             ScalingVector::uniform(2, &arch).unwrap(),
@@ -1257,14 +1257,14 @@ mod tests {
             let primed = ev.prime(&current, &s).unwrap();
             assert!(summaries_bitwise_eq(
                 &primed,
-                &reference.evaluate(&current, &s).unwrap()
+                &ctx.evaluate(&current, &s).unwrap().summary()
             ));
             let mut committed_tm = primed.tm_seconds;
             // Evaluate every neighbour; accept every third move.
             let moves: Vec<Move> = current.neighbourhood();
             for (i, mv) in moves.into_iter().enumerate() {
                 let inverse = current.apply(mv);
-                let full = reference.evaluate(&current, &s).unwrap();
+                let full = ctx.evaluate(&current, &s).unwrap().summary();
                 // Beside the walk: the neighbour first meets a makespan
                 // threshold around the committed one, and an early
                 // rejection must agree with the full path.
@@ -1361,19 +1361,18 @@ mod tests {
         let (arch, mut current) = setup(&app, 4);
         let ctx = EvalContext::new(&app, &arch);
         let mut ev = IncrementalEvaluator::new(ctx.clone()).with_enabled(false);
-        let mut reference = Evaluator::new(ctx);
         let s = ScalingVector::all_nominal(&arch);
         let primed = ev.prime(&current, &s).unwrap();
         assert!(summaries_bitwise_eq(
             &primed,
-            &reference.evaluate(&current, &s).unwrap()
+            &ctx.evaluate(&current, &s).unwrap().summary()
         ));
         let mv = current.nth_neighbourhood_move(0).unwrap();
         current.apply(mv);
         let fast = ev.evaluate_move(&current, &s, mv, None).unwrap().unwrap();
         assert!(summaries_bitwise_eq(
             &fast,
-            &reference.evaluate(&current, &s).unwrap()
+            &ctx.evaluate(&current, &s).unwrap().summary()
         ));
         ev.accept();
         ev.reject();
@@ -1407,7 +1406,6 @@ mod tests {
         let (arch, mut current) = setup(&app, 3);
         let ctx = EvalContext::new(&app, &arch);
         let mut ev = IncrementalEvaluator::new(ctx.clone()).with_enabled(true);
-        let mut reference = Evaluator::new(ctx);
         let s = ScalingVector::all_nominal(&arch);
         // No prime: the first move computes fully and can be accepted.
         let mv = current.nth_neighbourhood_move(1).unwrap();
@@ -1415,7 +1413,7 @@ mod tests {
         let fast = ev.evaluate_move(&current, &s, mv, None).unwrap().unwrap();
         assert!(summaries_bitwise_eq(
             &fast,
-            &reference.evaluate(&current, &s).unwrap()
+            &ctx.evaluate(&current, &s).unwrap().summary()
         ));
         ev.accept();
         // Subsequent moves run incrementally off the recovered base.
@@ -1424,9 +1422,26 @@ mod tests {
         let fast = ev.evaluate_move(&current, &s, mv, None).unwrap().unwrap();
         assert!(summaries_bitwise_eq(
             &fast,
-            &reference.evaluate(&current, &s).unwrap()
+            &ctx.evaluate(&current, &s).unwrap().summary()
         ));
         assert_eq!(ev.stats().fallback, 1);
+    }
+
+    #[test]
+    fn shape_mismatch_propagates() {
+        let app = mpeg2::application();
+        let arch = Architecture::homogeneous(4, LevelSet::arm7_three_level());
+        let bad = Mapping::all_on_one_core(app.graph().len(), 3);
+        let s = ScalingVector::all_nominal(&arch);
+        // Both the delta path and the disabled (reference) path refuse it.
+        for enabled in [true, false] {
+            let mut ev =
+                IncrementalEvaluator::new(EvalContext::new(&app, &arch)).with_enabled(enabled);
+            assert!(matches!(
+                ev.prime(&bad, &s).unwrap_err(),
+                SchedError::ShapeMismatch { .. }
+            ));
+        }
     }
 
     #[test]

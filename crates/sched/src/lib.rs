@@ -11,13 +11,13 @@
 //!   architecture, mapping, scaling vector) into multiprocessor execution
 //!   time `TM` (eq. 6), per-core times `T_i` (eq. 7), register usage `R_i`
 //!   (eq. 8), dynamic power `P` (eq. 5) and expected SEUs `Γ` (eq. 3).
-//! * [`evaluator`] — the scratch-buffer [`Evaluator`], the allocation-free
-//!   form of the same objective used by the optimizers' hot loops.
-//! * [`incremental`] — the delta-evaluation [`IncrementalEvaluator`]: a
-//!   cached-schedule wrapper that replays only the suffix a single
-//!   neighbourhood move can invalidate, bitwise identical to the full
-//!   path, and stops early once the caller's [`RejectionTest`] proves a
-//!   candidate rejected (see the README's "Engine internals" sections).
+//!   [`EvalContext::evaluate`] is the reference evaluation.
+//! * [`incremental`] — the delta-evaluation [`IncrementalEvaluator`], the
+//!   one hot path of the optimizers' annealing loop: an allocation-free
+//!   cached-schedule evaluator that replays only the suffix a single
+//!   neighbourhood move can invalidate, bitwise identical to the
+//!   reference, and stops early once the caller's [`RejectionTest`] proves
+//!   a candidate rejected (see the README's "Engine internals" sections).
 //! * [`bounds`] — mapping-independent lower bounds on `TM`
 //!   ([`tm_lower_bound`]), the foundation of `sea-opt`'s bound-and-prune
 //!   scaling enumeration.
@@ -49,7 +49,6 @@
 //! ```
 
 pub mod bounds;
-pub mod evaluator;
 pub mod incremental;
 pub mod mapping;
 pub mod metrics;
@@ -57,7 +56,6 @@ pub mod recovery;
 pub mod schedule;
 
 pub use bounds::{prune_default, tm_lower_bound};
-pub use evaluator::Evaluator;
 pub use incremental::{
     fallback_cutoff, incremental_default, summaries_bitwise_eq, IncrementalEvaluator,
     IncrementalStats, RejectionTest,

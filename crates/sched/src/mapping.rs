@@ -313,7 +313,7 @@ impl Clone for Mapping {
         }
     }
 
-    /// Field-wise, so the annealers' `best.clone_from(&current)` reuses
+    /// Field-wise, so the annealing loop's `best.clone_from(&current)` reuses
     /// `best`'s buffers instead of allocating (the derived impl would
     /// fall back to `*self = source.clone()`).
     fn clone_from(&mut self, source: &Self) {

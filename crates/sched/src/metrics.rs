@@ -1,7 +1,8 @@
 //! Analytic evaluation of a mapped, scaled design (eqs. 3, 5, 6, 7, 8).
 //!
 //! [`EvalContext::evaluate`] is the objective function used by every
-//! optimizer in the workspace: it list-schedules a mapping and derives
+//! optimizer in the workspace, and its reference implementation: it
+//! list-schedules a mapping and derives
 //!
 //! * `TM` — multiprocessor execution time in seconds (measured on the
 //!   schedule; the paper's eq. 6 estimates the same quantity),
@@ -11,6 +12,12 @@
 //! * `P` — dynamic power (eq. 5),
 //! * `Γ` — expected number of SEUs experienced (eq. 3):
 //!   `Γ = Σ_i R_i · T_i^exp · λ_i(Vdd_i)`.
+//!
+//! It allocates a schedule and a per-core breakdown on every call. The
+//! annealing loop instead scores candidates through
+//! [`crate::IncrementalEvaluator`], which computes the same
+//! [`EvalSummary`] bit for bit and checks itself against this reference in
+//! debug builds.
 //!
 //! # Exposure policy
 //!
@@ -116,7 +123,7 @@ impl MappingEvaluation {
 /// acceptance and selection rules need, as a `Copy` value so hot search
 /// loops can keep, compare and clone scores without heap allocation. The
 /// fields carry exactly the values of the corresponding
-/// [`MappingEvaluation`] fields ([`crate::evaluator::Evaluator`] computes
+/// [`MappingEvaluation`] fields ([`crate::IncrementalEvaluator`] computes
 /// them with the same operation order, so they are bitwise identical).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EvalSummary {
@@ -144,28 +151,14 @@ pub(crate) struct CoreScalars {
 }
 
 /// The single source of the per-core metric arithmetic (eqs. 3, 7), shared
-/// by [`EvalContext::evaluate_scheduled`] and
-/// [`crate::evaluator::Evaluator::evaluate`] so the allocating and
-/// scratch-buffer paths cannot drift: both must produce bitwise-identical
-/// scalars for the same inputs.
+/// by [`EvalContext::evaluate_scheduled`] and the incremental evaluator so
+/// the reference and hot paths cannot drift: both must produce
+/// bitwise-identical scalars for the same inputs. The caller supplies the
+/// SER rate `lambda = ser.lambda(level.vdd)`: it depends only on the core's
+/// operating point, so the incremental evaluator, which holds the scaling
+/// fixed across thousands of candidates, computes it once per scaling
+/// instead of paying the `exp` per core per evaluation.
 pub(crate) fn core_scalars(
-    level: VoltageLevel,
-    busy: f64,
-    tm: f64,
-    r_bits: Bits,
-    exposure: ExposurePolicy,
-    ser: &SerModel,
-) -> CoreScalars {
-    core_scalars_cached(level, ser.lambda(level.vdd), busy, tm, r_bits, exposure)
-}
-
-/// [`core_scalars`] with the SER rate `lambda = ser.lambda(level.vdd)`
-/// supplied by the caller. The rate depends only on the core's operating
-/// point, so evaluators that hold the scaling fixed across thousands of
-/// candidates (`crate::incremental`) compute it once per scaling instead
-/// of paying the `exp` per core per evaluation. `core_scalars` delegates
-/// here, keeping a single source for the arithmetic.
-pub(crate) fn core_scalars_cached(
     level: VoltageLevel,
     lambda: f64,
     busy: f64,
@@ -291,12 +284,18 @@ impl<'a> EvalContext<'a> {
         let mut activities = Vec::with_capacity(self.arch.n_cores());
         let mut gamma = 0.0f64;
         let mut r_total = Bits::ZERO;
+        // Register unions (eq. 8) through one block mask, reset per core.
+        let mut blocks = vec![false; registers.blocks().len()];
 
         for core in self.arch.cores() {
             let level = self.arch.operating_point(core, scaling);
             let busy = schedule.busy_s(core);
-            let r_bits = registers.union_bits(mapping.tasks_on_iter(core));
-            let s = core_scalars(level, busy, tm, r_bits, self.exposure, &self.ser);
+            blocks.fill(false);
+            let r_bits = mapping
+                .tasks_on_iter(core)
+                .fold(Bits::ZERO, |r, t| r + registers.union_add(&mut blocks, t));
+            let lambda = self.ser.lambda(level.vdd);
+            let s = core_scalars(level, lambda, busy, tm, r_bits, self.exposure);
             gamma += s.gamma;
             r_total += r_bits;
             activities.push(CoreActivity {

@@ -22,6 +22,11 @@
 //! the whole-stream task costs are spread over `I` iterations and throughput
 //! is limited by the busiest core; the multiprocessor execution time is
 //! `fill + (I − 1) · period` with `period = max_i(work_i / f_i)`.
+//!
+//! [`list_schedule`] is the reference scheduler: `EvalContext::evaluate`
+//! scores its schedules, and the hot-path `IncrementalEvaluator` replays
+//! the same placement routine on a cached schedule and is checked against
+//! it bit for bit.
 
 use serde::{Deserialize, Serialize};
 
@@ -133,27 +138,69 @@ pub fn list_schedule(
     mapping: &Mapping,
     scaling: &ScalingVector,
 ) -> Result<Schedule, SchedError> {
+    list_schedule_on(&TaskGraphSoa::new(app), app, arch, mapping, scaling)
+}
+
+/// [`list_schedule`] on a pre-built graph view `soa` of `app`: the one
+/// reference scheduler. The incremental evaluator schedules its
+/// cross-checks, its disabled mode and its full evaluations here, on the
+/// view it shares, instead of rebuilding the view per call.
+///
+/// The visit sequence is the SoA's precomputed static order — highest
+/// bottom level first, ties to the smaller task id — which depends only on
+/// the graph (see [`TaskGraphSoa::schedule_order`]), so the per-step ready
+/// list and priority scan of classic list scheduling disappear entirely.
+pub(crate) fn list_schedule_on(
+    soa: &TaskGraphSoa,
+    app: &Application,
+    arch: &Architecture,
+    mapping: &Mapping,
+    scaling: &ScalingVector,
+) -> Result<Schedule, SchedError> {
     check_shapes(app, arch, mapping, scaling)?;
     let iterations = app.mode().iterations();
     let scale = 1.0 / f64::from(iterations);
 
-    // Fill pass: one iteration's worth of work through the DAG.
-    let fill = schedule_one_pass(app, arch, mapping, scaling, scale);
+    // Fill pass: one iteration's worth of work through the DAG, at the
+    // effective throughput (cycles of useful work per second); the raw
+    // clock stays with the electrical models (power, SEU exposure).
+    let freq: Vec<f64> = arch
+        .cores()
+        .map(|c| arch.effective_frequency(c, scaling))
+        .collect();
+    let mut finish = vec![f64::NAN; soa.len()];
+    let mut busy = vec![0.0f64; arch.n_cores()];
+    let mut lanes = vec![Vec::new(); arch.n_cores()];
+    for &t in soa.schedule_order() {
+        place_task(
+            soa,
+            mapping,
+            &freq,
+            scale,
+            t,
+            &mut finish,
+            &mut busy,
+            &mut lanes,
+        );
+    }
+    let fill = finish.iter().fold(0.0f64, |acc, &x| acc.max(x));
 
     match app.mode() {
-        ExecutionMode::Batch => Ok(fill),
+        ExecutionMode::Batch => Ok(Schedule {
+            per_core: lanes,
+            makespan_s: fill,
+            busy_s: busy,
+            period_s: None,
+        }),
         ExecutionMode::Pipelined { iterations } => {
             // Steady state: the busiest core bounds throughput.
-            let period = fill.busy_s.iter().fold(0.0f64, |acc, &b| acc.max(b));
-            let makespan = fill.makespan_s + period * f64::from(iterations - 1);
-            let busy: Vec<f64> = fill
-                .busy_s
-                .iter()
-                .map(|b| b * f64::from(iterations))
-                .collect();
+            let period = busy.iter().fold(0.0f64, |acc, &b| acc.max(b));
+            for b in &mut busy {
+                *b *= f64::from(iterations);
+            }
             Ok(Schedule {
-                per_core: fill.per_core,
-                makespan_s: makespan,
+                per_core: lanes,
+                makespan_s: fill + period * f64::from(iterations - 1),
                 busy_s: busy,
                 period_s: Some(period),
             })
@@ -197,56 +244,6 @@ pub(crate) fn check_shapes(
     Ok(())
 }
 
-/// Reusable buffers for repeated list scheduling of one application on one
-/// architecture. `ScheduleScratch::with_shapes` pre-sizes every buffer so
-/// the **first** `schedule_one_pass_into` call already runs without heap
-/// allocation (lanes keep their capacity across candidates). Owned by
-/// [`crate::evaluator::Evaluator`], which is the intended consumer.
-#[derive(Debug, Default, Clone)]
-pub struct ScheduleScratch {
-    finish: Vec<f64>,
-    freq: Vec<f64>,
-    /// Busy seconds per core for the last scheduled fill pass.
-    pub(crate) busy: Vec<f64>,
-    /// Per-core timelines for the last scheduled fill pass.
-    pub(crate) lanes: Vec<Vec<ScheduledTask>>,
-}
-
-impl ScheduleScratch {
-    /// Pre-sizes the buffers for an `n_tasks`-task application on an
-    /// `n_cores`-core architecture: each lane can hold every task, so no
-    /// schedule shape can trigger a reallocation.
-    #[must_use]
-    pub(crate) fn with_shapes(n_tasks: usize, n_cores: usize) -> Self {
-        ScheduleScratch {
-            finish: Vec::with_capacity(n_tasks),
-            freq: Vec::with_capacity(n_cores),
-            busy: Vec::with_capacity(n_cores),
-            lanes: (0..n_cores).map(|_| Vec::with_capacity(n_tasks)).collect(),
-        }
-    }
-}
-
-/// Schedules one pass of the DAG with costs scaled by `scale`
-/// (1.0 for batch, 1/iterations for the pipelined fill pass).
-fn schedule_one_pass(
-    app: &Application,
-    arch: &Architecture,
-    mapping: &Mapping,
-    scaling: &ScalingVector,
-    scale: f64,
-) -> Schedule {
-    let soa = TaskGraphSoa::new(app);
-    let mut scratch = ScheduleScratch::with_shapes(soa.len(), arch.n_cores());
-    let makespan = schedule_one_pass_into(arch, mapping, scaling, scale, &soa, &mut scratch);
-    Schedule {
-        per_core: std::mem::take(&mut scratch.lanes),
-        makespan_s: makespan,
-        busy_s: std::mem::take(&mut scratch.busy),
-        period_s: None,
-    }
-}
-
 /// One task's computed placement, as produced by [`place_task`] (the
 /// start and finish times land in the core's lane directly; the duration
 /// is returned so the incremental cache can record it without
@@ -287,9 +284,10 @@ pub(crate) fn task_duration(
 /// time and [`task_duration`], finds the earliest insertion slot, and
 /// records the placement into `finish`/`busy`/`lanes`.
 ///
-/// This is the *single* placement routine shared by the full pass and the
-/// incremental suffix replay (`crate::incremental`), so the two paths
-/// cannot drift bitwise: identical inputs run identical float operations.
+/// This is the *single* placement routine shared by the reference
+/// [`list_schedule`] and the incremental replay (`crate::incremental`), so
+/// the two paths cannot drift bitwise: identical inputs run identical
+/// float operations.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn place_task(
@@ -341,51 +339,6 @@ pub(crate) fn place_task(
         },
     );
     Placement { dur_s: dur }
-}
-
-/// The allocation-free core of [`schedule_one_pass`]: schedules one pass of
-/// the DAG into `scratch`'s buffers (busy times and per-core lanes are left
-/// in the scratch) and returns the pass makespan in seconds.
-///
-/// The visit sequence is the SoA's precomputed static order — highest
-/// bottom level first, ties to the smaller task id — which depends only on
-/// the graph (see [`TaskGraphSoa::schedule_order`]), so the per-step ready
-/// list and priority scan of classic list scheduling disappear entirely.
-pub(crate) fn schedule_one_pass_into(
-    arch: &Architecture,
-    mapping: &Mapping,
-    scaling: &ScalingVector,
-    scale: f64,
-    soa: &TaskGraphSoa,
-    scratch: &mut ScheduleScratch,
-) -> f64 {
-    let n = soa.len();
-    let ScheduleScratch {
-        finish,
-        freq,
-        busy,
-        lanes,
-    } = scratch;
-
-    // Effective throughput (cycles of useful work per second); the raw
-    // clock stays with the electrical models (power, SEU exposure).
-    freq.clear();
-    freq.extend(arch.cores().map(|c| arch.effective_frequency(c, scaling)));
-
-    finish.clear();
-    finish.resize(n, f64::NAN);
-    busy.clear();
-    busy.resize(arch.n_cores(), 0.0f64);
-    lanes.resize_with(arch.n_cores(), Vec::new);
-    for lane in lanes.iter_mut() {
-        lane.clear();
-    }
-
-    for &t in soa.schedule_order() {
-        place_task(soa, mapping, freq, scale, t, finish, busy, lanes);
-    }
-
-    finish.iter().fold(0.0f64, |acc, &x| acc.max(x))
 }
 
 #[cfg(test)]

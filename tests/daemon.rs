@@ -193,6 +193,43 @@ fn duplicate_units_within_a_campaign_evaluate_once() {
 }
 
 #[test]
+fn an_oversized_range_is_refused_and_the_daemon_keeps_serving() {
+    let spec = sea_dse::experiments::campaigns::builtin("quickstart")
+        .unwrap()
+        .source;
+    // A `cores` range the daemon would once have expanded before checking
+    // it: one Submit frame aborted the process on an 8 TB allocation.
+    let oversized = "name = \"oversized\"\n[scenario]\nkind = \"optimize\"\n\
+                     apps = \"mpeg2\"\ncores = \"1-1000000000000\"\n";
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let (report, records, rep) = std::thread::scope(|s| {
+        let daemon = s.spawn(|| run_daemon(&listener, &DaemonConfig::new()));
+        let worker_addr = addr.clone();
+        let worker = s.spawn(move || run_worker(&worker_addr, &WorkerConfig::default()));
+        let refusal = submit(&addr, oversized).unwrap_err().to_string();
+        assert!(
+            refusal.contains("line 5: core counts must be between 1 and 64"),
+            "{refusal}"
+        );
+        let mut records = Vec::new();
+        let mut rep = Vec::new();
+        let outcome = submit_watch(&addr, spec, &mut records, &mut rep).unwrap();
+        assert_eq!(outcome.n_units, 5);
+        stop(&addr).unwrap();
+        worker.join().unwrap().unwrap();
+        (daemon.join().unwrap().unwrap(), records, rep)
+    });
+    assert_eq!(records, rep, "stream == report bytes");
+    assert_eq!(
+        rep.iter().filter(|&&b| b == b'\n').count(),
+        5,
+        "one record per unit"
+    );
+    assert_eq!(report.campaigns, 1, "the refused spec registers nothing");
+}
+
+#[test]
 fn cancel_withdraws_a_campaign_and_is_idempotent() {
     // No workers connect, so the campaign sits queued until cancelled.
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();

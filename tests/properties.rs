@@ -213,7 +213,7 @@ proptest! {
         ),
     ) {
         use sea_dse::sched::{
-            fallback_cutoff, summaries_bitwise_eq, Evaluator, IncrementalEvaluator, Move,
+            fallback_cutoff, summaries_bitwise_eq, IncrementalEvaluator, Move,
         };
 
         let arch = Architecture::homogeneous(3, LevelSet::arm7_three_level());
@@ -224,13 +224,12 @@ proptest! {
         ).unwrap();
         let scaling = ScalingVector::uniform(s, &arch).unwrap();
         let ctx = EvalContext::new(&app, &arch);
-        let mut full = Evaluator::new(ctx.clone());
-        let mut inc = IncrementalEvaluator::new(ctx).with_enabled(true);
+        let mut inc = IncrementalEvaluator::new(ctx.clone()).with_enabled(true);
 
         let primed = inc.prime(&current, &scaling).unwrap();
         prop_assert!(summaries_bitwise_eq(
             &primed,
-            &full.evaluate(&current, &scaling).unwrap()
+            &ctx.evaluate(&current, &scaling).unwrap().summary()
         ));
 
         for (pick, accept) in walk {
@@ -241,7 +240,7 @@ proptest! {
             let mv = current.nth_neighbourhood_move(pick.index(len)).unwrap();
             let inverse = current.apply(mv);
             let got = inc.evaluate_move(&current, &scaling, mv, None).unwrap().unwrap();
-            let want = full.evaluate(&current, &scaling).unwrap();
+            let want = ctx.evaluate(&current, &scaling).unwrap().summary();
             prop_assert!(
                 summaries_bitwise_eq(&got, &want),
                 "walk diverged on {}: {:?} vs {:?}",
@@ -267,7 +266,7 @@ proptest! {
             let before = inc.stats();
             current.apply(mv);
             let got = inc.evaluate_move(&current, &scaling, mv, None).unwrap().unwrap();
-            let want = full.evaluate(&current, &scaling).unwrap();
+            let want = ctx.evaluate(&current, &scaling).unwrap().summary();
             prop_assert!(summaries_bitwise_eq(&got, &want));
             inc.accept();
             let after = inc.stats();
@@ -305,7 +304,7 @@ proptest! {
         use sea_dse::baselines::Objective;
         use sea_dse::opt::optimized::{deadline_penalty_factor, Acceptance};
         use sea_dse::sched::metrics::{EvalSummary, ExposurePolicy};
-        use sea_dse::sched::{summaries_bitwise_eq, Evaluator, IncrementalEvaluator, RejectionTest};
+        use sea_dse::sched::{summaries_bitwise_eq, IncrementalEvaluator, RejectionTest};
         use sea_dse::taskgraph::mpeg2;
 
         let (use_mpeg2, random) = graph;
@@ -323,10 +322,8 @@ proptest! {
 
         let ctx = EvalContext::new(&app, &arch);
         let busy_ctx = ctx.clone().with_exposure(ExposurePolicy::BusyOnly);
-        let mut full = Evaluator::new(ctx.clone());
-        let mut busy_full = Evaluator::new(busy_ctx.clone());
-        let mut inc = IncrementalEvaluator::new(ctx).with_enabled(true);
-        let mut busy = IncrementalEvaluator::new(busy_ctx).with_enabled(true);
+        let mut inc = IncrementalEvaluator::new(ctx.clone()).with_enabled(true);
+        let mut busy = IncrementalEvaluator::new(busy_ctx.clone()).with_enabled(true);
         inc.prime(&current, &scaling).unwrap();
         busy.prime(&current, &scaling).unwrap();
 
@@ -342,7 +339,7 @@ proptest! {
             }
             let mv = current.nth_neighbourhood_move(pick.index(len)).unwrap();
             let inverse = current.apply(mv);
-            let want = full.evaluate(&current, &scaling).unwrap();
+            let want = ctx.evaluate(&current, &scaling).unwrap().summary();
 
             // Shape 0 is the proposed flow's penalized Γ; 1–3 the
             // baselines' objectives with the penalty, 4–6 without.
@@ -390,7 +387,7 @@ proptest! {
             prop_assert!(busy_got.is_some(), "busy-only exposure rejected {} early", mv);
             prop_assert!(summaries_bitwise_eq(
                 &busy_got.unwrap(),
-                &busy_full.evaluate(&current, &scaling).unwrap()
+                &busy_ctx.evaluate(&current, &scaling).unwrap().summary()
             ));
             if rejected {
                 inc.reject();
