@@ -14,11 +14,14 @@
 //! identical bytes. Each entry carries the unit's flat
 //! [`UnitRecord`] (as
 //! the exact JSON the sinks emit) plus a bitwise-exact encoding of the
-//! full typed payload ([`sea_opt::codec`] for designs, local codecs for
-//! sweep/simulate), and ends with a content checksum. A truncated or
+//! typed payload ([`sea_opt::codec`] for designs, local codecs for
+//! sweep/simulate), and ends with a content checksum. A simulate payload
+//! is the [`sea_sim::SimSummary`]: the execution trace and the sampled
+//! SEU events stay with `sea-dse simulate`. A truncated or
 //! corrupted entry fails the checksum (or any parse step) and is treated
 //! as a miss — the unit is recomputed and the entry rewritten; corruption
-//! never crashes a campaign and never poisons a report.
+//! never crashes a campaign and never poisons a report. So is an entry
+//! written under another [`CACHE_VERSION`].
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
@@ -26,7 +29,7 @@ use std::time::{Duration, SystemTime};
 use sea_baselines::sweep::SweepPoint;
 use sea_opt::codec::{self, CodecError, Tokens};
 use sea_sim::fault::CoreFaults;
-use sea_sim::{ExecutionTrace, FaultReport, SeuEvent, SimReport, TaskEvent};
+use sea_sim::SimSummary;
 
 use crate::hash::{unit_hash, ContentHash, ContentHasher};
 use crate::journal::parse_record_json;
@@ -42,7 +45,9 @@ pub const CACHE_ENV: &str = "SEA_CACHE";
 /// scaling chunks, so tight-deadline results computed by v1 builds
 /// would disagree byte-for-byte with fresh ones — refusing them is the
 /// cheap, safe fix.
-pub const CACHE_VERSION: u32 = 2;
+/// v3: simulate payloads hold the simulation summary, without the
+/// execution trace and the sampled SEU events.
+pub const CACHE_VERSION: u32 = 3;
 
 /// Handle to a cache directory.
 #[derive(Debug, Clone)]
@@ -292,15 +297,7 @@ impl Cache {
             };
             let parsed = std::fs::read_to_string(&raw.path)
                 .map_err(|e| format!("unreadable: {e}"))
-                .and_then(|source| {
-                    let parts = parse_entry(&source, Some(hash))?;
-                    match parts.kind {
-                        "design" | "infeasible" | "too-few-tasks" | "sweep" | "simulate" => {
-                            Ok(parts.record)
-                        }
-                        other => Err(format!("unknown payload kind `{other}`")),
-                    }
-                });
+                .and_then(|source| parse_entry(&source, Some(hash)).map(|parts| parts.record));
             match parsed {
                 Ok(record) => rows.push((record.index, raw.path, record)),
                 Err(_) => skipped += 1,
@@ -403,23 +400,15 @@ fn encode_payload(payload: &UnitPayload) -> String {
     s
 }
 
-fn encode_sim(s: &mut String, r: &SimReport) {
-    codec::push_f64(s, r.trace.tm_seconds);
-    codec::push_u64(s, u64::from(r.trace.iterations));
-    codec::push_u64(s, r.trace.busy_s.len() as u64);
-    for &b in &r.trace.busy_s {
+fn encode_sim(s: &mut String, r: &SimSummary) {
+    codec::push_f64(s, r.tm_seconds);
+    codec::push_u64(s, u64::from(r.iterations));
+    codec::push_u64(s, r.busy_s.len() as u64);
+    for &b in &r.busy_s {
         codec::push_f64(s, b);
     }
-    codec::push_u64(s, r.trace.events.len() as u64);
-    for e in &r.trace.events {
-        codec::push_u64(s, e.task.index() as u64);
-        codec::push_u64(s, u64::from(e.iteration));
-        codec::push_u64(s, e.core.index() as u64);
-        codec::push_f64(s, e.start_s);
-        codec::push_f64(s, e.finish_s);
-    }
-    codec::push_u64(s, r.faults.per_core.len() as u64);
-    for c in &r.faults.per_core {
+    codec::push_u64(s, r.per_core.len() as u64);
+    for c in &r.per_core {
         codec::push_u64(s, c.core.index() as u64);
         codec::push_u64(s, c.injected);
         codec::push_u64(s, c.experienced);
@@ -427,92 +416,41 @@ fn encode_sim(s: &mut String, r: &SimReport) {
         codec::push_u64(s, c.r_bits.as_u64());
         codec::push_f64(s, c.exposure_cycles);
     }
-    codec::push_u64(s, r.faults.total_injected);
-    codec::push_u64(s, r.faults.total_experienced);
-    codec::push_f64(s, r.faults.gamma_expected);
-    codec::push_u64(s, r.faults.events.len() as u64);
-    for e in &r.faults.events {
-        codec::push_u64(s, e.core.index() as u64);
-        codec::push_f64(s, e.time_s);
-        match e.block {
-            Some(b) => codec::push_u64(s, b.index() as u64),
-            None => codec::push_tok(s, "-"),
-        }
-        codec::push_bool(s, e.experienced);
-    }
+    codec::push_u64(s, r.total_injected);
+    codec::push_u64(s, r.total_experienced);
+    codec::push_f64(s, r.gamma_expected);
     codec::encode_evaluation(s, &r.analytic);
 }
 
-fn decode_sim(t: &mut Tokens<'_>) -> Result<SimReport, CodecError> {
+fn decode_sim(t: &mut Tokens<'_>) -> Result<SimSummary, CodecError> {
     let tm_seconds = t.next_f64()?;
     let iterations = t.next_u32()?;
     let n_busy = t.next_usize()?;
     let busy_s = (0..n_busy)
         .map(|_| t.next_f64())
         .collect::<Result<Vec<_>, _>>()?;
-    let n_events = t.next_usize()?;
-    let mut events = Vec::with_capacity(n_events);
-    for _ in 0..n_events {
-        events.push(TaskEvent {
-            task: sea_taskgraph::TaskId::new(t.next_usize()?),
-            iteration: t.next_u32()?,
-            core: sea_arch::CoreId::new(t.next_usize()?),
-            start_s: t.next_f64()?,
-            finish_s: t.next_f64()?,
-        });
-    }
-    let trace = ExecutionTrace {
-        tm_seconds,
-        busy_s,
-        events,
-        iterations,
-    };
     let n_cores = t.next_usize()?;
-    let mut per_core = Vec::with_capacity(n_cores);
-    for _ in 0..n_cores {
-        per_core.push(CoreFaults {
-            core: sea_arch::CoreId::new(t.next_usize()?),
-            injected: t.next_u64()?,
-            experienced: t.next_u64()?,
-            expected_experienced: t.next_f64()?,
-            r_bits: sea_taskgraph::units::Bits::new(t.next_u64()?),
-            exposure_cycles: t.next_f64()?,
-        });
-    }
-    let total_injected = t.next_u64()?;
-    let total_experienced = t.next_u64()?;
-    let gamma_expected = t.next_f64()?;
-    let n_seu = t.next_usize()?;
-    let mut seu_events = Vec::with_capacity(n_seu);
-    for _ in 0..n_seu {
-        let core = sea_arch::CoreId::new(t.next_usize()?);
-        let time_s = t.next_f64()?;
-        let block = match t.next_tok()? {
-            "-" => None,
-            idx => Some(sea_taskgraph::RegisterBlockId::new(
-                idx.parse()
-                    .map_err(|_| CodecError(format!("bad block index `{idx}`")))?,
-            )),
-        };
-        seu_events.push(SeuEvent {
-            core,
-            time_s,
-            block,
-            experienced: t.next_bool()?,
-        });
-    }
-    let faults = FaultReport {
+    let per_core = (0..n_cores)
+        .map(|_| {
+            Ok(CoreFaults {
+                core: sea_arch::CoreId::new(t.next_usize()?),
+                injected: t.next_u64()?,
+                experienced: t.next_u64()?,
+                expected_experienced: t.next_f64()?,
+                r_bits: sea_taskgraph::units::Bits::new(t.next_u64()?),
+                exposure_cycles: t.next_f64()?,
+            })
+        })
+        .collect::<Result<Vec<_>, CodecError>>()?;
+    Ok(SimSummary {
+        tm_seconds,
+        iterations,
+        busy_s,
         per_core,
-        total_injected,
-        total_experienced,
-        gamma_expected,
-        events: seu_events,
-    };
-    let analytic = codec::decode_evaluation(t)?;
-    Ok(SimReport {
-        trace,
-        faults,
-        analytic,
+        total_injected: t.next_u64()?,
+        total_experienced: t.next_u64()?,
+        gamma_expected: t.next_f64()?,
+        analytic: codec::decode_evaluation(t)?,
     })
 }
 
@@ -557,9 +495,9 @@ fn decode_payload(kind: &str, body: &str, unit: &Unit) -> Result<UnitPayload, Co
         }
         "simulate" => {
             let mut t = Tokens::new(body);
-            let report = decode_sim(&mut t)?;
+            let summary = decode_sim(&mut t)?;
             t.finish()?;
-            Ok(UnitPayload::Sim(Box::new(report)))
+            Ok(UnitPayload::Sim(Box::new(summary)))
         }
         other => Err(CodecError(format!("unknown payload kind `{other}`"))),
     }
@@ -603,8 +541,8 @@ struct EntryParts<'a> {
 }
 
 /// Validates everything except the typed payload: checksum, magic line,
-/// format version, embedded hash (against `expected` when given) and the
-/// record line.
+/// format version, embedded hash (against `expected` when given), the
+/// record line and a known payload kind.
 fn parse_entry(source: &str, expected: Option<ContentHash>) -> Result<EntryParts<'_>, String> {
     let end_pos = source.rfind("\nend ").ok_or("no checksum line")?;
     let prefix = &source[..=end_pos];
@@ -638,6 +576,12 @@ fn parse_entry(source: &str, expected: Option<ContentHash>) -> Result<EntryParts
     let kind = payload_line
         .strip_prefix("payload ")
         .ok_or("malformed payload line")?;
+    if !matches!(
+        kind,
+        "design" | "infeasible" | "too-few-tasks" | "sweep" | "simulate"
+    ) {
+        return Err(format!("unknown payload kind `{kind}`"));
+    }
     Ok(EntryParts {
         record,
         kind,
@@ -655,11 +599,7 @@ fn parse_entry(source: &str, expected: Option<ContentHash>) -> Result<EntryParts
 ///
 /// A human-readable reason the entry would be treated as a cache miss.
 pub fn validate_entry(source: &str, expected: Option<ContentHash>) -> Result<&str, String> {
-    let parts = parse_entry(source, expected)?;
-    match parts.kind {
-        "design" | "infeasible" | "too-few-tasks" | "sweep" | "simulate" => Ok(parts.kind),
-        other => Err(format!("unknown payload kind `{other}`")),
-    }
+    parse_entry(source, expected).map(|parts| parts.kind)
 }
 
 fn decode_entry(source: &str, unit: &Unit, hash: ContentHash) -> Result<UnitResult, String> {
@@ -724,6 +664,21 @@ mod tests {
         }
     }
 
+    /// The paper's MPEG-2 design point on 4 cores, injected at seed 13.
+    fn mpeg2_simulate_unit() -> Unit {
+        let mut u = unit(
+            UnitKind::Simulate {
+                scaling: vec![2, 2, 3, 2],
+                groups: vec![vec![0, 1, 2, 3, 4, 5], vec![6, 7], vec![8], vec![9, 10]],
+                ser: sea_arch::ser::PAPER_SER,
+            },
+            13,
+        );
+        u.app = AppRef::Spec(AppSpec::Mpeg2);
+        u.cores = 4;
+        u
+    }
+
     fn assert_results_equal(a: &UnitResult, b: &UnitResult) {
         assert_eq!(json_record(&a.record), json_record(&b.record));
         match (&a.payload, &b.payload) {
@@ -740,11 +695,7 @@ mod tests {
                     assert_eq!(p.evaluation, q.evaluation);
                 }
             }
-            (UnitPayload::Sim(x), UnitPayload::Sim(y)) => {
-                assert_eq!(x.trace, y.trace);
-                assert_eq!(x.faults, y.faults);
-                assert_eq!(x.analytic, y.analytic);
-            }
+            (UnitPayload::Sim(x), UnitPayload::Sim(y)) => assert_eq!(x, y),
             (
                 UnitPayload::Infeasible {
                     best_tm_seconds: a1,
@@ -795,19 +746,7 @@ mod tests {
                 u
             },
             unit(UnitKind::Sweep { count: 8, scale: 1 }, 42),
-            {
-                let mut u = unit(
-                    UnitKind::Simulate {
-                        scaling: vec![2, 2, 3, 2],
-                        groups: vec![vec![0, 1, 2, 3, 4, 5], vec![6, 7], vec![8], vec![9, 10]],
-                        ser: sea_arch::ser::PAPER_SER,
-                    },
-                    13,
-                );
-                u.app = AppRef::Spec(AppSpec::Mpeg2);
-                u.cores = 4;
-                u
-            },
+            mpeg2_simulate_unit(),
         ];
         for u in kinds {
             let fresh = run_unit(&u).unwrap();
@@ -815,7 +754,48 @@ mod tests {
             cache.store(&fresh).unwrap();
             let restored = cache.load(&u).expect("warm cache hits");
             assert_results_equal(&fresh, &restored);
+            assert_eq!(encode_result(&fresh), encode_result(&restored));
+            if matches!(u.kind, UnitKind::Simulate { .. }) {
+                // The summary without the 4,807 trace events and the
+                // sampled SEU events (226,251 bytes with them).
+                let bytes = std::fs::metadata(cache.entry_path(unit_hash(&u)))
+                    .unwrap()
+                    .len();
+                assert!(bytes <= 4096, "simulate entry of {bytes} bytes");
+            }
         }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn entries_sealed_by_the_previous_version_are_misses_that_heal() {
+        let (dir, cache) = temp_cache();
+        let u = mpeg2_simulate_unit();
+        let fresh = run_unit(&u).unwrap();
+        let current = encode_result(&fresh);
+        // Re-seal the entry under the previous version with a valid
+        // checksum, as an older build would have written it.
+        let prefix = &current[..=current.rfind("\nend ").unwrap()];
+        let prefix = prefix.replacen(
+            &format!("sea-unit-cache {CACHE_VERSION} "),
+            &format!("sea-unit-cache {} ", CACHE_VERSION - 1),
+            1,
+        );
+        let old = format!("{prefix}end {}\n", checksum(&prefix).to_hex());
+        assert_eq!(
+            validate_entry(&old, None),
+            Err("unsupported cache version".into())
+        );
+        assert_eq!(
+            decode_result(&old, &u).unwrap_err(),
+            "unsupported cache version"
+        );
+        let path = cache.entry_path(unit_hash(&u));
+        std::fs::write(&path, &old).unwrap();
+        assert!(cache.load(&u).is_none(), "an old entry is a miss");
+        cache.store(&fresh).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), current);
+        assert_results_equal(&fresh, &cache.load(&u).expect("the store healed it"));
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -19,8 +19,9 @@
 //! ```
 //!
 //! Scenario kinds add their own keys: `objectives = "r,tm,tmr"`
-//! (baseline), `count` and `scales` (sweep), `scaling`, `groups` and
-//! `ser` (simulate). Any kind accepts `deadline_scale = "0.4"`, which
+//! (baseline), `count` (0 to 10,000, default 120) and `scales` (sweep),
+//! `scaling`, `groups` and `ser` (simulate; a rate per bit per cycle in
+//! (0, 1], default 1e-9). Any kind accepts `deadline_scale = "0.4"`, which
 //! multiplies every listed app's deadline — the standard way to pose the
 //! tight-deadline problems the bound-and-prune engine accelerates.
 //! Unknown or duplicate keys are errors — a typo must not silently
@@ -50,6 +51,12 @@ pub const DEFAULT_BASE_SEED: u64 = 0x5EA;
 /// ten times the largest count any builtin, example or experiment uses
 /// (6). Checked on range endpoints before a range expands.
 pub const MAX_CORES: usize = 64;
+
+/// The largest `count` a sweep scenario may set: more than 80 times the
+/// largest count any builtin, example or experiment uses (120). The
+/// sweep allocates `count` slots up front and its duplicate check is
+/// quadratic in `count`.
+pub const MAX_SWEEP_COUNT: usize = 10_000;
 
 /// A parsed campaign: header + scenarios, expandable to units.
 #[derive(Debug, Clone)]
@@ -369,9 +376,18 @@ impl RawSection {
             }
             "sweep" => {
                 let count = match self.take("count") {
-                    Some((lineno, v)) => v
-                        .parse()
-                        .map_err(|_| err(lineno, &format!("cannot parse count `{v}`")))?,
+                    Some((lineno, v)) => {
+                        let count: usize = v
+                            .parse()
+                            .map_err(|_| err(lineno, &format!("cannot parse count `{v}`")))?;
+                        if count > MAX_SWEEP_COUNT {
+                            return Err(err(
+                                lineno,
+                                &format!("count must be at most {MAX_SWEEP_COUNT}"),
+                            ));
+                        }
+                        count
+                    }
                     None => 120,
                 };
                 let scales = match self.take_either("scales", "scale") {
@@ -392,9 +408,18 @@ impl RawSection {
                     )));
                 };
                 let ser = match self.take("ser") {
-                    Some((lineno, v)) => v
-                        .parse()
-                        .map_err(|_| err(lineno, &format!("cannot parse SER `{v}`")))?,
+                    Some((lineno, v)) => {
+                        let ser: f64 = v
+                            .parse()
+                            .map_err(|_| err(lineno, &format!("cannot parse SER `{v}`")))?;
+                        if !sea_arch::ser::is_valid_ser(ser) {
+                            return Err(err(
+                                lineno,
+                                "SER must be a rate per bit per cycle in (0, 1]",
+                            ));
+                        }
+                        ser
+                    }
                     None => sea_arch::ser::PAPER_SER,
                 };
                 ScenarioKind::Simulate {
@@ -763,6 +788,48 @@ seeds = "7,8"
         let edges = parse_campaign(&spec("1,63-64", "2-4")).unwrap();
         assert_eq!(edges.scenarios[0].cores, vec![1, 63, 64]);
         assert_eq!(edges.scenarios[0].levels, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn out_of_domain_sweep_counts_and_sers_are_refused() {
+        let sweep = |count: &str| {
+            format!(
+                "[scenario]\nkind = \"sweep\"\napps = \"mpeg2\"\ncores = \"4\"\ncount = {count}\n"
+            )
+        };
+        // The sweep allocates `count` slots up front: the first count
+        // panicked on capacity overflow, the second aborted on a 56 TB
+        // allocation.
+        for count in ["18446744073709551615", "1000000000000", "10001"] {
+            let e = parse_campaign(&sweep(count)).unwrap_err().to_string();
+            assert_eq!(
+                e, "campaign spec error: line 5: count must be at most 10000",
+                "{count}"
+            );
+        }
+        for count in [0, MAX_SWEEP_COUNT] {
+            let units = parse_campaign(&sweep(&count.to_string())).unwrap().expand();
+            assert!(matches!(units[0].kind, UnitKind::Sweep { count: c, .. } if c == count));
+        }
+
+        let simulate = |ser: &str| {
+            format!(
+                "[scenario]\nkind = \"simulate\"\napps = \"mpeg2\"\ncores = \"4\"\n\
+                 scaling = \"2,2,3,2\"\ngroups = \"0,1,2,3,4,5|6,7|8|9,10\"\nser = \"{ser}\"\n"
+            )
+        };
+        // `-1`, `0` and `nan` panicked in the SER calibration, `1e308`
+        // and `inf` in the Poisson sampler.
+        for ser in ["-1", "0", "nan", "1e308", "inf", "-inf", "1.5"] {
+            let e = parse_campaign(&simulate(ser)).unwrap_err().to_string();
+            assert_eq!(
+                e, "campaign spec error: line 7: SER must be a rate per bit per cycle in (0, 1]",
+                "{ser}"
+            );
+        }
+        for ser in ["1", "1e-9", "5e-324"] {
+            assert!(parse_campaign(&simulate(ser)).is_ok(), "{ser}");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use sea_opt::{
 };
 use sea_sched::metrics::EvalContext;
 use sea_sched::Mapping;
-use sea_sim::{simulate_design, SimConfig, SimReport};
+use sea_sim::{simulate_design, SimConfig, SimSummary};
 use sea_taskgraph::{AppSpec, Application, SpecError, TaskGraphSoa};
 
 use crate::CampaignError;
@@ -339,8 +339,9 @@ pub enum UnitPayload {
     },
     /// Random-mapping sweep points (`sweep` units).
     Sweep(Vec<sea_baselines::sweep::SweepPoint>),
-    /// Fault-injection report (`simulate` units).
-    Sim(Box<SimReport>),
+    /// Fault-injection summary (`simulate` units): the counts and the
+    /// analytic evaluation, without the trace and SEU event lists.
+    Sim(Box<SimSummary>),
 }
 
 impl UnitPayload {
@@ -615,7 +616,10 @@ pub fn run_unit_cancellable(
                 experienced_seus: Some(report.faults.total_experienced),
                 ..UnitRecord::empty(unit, "ok")
             };
-            (UnitPayload::Sim(Box::new(report)), record)
+            // The event lists are dropped here, not sampled less: the SEU
+            // events draw from the RNG stream of the later cores' counts,
+            // so a smaller `max_detailed_events` would change those counts.
+            (UnitPayload::Sim(Box::new(report.into_summary())), record)
         }
     };
     Ok(UnitResult {

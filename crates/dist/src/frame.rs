@@ -28,7 +28,7 @@ use std::io::{Read, Write};
 /// History: version 1 was the worker dialect alone (kinds 1–8);
 /// version 2 added the client-facing service frames (kinds 9+ — submit,
 /// subscribe, status, cancel, stop) for the daemon. The
-/// frame *grammar* and the unit encoding (`sea_opt::codec::WIRE_VERSION`)
+/// frame *grammar* and the unit encoding ([`crate::wire::WIRE_VERSION`])
 /// are unchanged, but an old worker would see unknown kind bytes from a
 /// new daemon's Refuse-with-status path, so the exact-match rule bumps.
 pub const PROTOCOL_VERSION: u32 = 2;
@@ -37,8 +37,8 @@ pub const PROTOCOL_VERSION: u32 = 2;
 pub const HANDSHAKE_MAGIC: &str = "sea-dist";
 
 /// Upper bound on a frame body, bytes (a result frame carries one full
-/// encoded unit result; the largest realistic payloads are Monte-Carlo
-/// simulation traces, well under this).
+/// encoded unit result; the largest realistic ones are random-mapping
+/// sweeps, tens of kilobytes at the builtins' 120 mappings).
 pub const MAX_FRAME_LEN: u32 = 64 << 20;
 
 /// Message kinds.

@@ -29,8 +29,13 @@ use sea_taskgraph::{
 
 /// Unit-encoding version (bump on any canonical-encoding change so a
 /// mixed-version fleet refuses work instead of silently misreading it).
+/// It also guards the result entry a worker returns
+/// ([`sea_campaign::encode_result`]): a worker from another build refuses
+/// its first work item instead of sending results the coordinator cannot
+/// verify.
 /// v2: the `scaled` app-ref production (campaign `deadline_scale`).
-pub const WIRE_VERSION: u32 = 2;
+/// v3: simulate results carry the simulation summary only.
+pub const WIRE_VERSION: u32 = 3;
 
 fn err(msg: impl Into<String>) -> CodecError {
     CodecError(msg.into())

@@ -196,11 +196,11 @@ pub fn mc_from_results(
         .iter()
         .zip(results)
         .map(|((label, _, _), result)| {
-            let UnitPayload::Sim(report) = &result.payload else {
+            let UnitPayload::Sim(summary) = &result.payload else {
                 unreachable!("mc units are simulate units and cannot be infeasible");
             };
-            let analytic = report.analytic.gamma;
-            let experienced = report.faults.total_experienced;
+            let analytic = summary.analytic.gamma;
+            let experienced = summary.total_experienced;
             McRow {
                 label: label.clone(),
                 gamma_analytic: analytic,

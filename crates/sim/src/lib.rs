@@ -156,6 +156,47 @@ pub struct SimReport {
     pub analytic: MappingEvaluation,
 }
 
+/// A [`SimReport`] without its two event lists: the measured timing, the
+/// fault counts and the analytic evaluation. This is all a campaign
+/// keeps of a simulation; the task events of the execution trace and the
+/// sampled SEU events stay with callers of [`simulate_design`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct SimSummary {
+    /// Measured multiprocessor execution time in seconds.
+    pub tm_seconds: f64,
+    /// Iterations executed.
+    pub iterations: u32,
+    /// Busy seconds per core.
+    pub busy_s: Vec<f64>,
+    /// Per-core injection outcome.
+    pub per_core: Vec<fault::CoreFaults>,
+    /// Total injected upsets (experienced + masked).
+    pub total_injected: u64,
+    /// Total experienced upsets — the Monte-Carlo counterpart of `Γ`.
+    pub total_experienced: u64,
+    /// Analytic `Γ` (sum of per-core expectations).
+    pub gamma_expected: f64,
+    /// Analytic evaluation of the same design point.
+    pub analytic: MappingEvaluation,
+}
+
+impl SimReport {
+    /// Drops the trace's task events and the sampled SEU events.
+    #[must_use]
+    pub fn into_summary(self) -> SimSummary {
+        SimSummary {
+            tm_seconds: self.trace.tm_seconds,
+            iterations: self.trace.iterations,
+            busy_s: self.trace.busy_s,
+            per_core: self.faults.per_core,
+            total_injected: self.faults.total_injected,
+            total_experienced: self.faults.total_experienced,
+            gamma_expected: self.faults.gamma_expected,
+            analytic: self.analytic,
+        }
+    }
+}
+
 /// Simulates one design point end-to-end: event-driven execution followed by
 /// fault injection, plus the analytic evaluation for cross-checking.
 ///

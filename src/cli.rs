@@ -33,6 +33,7 @@
 use std::fmt;
 
 use crate::arch::LevelSet;
+use sea_campaign::spec::MAX_SWEEP_COUNT;
 use sea_campaign::BudgetSpec;
 
 /// Re-exported from the shared spec module ([`sea_taskgraph::spec`]): the
@@ -703,7 +704,15 @@ fn parse_design(args: &[String]) -> Result<DesignArgs, CliError> {
         scaling: parse_scaling(&scaling)?,
         groups: parse_groups(&groups)?,
         ser: match get_flag(args, "--ser")? {
-            Some(s) => parse_num(&s, "SER")?,
+            Some(s) => {
+                let ser = parse_num(&s, "SER")?;
+                if !sea_arch::ser::is_valid_ser(ser) {
+                    return Err(CliError(format!(
+                        "--ser must be a rate per bit per cycle in (0, 1], got `{s}`"
+                    )));
+                }
+                ser
+            }
             None => sea_arch::ser::PAPER_SER,
         },
         seed: match get_flag(args, "--seed")? {
@@ -718,7 +727,15 @@ fn parse_sweep(args: &[String]) -> Result<SweepArgs, CliError> {
         app: parse_app(args)?,
         cores: parse_cores(args)?,
         count: match get_flag(args, "--count")? {
-            Some(c) => parse_num(&c, "count")?,
+            Some(c) => {
+                let count = parse_num(&c, "count")?;
+                if count > MAX_SWEEP_COUNT {
+                    return Err(CliError(format!(
+                        "--count must be at most {MAX_SWEEP_COUNT}, got {count}"
+                    )));
+                }
+                count
+            }
             None => 120,
         },
         scale: match get_flag(args, "--scale")? {
@@ -1265,6 +1282,33 @@ mod tests {
         assert_eq!(d.groups[0], vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(d.groups[2], vec![8]);
         assert_eq!(d.ser, sea_arch::ser::PAPER_SER);
+    }
+
+    #[test]
+    fn out_of_domain_ser_and_sweep_count_are_usage_errors() {
+        // Each used to panic: `-1`, `0` and `nan` in the SER calibration,
+        // `1e308` and `inf` in the Poisson sampler.
+        let design = "--app mpeg2 --cores 4 --scaling 2,2,3,2 --groups 0,1,2,3,4,5|6,7|8|9,10";
+        for command in ["simulate", "recovery"] {
+            for ser in ["-1", "0", "nan", "1e308", "inf", "1.5"] {
+                let err = parse(&argv(&format!("{command} {design} --ser {ser}"))).unwrap_err();
+                assert!(err.0.contains("--ser must be"), "{command} {ser}: {err}");
+            }
+            for ser in ["1", "1e-9", "5e-324"] {
+                assert!(
+                    parse(&argv(&format!("{command} {design} --ser {ser}"))).is_ok(),
+                    "{command} {ser}"
+                );
+            }
+        }
+        // `count` slots are allocated up front: this one aborted.
+        let err = parse(&argv("sweep --app mpeg2 --cores 4 --count 1000000000000")).unwrap_err();
+        assert!(err.0.contains("at most 10000"), "{err}");
+        let Command::Sweep(s) = parse(&argv("sweep --app mpeg2 --cores 4 --count 10000")).unwrap()
+        else {
+            panic!()
+        };
+        assert_eq!(s.count, MAX_SWEEP_COUNT);
     }
 
     #[test]

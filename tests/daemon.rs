@@ -197,21 +197,46 @@ fn an_oversized_range_is_refused_and_the_daemon_keeps_serving() {
     let spec = sea_dse::experiments::campaigns::builtin("quickstart")
         .unwrap()
         .source;
-    // A `cores` range the daemon would once have expanded before checking
-    // it: one Submit frame aborted the process on an 8 TB allocation.
-    let oversized = "name = \"oversized\"\n[scenario]\nkind = \"optimize\"\n\
-                     apps = \"mpeg2\"\ncores = \"1-1000000000000\"\n";
+    // Specs the daemon once accepted. The `cores` range was expanded
+    // before it was checked: one Submit frame aborted the process on an
+    // 8 TB allocation. The sweep `count` and the simulate `ser` were
+    // accepted and killed every worker that took one of their units, so
+    // the campaign never finished.
+    let refused = [
+        (
+            "apps = \"mpeg2\"\nkind = \"optimize\"\ncores = \"1-1000000000000\"\n",
+            "line 5: core counts must be between 1 and 64",
+        ),
+        (
+            "apps = \"mpeg2\"\nkind = \"sweep\"\ncores = \"4\"\ncount = 1000000000000\n",
+            "line 6: count must be at most 10000",
+        ),
+        (
+            "apps = \"mpeg2\"\nkind = \"sweep\"\ncores = \"4\"\ncount = 18446744073709551615\n",
+            "line 6: count must be at most 10000",
+        ),
+        (
+            "apps = \"mpeg2\"\nkind = \"simulate\"\ncores = \"4\"\nscaling = \"2,2,3,2\"\n\
+             groups = \"0,1,2,3,4,5|6,7|8|9,10\"\nser = \"nan\"\n",
+            "line 8: SER must be a rate per bit per cycle in (0, 1]",
+        ),
+        (
+            "apps = \"mpeg2\"\nkind = \"simulate\"\ncores = \"4\"\nscaling = \"2,2,3,2\"\n\
+             groups = \"0,1,2,3,4,5|6,7|8|9,10\"\nser = \"inf\"\n",
+            "line 8: SER must be a rate per bit per cycle in (0, 1]",
+        ),
+    ];
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let (report, records, rep) = std::thread::scope(|s| {
         let daemon = s.spawn(|| run_daemon(&listener, &DaemonConfig::new()));
         let worker_addr = addr.clone();
         let worker = s.spawn(move || run_worker(&worker_addr, &WorkerConfig::default()));
-        let refusal = submit(&addr, oversized).unwrap_err().to_string();
-        assert!(
-            refusal.contains("line 5: core counts must be between 1 and 64"),
-            "{refusal}"
-        );
+        for (scenario, reason) in refused {
+            let spec = format!("name = \"refused\"\n[scenario]\n{scenario}");
+            let refusal = submit(&addr, &spec).unwrap_err().to_string();
+            assert!(refusal.contains(reason), "{refusal}");
+        }
         let mut records = Vec::new();
         let mut rep = Vec::new();
         let outcome = submit_watch(&addr, spec, &mut records, &mut rep).unwrap();
@@ -226,7 +251,7 @@ fn an_oversized_range_is_refused_and_the_daemon_keeps_serving() {
         5,
         "one record per unit"
     );
-    assert_eq!(report.campaigns, 1, "the refused spec registers nothing");
+    assert_eq!(report.campaigns, 1, "a refused spec registers nothing");
 }
 
 #[test]
