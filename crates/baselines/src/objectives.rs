@@ -18,6 +18,39 @@ pub enum Objective {
 }
 
 impl Objective {
+    /// Every objective, in experiment order.
+    const ALL: [Objective; 3] = [
+        Objective::RegisterUsage,
+        Objective::Parallelism,
+        Objective::RegTimeProduct,
+    ];
+
+    /// The keyword the CLI, the campaign grammar and the unit encoding
+    /// spell this objective with.
+    #[must_use]
+    pub fn keyword(self) -> &'static str {
+        match self {
+            Objective::RegisterUsage => "r",
+            Objective::Parallelism => "tm",
+            Objective::RegTimeProduct => "tmr",
+        }
+    }
+
+    /// Parses a [`keyword`](Self::keyword).
+    ///
+    /// # Errors
+    ///
+    /// Names the accepted keywords for anything else.
+    pub fn from_keyword(s: &str) -> Result<Self, String> {
+        Self::ALL
+            .into_iter()
+            .find(|o| o.keyword() == s)
+            .ok_or_else(|| {
+                let accepted = Self::ALL.map(Objective::keyword).join("|");
+                format!("unknown objective `{s}` ({accepted})")
+            })
+    }
+
     /// Raw objective value for an evaluation summary (lower is better) —
     /// the `Copy`, allocation-free form the annealing loop scores with.
     #[must_use]
@@ -109,6 +142,17 @@ mod tests {
         let b = eval(12.0, 50_000, false);
         let obj = Objective::RegisterUsage;
         assert!(obj.penalized_score(&b, 10.0) > obj.penalized_score(&a, 10.0));
+    }
+
+    #[test]
+    fn keywords_round_trip() {
+        for o in Objective::ALL {
+            assert_eq!(Objective::from_keyword(o.keyword()), Ok(o));
+        }
+        assert_eq!(
+            Objective::from_keyword("x"),
+            Err("unknown objective `x` (r|tm|tmr)".into())
+        );
     }
 
     #[test]

@@ -47,7 +47,9 @@ pub const CACHE_ENV: &str = "SEA_CACHE";
 /// cheap, safe fix.
 /// v3: simulate payloads hold the simulation summary, without the
 /// execution trace and the sampled SEU events.
-pub const CACHE_VERSION: u32 = 3;
+/// v4: entries are named by the unit hash over the canonical unit
+/// encoding ([`crate::encode_unit`]); older entries sit under old hashes.
+pub const CACHE_VERSION: u32 = 4;
 
 /// Handle to a cache directory.
 #[derive(Debug, Clone)]

@@ -3,11 +3,14 @@
 //! The resumable-journal and result-cache layers both need one primitive:
 //! a hash of *what a unit computes* that is stable across processes,
 //! compiler versions and struct layouts. Rust's `#[derive(Hash)]` +
-//! `DefaultHasher` guarantees none of that, so this module hand-rolls a
-//! 128-bit FNV-1a over an explicit canonical byte encoding — every field
-//! that influences a unit's result (application content, core count, DVS
-//! levels, budget, selection policy, seed, job kind) is written
-//! length-prefixed and tagged, and nothing else is.
+//! `DefaultHasher` guarantees none of that, so [`unit_hash`] is a
+//! hand-rolled 128-bit FNV-1a over the unit's canonical encoding
+//! ([`crate::encode_unit`], the text a coordinator dispatches): its
+//! version token and every field that influences the unit's result
+//! (job kind, application content, core count, DVS levels, budget,
+//! selection policy, seed). One field walk produces both the dispatched
+//! text and the hashed bytes, so a worker that decodes a unit recomputes
+//! the hash its coordinator sent.
 //!
 //! Two deliberate exclusions define the identity:
 //!
@@ -23,11 +26,7 @@
 
 use std::fmt;
 
-use sea_opt::SelectionPolicy;
-use sea_taskgraph::Application;
-
-use crate::unit::{AppRef, Unit, UnitKind};
-use crate::Campaign;
+use crate::unit::{write_unit, Unit};
 
 /// FNV-1a 128-bit offset basis.
 const FNV_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
@@ -95,38 +94,6 @@ impl ContentHasher {
         }
     }
 
-    /// Absorbs one byte.
-    pub fn write_u8(&mut self, v: u8) {
-        self.write(&[v]);
-    }
-
-    /// Absorbs a `u32` as little-endian bytes.
-    pub fn write_u32(&mut self, v: u32) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Absorbs a `u64` as little-endian bytes.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Absorbs a `usize` widened to `u64` (stable across pointer widths).
-    pub fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    /// Absorbs an `f64` as its IEEE-754 bit pattern.
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    /// Absorbs a string, length-prefixed so `("ab","c")` and `("a","bc")`
-    /// hash differently.
-    pub fn write_str(&mut self, s: &str) {
-        self.write_usize(s.len());
-        self.write(s.as_bytes());
-    }
-
     /// Finishes the stream.
     #[must_use]
     pub fn finish(&self) -> ContentHash {
@@ -134,134 +101,16 @@ impl ContentHasher {
     }
 }
 
-/// Encoding version — bump on any canonical-encoding change so stale
-/// journals/caches are refused/missed instead of silently misread.
-const ENCODING_VERSION: u8 = 1;
-
-fn write_selection(h: &mut ContentHasher, s: SelectionPolicy) {
-    match s {
-        SelectionPolicy::PowerGammaProduct => h.write_u8(0),
-        SelectionPolicy::PowerFirst { tolerance } => {
-            h.write_u8(1);
-            h.write_f64(tolerance);
-        }
-        SelectionPolicy::Weighted { w_power } => {
-            h.write_u8(2);
-            h.write_f64(w_power);
-        }
-        SelectionPolicy::GammaFirst => h.write_u8(3),
-    }
-}
-
-fn write_kind(h: &mut ContentHasher, kind: &UnitKind) {
-    match kind {
-        UnitKind::Optimize => h.write_u8(0),
-        UnitKind::Baseline(objective) => {
-            h.write_u8(1);
-            h.write_str(objective.label());
-        }
-        UnitKind::Sweep { count, scale } => {
-            h.write_u8(2);
-            h.write_usize(*count);
-            h.write_u8(*scale);
-        }
-        UnitKind::Simulate {
-            scaling,
-            groups,
-            ser,
-        } => {
-            h.write_u8(3);
-            h.write_usize(scaling.len());
-            h.write(scaling);
-            h.write_usize(groups.len());
-            for group in groups {
-                h.write_usize(group.len());
-                for &t in group {
-                    h.write_usize(t);
-                }
-            }
-            h.write_f64(*ser);
-        }
-    }
-}
-
-/// Canonical encoding of a full application: name, execution mode,
-/// deadline, every task's computation cost, every edge, and the complete
-/// register-sharing model. Two [`AppRef::Inline`] workloads hash equal iff
-/// they describe the same computation.
-fn write_application(h: &mut ContentHasher, app: &Application) {
-    h.write_str(app.name());
-    h.write_u32(app.mode().iterations());
-    h.write_f64(app.deadline_s());
-    let g = app.graph();
-    h.write_usize(g.len());
-    for task in g.tasks() {
-        h.write_str(task.name());
-        h.write_u64(task.computation().as_u64());
-    }
-    h.write_usize(g.edges().len());
-    for e in g.edges() {
-        h.write_usize(e.src.index());
-        h.write_usize(e.dst.index());
-        h.write_u64(e.comm.as_u64());
-    }
-    let m = app.registers();
-    h.write_usize(m.blocks().len());
-    for block in m.blocks() {
-        h.write_str(block.name());
-        h.write_u64(block.bits().as_u64());
-    }
-    h.write_usize(m.n_tasks());
-    for t in 0..m.n_tasks() {
-        let blocks = m.task_blocks(sea_taskgraph::TaskId::new(t));
-        h.write_usize(blocks.len());
-        for b in blocks {
-            h.write_usize(b.index());
-        }
-    }
-}
-
-fn write_app_ref(h: &mut ContentHasher, app: &AppRef) {
-    match app {
-        // Spec apps hash by their canonical string — cheap, and the
-        // grammar round-trips (`random:40` normalizes to `random:40:7`).
-        AppRef::Spec(spec) => {
-            h.write_u8(0);
-            h.write_str(&spec.to_string());
-        }
-        AppRef::Inline(app) => {
-            h.write_u8(1);
-            write_application(h, app);
-        }
-        // Hashed by (spec, factor) rather than by built content: cheap,
-        // and the grammar's canonical form round-trips. A semantically
-        // equal `Inline` app hashes differently — that costs a cache
-        // miss, never a wrong hit.
-        AppRef::Scaled {
-            spec,
-            deadline_scale,
-        } => {
-            h.write_u8(2);
-            h.write_str(&spec.to_string());
-            h.write_f64(*deadline_scale);
-        }
-    }
-}
-
-/// The stable content hash of one unit: everything its result depends on
-/// (kind, application, cores, levels, budget, selection, seed) and
-/// nothing it doesn't (index, scenario label, worker counts).
+/// The stable content hash of one unit: FNV-1a-128 over the version and
+/// content tokens of [`crate::encode_unit`], that is everything the unit's
+/// result depends on (kind, application, cores, levels, budget,
+/// selection, seed) and nothing it doesn't (index, scenario label, worker
+/// counts). The hasher absorbs the tokens as the walk formats them; no
+/// text is built.
 #[must_use]
 pub fn unit_hash(unit: &Unit) -> ContentHash {
     let mut h = ContentHasher::new();
-    h.write_u8(ENCODING_VERSION);
-    write_kind(&mut h, &unit.kind);
-    write_app_ref(&mut h, &unit.app);
-    h.write_usize(unit.cores);
-    h.write_usize(unit.levels);
-    h.write_str(unit.budget.keyword());
-    write_selection(&mut h, unit.selection);
-    h.write_u64(unit.seed);
+    write_unit(&mut h, unit, false);
     h.finish()
 }
 
@@ -272,22 +121,10 @@ pub fn unit_hash(unit: &Unit) -> ContentHash {
 #[must_use]
 pub fn units_hash(units: &[Unit]) -> ContentHash {
     let mut h = ContentHasher::new();
-    h.write_u8(ENCODING_VERSION);
-    h.write_usize(units.len());
+    h.write(&(units.len() as u64).to_le_bytes());
     for unit in units {
         h.write(&unit_hash(unit).0.to_le_bytes());
     }
-    h.finish()
-}
-
-/// The content hash of a parsed campaign: its name plus the spec hash of
-/// its expansion.
-#[must_use]
-pub fn campaign_hash(campaign: &Campaign) -> ContentHash {
-    let mut h = ContentHasher::new();
-    h.write_u8(ENCODING_VERSION);
-    h.write_str(&campaign.name);
-    h.write(&units_hash(&campaign.expand()).0.to_le_bytes());
     h.finish()
 }
 
@@ -295,8 +132,9 @@ pub fn campaign_hash(campaign: &Campaign) -> ContentHash {
 mod tests {
     use super::*;
     use crate::parse_campaign;
-    use crate::unit::BudgetSpec;
-    use sea_taskgraph::AppSpec;
+    use crate::unit::{AppRef, BudgetSpec, UnitKind};
+    use sea_opt::SelectionPolicy;
+    use sea_taskgraph::{AppSpec, Application, ExecutionMode};
     use std::sync::Arc;
 
     fn base_unit() -> Unit {
@@ -429,6 +267,26 @@ mod tests {
         let mut uc = base_unit();
         uc.app = AppRef::Inline(c);
         assert_ne!(unit_hash(&ua), unit_hash(&uc));
+        // A batch graph and a one-iteration pipeline of it compute
+        // different designs (the initial mapping checks them differently).
+        let random = AppSpec::Random { tasks: 40, seed: 7 }.build().unwrap();
+        let with_mode = |mode| {
+            let app = Application::new(
+                random.name(),
+                random.graph().clone(),
+                random.registers().clone(),
+                mode,
+                random.deadline_s(),
+            )
+            .unwrap();
+            let mut u = base_unit();
+            u.app = AppRef::Inline(Arc::new(app));
+            unit_hash(&u)
+        };
+        assert_ne!(
+            with_mode(ExecutionMode::Batch),
+            with_mode(ExecutionMode::Pipelined { iterations: 1 })
+        );
     }
 
     #[test]
@@ -446,6 +304,5 @@ mod tests {
         assert_ne!(forward, units_hash(&reversed));
         assert_ne!(forward, units_hash(&units[..1]));
         assert_eq!(forward, units_hash(&campaign.expand()));
-        assert_eq!(campaign_hash(&campaign), campaign_hash(&campaign));
     }
 }

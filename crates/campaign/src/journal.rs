@@ -6,7 +6,7 @@
 //! ([`crate::hash::units_hash`]):
 //!
 //! ```text
-//! {"journal":"sea-campaign","version":1,"name":"quickstart","spec_hash":"<32 hex>","units":5}
+//! {"journal":"sea-campaign","version":3,"name":"quickstart","spec_hash":"<32 hex>","units":5}
 //! ```
 //!
 //! Every following line records one completed unit, keyed by the unit's
@@ -41,7 +41,10 @@ use crate::CampaignError;
 /// v2: bound-and-prune evaluation accounting (see
 /// [`crate::cache::CACHE_VERSION`]) — v1 journals may hold records a
 /// current build would not reproduce, so resuming from them is refused.
-pub const JOURNAL_VERSION: u32 = 2;
+/// v3: unit and spec hashes over the canonical unit encoding
+/// ([`crate::encode_unit`]), so an older journal is refused by version,
+/// not by a misleading spec-hash mismatch.
+pub const JOURNAL_VERSION: u32 = 3;
 
 fn jerr(msg: impl Into<String>) -> CampaignError {
     CampaignError::Journal(msg.into())

@@ -38,7 +38,6 @@
 //! ```
 
 pub mod analytics;
-pub mod arena;
 pub mod cache;
 pub mod hash;
 pub mod journal;
@@ -51,12 +50,11 @@ pub use analytics::{
     csv_aggregates, gamma_win, human_aggregates, jsonl_aggregates, Aggregates, BestRow, ParetoRow,
     SpreadRow, WinRateRow, WinTally, GAMMA_WIN_TOLERANCE,
 };
-pub use arena::{Arena, Span};
 pub use cache::{
     decode_result, encode_result, validate_entry, Cache, EntryHealth, EntrySurvey, PruneOutcome,
     CACHE_ENV,
 };
-pub use hash::{campaign_hash, unit_hash, units_hash, ContentHash, ContentHasher};
+pub use hash::{unit_hash, units_hash, ContentHash, ContentHasher};
 pub use journal::{
     open_journal, parse_journal, read_journal_records, Journal, JournalPlan, JournalWriter,
 };
@@ -70,8 +68,8 @@ pub use sink::{
 };
 pub use spec::{parse_campaign, Campaign, Scenario, ScenarioKind};
 pub use unit::{
-    level_set, run_unit, run_unit_cancellable, run_unit_with_jobs, AppRef, BudgetSpec, Unit,
-    UnitKind, UnitPayload, UnitRecord, UnitResult,
+    decode_unit, encode_unit, level_set, run_unit, run_unit_cancellable, run_unit_with_jobs,
+    AppRef, BudgetSpec, Unit, UnitKind, UnitPayload, UnitRecord, UnitResult,
 };
 
 use std::error::Error;

@@ -27,6 +27,11 @@
 //! Unknown or duplicate keys are errors — a typo must not silently
 //! shrink a grid.
 //!
+//! A campaign expands to at most [`MAX_UNITS`] units. Each axis is checked
+//! as its values are added and the campaign total as each scenario
+//! closes, so an oversized spec is a line-numbered error before anything
+//! that grows with the expansion is allocated.
+//!
 //! # Seed discipline
 //!
 //! When a scenario lists no explicit `seeds`, every unit's seed is
@@ -40,7 +45,6 @@ use sea_baselines::Objective;
 use sea_opt::SelectionPolicy;
 use sea_taskgraph::AppSpec;
 
-use crate::arena::Arena;
 use crate::unit::{AppRef, BudgetSpec, Unit, UnitKind};
 use crate::CampaignError;
 
@@ -57,6 +61,12 @@ pub const MAX_CORES: usize = 64;
 /// sweep allocates `count` slots up front and its duplicate check is
 /// quadratic in `count`.
 pub const MAX_SWEEP_COUNT: usize = 10_000;
+
+/// The most units a campaign may expand to: 280 times the largest
+/// campaign in the tree (the 356 units of the `warm` benchmark's battery).
+/// The daemon expands submitted specs on its event loop, so one oversized
+/// spec must be refused, not allocated.
+pub const MAX_UNITS: usize = 100_000;
 
 /// A parsed campaign: header + scenarios, expandable to units.
 #[derive(Debug, Clone)]
@@ -96,6 +106,29 @@ pub struct Scenario {
     pub deadline_scale: Option<f64>,
 }
 
+impl Scenario {
+    /// The number of units the scenario expands to, or `None` if it
+    /// overflows `usize`.
+    fn unit_count(&self) -> Option<usize> {
+        let kinds = match &self.kind {
+            ScenarioKind::Optimize | ScenarioKind::Simulate { .. } => 1,
+            ScenarioKind::Baseline { objectives } => objectives.len(),
+            ScenarioKind::Sweep { scales, .. } => scales.len(),
+        };
+        let seeds = self.seeds.as_ref().map_or(1, Vec::len);
+        [
+            self.apps.len(),
+            self.cores.len(),
+            self.levels.len(),
+            self.selections.len(),
+            kinds,
+            seeds,
+        ]
+        .into_iter()
+        .try_fold(1, usize::checked_mul)
+    }
+}
+
 /// Kind-specific scenario parameters.
 #[derive(Debug, Clone)]
 pub enum ScenarioKind {
@@ -132,9 +165,6 @@ impl Campaign {
     #[must_use]
     pub fn expand(&self) -> Vec<Unit> {
         let mut units = Vec::new();
-        // Scratch for the innermost seed axis; capacity survives resets,
-        // so the grid walk allocates nothing here after the first point.
-        let mut seed_arena: Arena<u64> = Arena::new();
         for scenario in &self.scenarios {
             let budget = scenario.budget.unwrap_or(self.budget);
             let kinds: Vec<UnitKind> = match &scenario.kind {
@@ -164,14 +194,8 @@ impl Campaign {
                     for &levels in &scenario.levels {
                         for &selection in &scenario.selections {
                             for kind in &kinds {
-                                seed_arena.reset();
-                                let seeds = match &scenario.seeds {
-                                    Some(s) => seed_arena.alloc_slice(s),
-                                    None => seed_arena.alloc_from(std::iter::once(
-                                        self.base_seed.wrapping_add(units.len() as u64),
-                                    )),
-                                };
-                                for &seed in seed_arena.get(seeds) {
+                                let derived = [self.base_seed.wrapping_add(units.len() as u64)];
+                                for &seed in scenario.seeds.as_deref().unwrap_or(&derived) {
                                     let app = match scenario.deadline_scale {
                                         Some(deadline_scale) => AppRef::Scaled {
                                             spec: app,
@@ -217,6 +241,7 @@ pub fn parse_campaign(source: &str) -> Result<Campaign, CampaignError> {
     };
     let mut section: Option<RawSection> = None;
     let mut header_keys: Vec<String> = Vec::new();
+    let mut n_units = 0;
 
     for (lineno, raw_line) in source.lines().enumerate() {
         let lineno = lineno + 1;
@@ -236,11 +261,9 @@ pub fn parse_campaign(source: &str) -> Result<Campaign, CampaignError> {
                 ));
             }
             if let Some(done) = section.take() {
-                campaign
-                    .scenarios
-                    .push(done.finish(campaign.scenarios.len())?);
+                close_section(&mut campaign, done, &mut n_units)?;
             }
-            section = Some(RawSection::new());
+            section = Some(RawSection::new(lineno));
             continue;
         }
         let Some((key, value)) = line.split_once('=') else {
@@ -279,9 +302,7 @@ pub fn parse_campaign(source: &str) -> Result<Campaign, CampaignError> {
         }
     }
     if let Some(done) = section.take() {
-        campaign
-            .scenarios
-            .push(done.finish(campaign.scenarios.len())?);
+        close_section(&mut campaign, done, &mut n_units)?;
     }
     if campaign.scenarios.is_empty() {
         return Err(CampaignError::Spec(
@@ -289,6 +310,29 @@ pub fn parse_campaign(source: &str) -> Result<Campaign, CampaignError> {
         ));
     }
     Ok(campaign)
+}
+
+/// Finishes a `[scenario]` section and adds its units to `n_units`,
+/// refusing a campaign of more than [`MAX_UNITS`] units.
+fn close_section(
+    campaign: &mut Campaign,
+    raw: RawSection,
+    n_units: &mut usize,
+) -> Result<(), CampaignError> {
+    let line = raw.line;
+    let scenario = raw.finish(campaign.scenarios.len())?;
+    *n_units = scenario
+        .unit_count()
+        .and_then(|n| n.checked_add(*n_units))
+        .filter(|&n| n <= MAX_UNITS)
+        .ok_or_else(|| {
+            err(
+                line,
+                &format!("the campaign expands to more than {MAX_UNITS} units"),
+            )
+        })?;
+    campaign.scenarios.push(scenario);
+    Ok(())
 }
 
 fn err(lineno: usize, msg: &str) -> CampaignError {
@@ -322,12 +366,17 @@ fn unquote(value: &str) -> String {
 
 /// A `[scenario]` section while its keys are being collected.
 struct RawSection {
+    /// Line of the section header.
+    line: usize,
     keys: Vec<(usize, String, String)>,
 }
 
 impl RawSection {
-    fn new() -> Self {
-        RawSection { keys: Vec::new() }
+    fn new(line: usize) -> Self {
+        RawSection {
+            line,
+            keys: Vec::new(),
+        }
     }
 
     fn set(&mut self, lineno: usize, key: &str, value: &str) -> Result<(), CampaignError> {
@@ -362,17 +411,13 @@ impl RawSection {
                             "baseline scenario `{name}` needs `objectives = \"r,tm,tmr\"`"
                         ))
                     })?;
-                let objectives = split_list(&objectives)
-                    .map(|o| match o {
-                        "r" => Ok(Objective::RegisterUsage),
-                        "tm" => Ok(Objective::Parallelism),
-                        "tmr" => Ok(Objective::RegTimeProduct),
-                        other => Err(err(lineno, &format!("unknown objective `{other}`"))),
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                ScenarioKind::Baseline {
-                    objectives: non_empty(lineno, "objectives", objectives)?,
-                }
+                let objectives = axis(
+                    lineno,
+                    "objectives",
+                    split_list(&objectives)
+                        .map(|o| Objective::from_keyword(o).map_err(|e| err(lineno, &e))),
+                )?;
+                ScenarioKind::Baseline { objectives }
             }
             "sweep" => {
                 let count = match self.take("count") {
@@ -391,7 +436,7 @@ impl RawSection {
                     None => 120,
                 };
                 let scales = match self.take_either("scales", "scale") {
-                    Some((lineno, v)) => parse_u8_list(lineno, &v)?,
+                    Some((lineno, v)) => parse_u8_list(lineno, "scales", &v)?,
                     None => vec![1],
                 };
                 ScenarioKind::Sweep { count, scales }
@@ -423,7 +468,7 @@ impl RawSection {
                     None => sea_arch::ser::PAPER_SER,
                 };
                 ScenarioKind::Simulate {
-                    scaling: parse_u8_list(s_line, &scaling)?,
+                    scaling: parse_u8_list(s_line, "scaling", &scaling)?,
                     groups: parse_groups(g_line, &groups)?,
                     ser,
                 }
@@ -441,13 +486,14 @@ impl RawSection {
                 "scenario `{name}` is missing `apps` (e.g. \"mpeg2, random:60\")"
             )));
         };
-        let apps = split_list(&apps)
-            .map(|s| {
+        let apps = axis(
+            a_line,
+            "apps",
+            split_list(&apps).map(|s| {
                 s.parse::<AppSpec>()
                     .map_err(|e| err(a_line, &e.to_string()))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let apps = non_empty(a_line, "apps", apps)?;
+            }),
+        )?;
         let Some((c_line, cores)) = self.take("cores") else {
             return Err(CampaignError::Spec(format!(
                 "scenario `{name}` is missing `cores` (e.g. \"2-6\")"
@@ -455,12 +501,15 @@ impl RawSection {
         };
         let cores = parse_usize_ranges(
             c_line,
+            "cores",
             &cores,
             1..=MAX_CORES,
             &format!("core counts must be between 1 and {MAX_CORES}"),
         )?;
         let levels = match self.take("levels") {
-            Some((lineno, v)) => parse_usize_ranges(lineno, &v, 2..=4, "levels must be 2, 3 or 4")?,
+            Some((lineno, v)) => {
+                parse_usize_ranges(lineno, "levels", &v, 2..=4, "levels must be 2, 3 or 4")?
+            }
             None => vec![3],
         };
         let selections = match self.take_either("selections", "selection") {
@@ -481,31 +530,24 @@ impl RawSection {
                         ),
                     ));
                 }
-                let selections = split_list(&v)
-                    .map(|s| match s {
-                        "product" => Ok(SelectionPolicy::PowerGammaProduct),
-                        "power" => Ok(SelectionPolicy::PowerFirst { tolerance: 0.05 }),
-                        "gamma" => Ok(SelectionPolicy::GammaFirst),
-                        other => Err(err(
-                            lineno,
-                            &format!("unknown selection `{other}` (product|power|gamma)"),
-                        )),
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                non_empty(lineno, "selections", selections)?
+                axis(
+                    lineno,
+                    "selections",
+                    split_list(&v)
+                        .map(|s| SelectionPolicy::from_keyword(s).map_err(|e| err(lineno, &e))),
+                )?
             }
             None => vec![SelectionPolicy::PowerGammaProduct],
         };
         let seeds = match self.take("seeds") {
-            Some((lineno, v)) => {
-                let seeds = split_list(&v)
-                    .map(|s| {
-                        s.parse::<u64>()
-                            .map_err(|_| err(lineno, &format!("cannot parse seed `{s}`")))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Some(non_empty(lineno, "seeds", seeds)?)
-            }
+            Some((lineno, v)) => Some(axis(
+                lineno,
+                "seeds",
+                split_list(&v).map(|s| {
+                    s.parse::<u64>()
+                        .map_err(|_| err(lineno, &format!("cannot parse seed `{s}`")))
+                }),
+            )?),
             None => None,
         };
         let budget = match self.take("budget") {
@@ -609,30 +651,53 @@ fn split_list(value: &str) -> impl Iterator<Item = &str> {
     value.split(',').map(str::trim).filter(|s| !s.is_empty())
 }
 
-/// Rejects grid axes that parsed to nothing (`seeds = ""`, `apps = ","`):
-/// an empty axis would silently expand the whole scenario to zero units.
-fn non_empty<T>(lineno: usize, what: &str, list: Vec<T>) -> Result<Vec<T>, CampaignError> {
-    if list.is_empty() {
+/// Collects the values of a list key, refusing more than [`MAX_UNITS`] as
+/// they are added (a grid axis that long takes the campaign over the cap
+/// on its own) and refusing a list that parsed to nothing (`seeds = ""`,
+/// `apps = ","`), which would silently expand the scenario to zero units.
+fn axis<T>(
+    lineno: usize,
+    what: &str,
+    values: impl Iterator<Item = Result<T, CampaignError>>,
+) -> Result<Vec<T>, CampaignError> {
+    let mut out = Vec::new();
+    for value in values {
+        if out.len() == MAX_UNITS {
+            return Err(too_many(lineno, what));
+        }
+        out.push(value?);
+    }
+    if out.is_empty() {
         return Err(err(lineno, &format!("`{what}` lists no values")));
     }
-    Ok(list)
+    Ok(out)
 }
 
-fn parse_u8_list(lineno: usize, value: &str) -> Result<Vec<u8>, CampaignError> {
-    let list = split_list(value)
-        .map(|s| {
+fn too_many(lineno: usize, what: &str) -> CampaignError {
+    err(
+        lineno,
+        &format!("`{what}` lists more than {MAX_UNITS} values"),
+    )
+}
+
+fn parse_u8_list(lineno: usize, what: &str, value: &str) -> Result<Vec<u8>, CampaignError> {
+    axis(
+        lineno,
+        what,
+        split_list(value).map(|s| {
             s.parse::<u8>()
                 .map_err(|_| err(lineno, &format!("cannot parse `{s}` as a coefficient")))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    non_empty(lineno, "coefficient list", list)
+        }),
+    )
 }
 
 /// Parses `"2,4-6"` into `[2, 4, 5, 6]`, refusing any value outside
-/// `domain` with `out_of_domain`. Range endpoints are checked before the
-/// range expands, so an oversized range is an error, never an allocation.
+/// `domain` with `out_of_domain` and more than [`MAX_UNITS`] values.
+/// Both are checked on range endpoints before the range expands, so an
+/// oversized range is an error, never an allocation.
 fn parse_usize_ranges(
     lineno: usize,
+    what: &str,
     value: &str,
     domain: RangeInclusive<usize>,
     out_of_domain: &str,
@@ -646,7 +711,7 @@ fn parse_usize_ranges(
     };
     let mut out = Vec::new();
     for item in split_list(value) {
-        if let Some((lo, hi)) = item.split_once('-') {
+        let (lo, hi) = if let Some((lo, hi)) = item.split_once('-') {
             let lo: usize = lo
                 .trim()
                 .parse()
@@ -658,13 +723,18 @@ fn parse_usize_ranges(
             if hi < lo {
                 return Err(err(lineno, &format!("descending range `{item}`")));
             }
-            out.extend(in_domain(lo)?..=in_domain(hi)?);
+            (in_domain(lo)?, in_domain(hi)?)
         } else {
             let v = item
                 .parse()
                 .map_err(|_| err(lineno, &format!("cannot parse `{item}`")))?;
-            out.push(in_domain(v)?);
+            (in_domain(v)?, v)
+        };
+        // `out` never holds more than MAX_UNITS values.
+        if hi - lo >= MAX_UNITS - out.len() {
+            return Err(too_many(lineno, what));
         }
+        out.extend(lo..=hi);
     }
     if out.is_empty() {
         return Err(err(lineno, "empty list"));
@@ -743,7 +813,7 @@ seeds = "7,8"
 
     #[test]
     fn range_and_list_syntax() {
-        let parse = |v: &str| parse_usize_ranges(1, v, 0..=usize::MAX, "out of domain");
+        let parse = |v: &str| parse_usize_ranges(1, "values", v, 0..=usize::MAX, "out of domain");
         assert_eq!(parse("2,4-6").unwrap(), vec![2, 4, 5, 6]);
         assert_eq!(parse("3").unwrap(), vec![3]);
         assert!(parse("6-2").is_err());
@@ -788,6 +858,62 @@ seeds = "7,8"
         let edges = parse_campaign(&spec("1,63-64", "2-4")).unwrap();
         assert_eq!(edges.scenarios[0].cores, vec![1, 63, 64]);
         assert_eq!(edges.scenarios[0].levels, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn campaigns_over_the_unit_cap_are_refused_before_they_expand() {
+        let numbers = |n: u64| (1..=n).map(|s| s.to_string()).collect::<Vec<_>>().join(",");
+        // 100 apps x 64 cores x 3 levels x 3 selections x 1,000 seeds:
+        // 57.6 M units, every axis within the cap. Expanding it aborted.
+        let grid = format!(
+            "name = \"big\"\n[scenario]\nkind = \"optimize\"\napps = \"{}\"\ncores = \"1-64\"\n\
+             levels = \"2-4\"\nselections = \"product,power,gamma\"\nseeds = \"{}\"\n",
+            ["mpeg2"; 100].join(","),
+            numbers(1000),
+        );
+        let e = parse_campaign(&grid).unwrap_err().to_string();
+        assert_eq!(
+            e,
+            "campaign spec error: line 2: the campaign expands to more than 100000 units"
+        );
+        // One axis over the cap: 1,563 copies of `1-64` are 100,032 core
+        // counts.
+        let cores = ["1-64"; 1563].join(",");
+        let e = parse_campaign(&format!(
+            "[scenario]\nkind = \"optimize\"\napps = \"mpeg2\"\ncores = \"{cores}\"\n"
+        ))
+        .unwrap_err()
+        .to_string();
+        assert_eq!(
+            e,
+            "campaign spec error: line 4: `cores` lists more than 100000 values"
+        );
+        // The cap's edge, on one axis and across scenarios.
+        let seeds = |n: u64| {
+            format!(
+                "[scenario]\nkind = \"optimize\"\napps = \"mpeg2\"\ncores = \"4\"\nseeds = \"{}\"\n",
+                numbers(n)
+            )
+        };
+        let at_cap = seeds(MAX_UNITS as u64);
+        assert_eq!(
+            parse_campaign(&at_cap).unwrap().scenarios[0].unit_count(),
+            Some(MAX_UNITS)
+        );
+        let e = parse_campaign(&seeds(MAX_UNITS as u64 + 1))
+            .unwrap_err()
+            .to_string();
+        assert_eq!(
+            e,
+            "campaign spec error: line 5: `seeds` lists more than 100000 values"
+        );
+        let e = parse_campaign(&format!("{at_cap}{}", seeds(1)))
+            .unwrap_err()
+            .to_string();
+        assert_eq!(
+            e,
+            "campaign spec error: line 6: the campaign expands to more than 100000 units"
+        );
     }
 
     #[test]

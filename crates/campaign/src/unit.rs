@@ -6,6 +6,10 @@
 //! global state — which is what lets the pool in [`crate::pool`] execute
 //! units in any order on any number of workers while the campaign's final
 //! report stays bitwise identical.
+//!
+//! The module also owns the canonical unit encoding ([`encode_unit`],
+//! [`decode_unit`]): the text a coordinator dispatches to workers, and
+//! the bytes the unit's content hash ([`crate::unit_hash`]) covers.
 
 use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
@@ -13,14 +17,19 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use sea_arch::{Architecture, LevelSet, ScalingVector, SerModel};
 use sea_baselines::{BaselineOptimizer, Objective};
+use sea_opt::codec::{CodecError, Tokens};
 use sea_opt::{
     DesignOptimizer, OptError, OptimizationOutcome, OptimizerConfig, SearchBudget, SelectionPolicy,
 };
 use sea_sched::metrics::EvalContext;
 use sea_sched::Mapping;
 use sea_sim::{simulate_design, SimConfig, SimSummary};
-use sea_taskgraph::{AppSpec, Application, SpecError, TaskGraphSoa};
+use sea_taskgraph::{
+    AppSpec, Application, Bits, Cycles, ExecutionMode, RegisterModelBuilder, SpecError,
+    TaskGraphBuilder, TaskGraphSoa, TaskId,
+};
 
+use crate::hash::ContentHasher;
 use crate::CampaignError;
 
 /// Named search-budget presets shared by the CLI, the campaign grammar and
@@ -225,14 +234,7 @@ impl UnitKind {
     pub fn label(&self) -> String {
         match self {
             UnitKind::Optimize => "optimize".into(),
-            UnitKind::Baseline(o) => format!(
-                "baseline:{}",
-                match o {
-                    Objective::RegisterUsage => "r",
-                    Objective::Parallelism => "tm",
-                    Objective::RegTimeProduct => "tmr",
-                }
-            ),
+            UnitKind::Baseline(o) => format!("baseline:{}", o.keyword()),
             UnitKind::Sweep { .. } => "sweep".into(),
             UnitKind::Simulate { .. } => "simulate".into(),
         }
@@ -315,6 +317,405 @@ impl Unit {
             UnitKind::Sweep { count, .. } => *count as u64,
             UnitKind::Simulate { .. } => 1,
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The canonical unit encoding
+// ---------------------------------------------------------------------------
+
+/// Version of the canonical unit encoding: the first token of
+/// [`encode_unit`] and the first input of every [`crate::unit_hash`].
+/// Bump it on any change to the field walk, so stale journals and caches
+/// are refused or missed instead of silently misread.
+/// v2: one text walk serves dispatch and identity; identity now covers
+/// the exact execution mode and the graph name of inline applications.
+const ENCODING_VERSION: u32 = 2;
+
+/// Receives the tokens of [`write_unit`]'s field walk. A `String`
+/// collects the text a coordinator dispatches; a [`ContentHasher`]
+/// absorbs the same bytes without building it.
+pub(crate) trait TokenSink {
+    /// Appends ASCII bytes.
+    fn put(&mut self, ascii: &[u8]);
+}
+
+impl TokenSink for String {
+    fn put(&mut self, ascii: &[u8]) {
+        self.extend(ascii.iter().copied().map(char::from));
+    }
+}
+
+impl TokenSink for ContentHasher {
+    fn put(&mut self, ascii: &[u8]) {
+        self.write(ascii);
+    }
+}
+
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// `v` in decimal, formatted into the tail of `buf`.
+fn decimal(mut v: u64, buf: &mut [u8; 20]) -> &[u8] {
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            return &buf[i..];
+        }
+    }
+}
+
+/// A raw token (no whitespace).
+fn tok(out: &mut impl TokenSink, token: &str) {
+    out.put(b" ");
+    out.put(token.as_bytes());
+}
+
+/// A decimal integer token.
+fn num(out: &mut impl TokenSink, v: u64) {
+    out.put(b" ");
+    out.put(decimal(v, &mut [0; 20]));
+}
+
+/// An exact float token: the IEEE-754 bits as 16 hex digits, the
+/// [`sea_opt::codec`] float form.
+fn float(out: &mut impl TokenSink, v: f64) {
+    let bits = v.to_bits();
+    let mut buf = [b' '; 17];
+    for (k, digit) in buf[1..].iter_mut().enumerate() {
+        *digit = HEX[(bits >> (60 - 4 * k) & 0xf) as usize];
+    }
+    out.put(&buf);
+}
+
+/// A string as one token: `x` and the hex of its UTF-8 bytes, so any
+/// content (spaces, newlines, quotes) stays a single token.
+fn text(out: &mut impl TokenSink, s: &str) {
+    out.put(b" x");
+    for &b in s.as_bytes() {
+        out.put(&[HEX[usize::from(b >> 4)], HEX[usize::from(b & 0xf)]]);
+    }
+}
+
+/// The one field walk over a unit: the encoding version, then the index
+/// and scenario when `presentation` is set, then every field the unit's
+/// result depends on. Tokens are separated by single spaces.
+pub(crate) fn write_unit(out: &mut impl TokenSink, unit: &Unit, presentation: bool) {
+    out.put(decimal(u64::from(ENCODING_VERSION), &mut [0; 20]));
+    if presentation {
+        num(out, unit.index as u64);
+        text(out, &unit.scenario);
+    }
+    write_kind(out, &unit.kind);
+    write_app_ref(out, &unit.app);
+    num(out, unit.cores as u64);
+    num(out, unit.levels as u64);
+    tok(out, unit.budget.keyword());
+    write_selection(out, unit.selection);
+    num(out, unit.seed);
+}
+
+fn write_kind(out: &mut impl TokenSink, kind: &UnitKind) {
+    match kind {
+        UnitKind::Optimize => tok(out, "optimize"),
+        UnitKind::Baseline(objective) => {
+            tok(out, "baseline");
+            tok(out, objective.keyword());
+        }
+        UnitKind::Sweep { count, scale } => {
+            tok(out, "sweep");
+            num(out, *count as u64);
+            num(out, u64::from(*scale));
+        }
+        UnitKind::Simulate {
+            scaling,
+            groups,
+            ser,
+        } => {
+            tok(out, "simulate");
+            num(out, scaling.len() as u64);
+            for &c in scaling {
+                num(out, u64::from(c));
+            }
+            num(out, groups.len() as u64);
+            for group in groups {
+                num(out, group.len() as u64);
+                for &t in group {
+                    num(out, t as u64);
+                }
+            }
+            float(out, *ser);
+        }
+    }
+}
+
+fn write_app_ref(out: &mut impl TokenSink, app: &AppRef) {
+    match app {
+        // The canonical spec string: the grammar round-trips (`random:40`
+        // normalizes to `random:40:7`).
+        AppRef::Spec(spec) => {
+            tok(out, "spec");
+            text(out, &spec.to_string());
+        }
+        AppRef::Inline(app) => {
+            tok(out, "inline");
+            write_application(out, app);
+        }
+        // By (spec, factor), not by built content: a semantically equal
+        // `Inline` app encodes differently, which costs a cache miss,
+        // never a wrong hit.
+        AppRef::Scaled {
+            spec,
+            deadline_scale,
+        } => {
+            tok(out, "scaled");
+            text(out, &spec.to_string());
+            float(out, *deadline_scale);
+        }
+    }
+}
+
+/// A full application: name, exact execution mode, deadline, the graph's
+/// name, every task, every edge and the complete register-sharing model.
+fn write_application(out: &mut impl TokenSink, app: &Application) {
+    text(out, app.name());
+    match app.mode() {
+        ExecutionMode::Batch => num(out, 0),
+        ExecutionMode::Pipelined { iterations } => {
+            num(out, 1);
+            num(out, u64::from(iterations));
+        }
+    }
+    float(out, app.deadline_s());
+    let g = app.graph();
+    text(out, g.name());
+    num(out, g.len() as u64);
+    for task in g.tasks() {
+        text(out, task.name());
+        num(out, task.computation().as_u64());
+    }
+    num(out, g.edges().len() as u64);
+    for e in g.edges() {
+        num(out, e.src.index() as u64);
+        num(out, e.dst.index() as u64);
+        num(out, e.comm.as_u64());
+    }
+    let m = app.registers();
+    num(out, m.blocks().len() as u64);
+    for block in m.blocks() {
+        text(out, block.name());
+        num(out, block.bits().as_u64());
+    }
+    for task_index in 0..m.n_tasks() {
+        let blocks = m.task_blocks(TaskId::new(task_index));
+        num(out, blocks.len() as u64);
+        for b in blocks {
+            num(out, b.index() as u64);
+        }
+    }
+}
+
+fn write_selection(out: &mut impl TokenSink, s: SelectionPolicy) {
+    match s {
+        SelectionPolicy::PowerGammaProduct => num(out, 0),
+        SelectionPolicy::PowerFirst { tolerance } => {
+            num(out, 1);
+            float(out, tolerance);
+        }
+        SelectionPolicy::Weighted { w_power } => {
+            num(out, 2);
+            float(out, w_power);
+        }
+        SelectionPolicy::GammaFirst => num(out, 3),
+    }
+}
+
+/// Encodes one unit canonically: the text a coordinator dispatches. The
+/// unit's [`crate::unit_hash`] is FNV-1a-128 over the same text without
+/// the index and scenario tokens.
+#[must_use]
+pub fn encode_unit(unit: &Unit) -> String {
+    let mut out = String::with_capacity(256);
+    write_unit(&mut out, unit, true);
+    out
+}
+
+/// Decodes one unit from its [`encode_unit`] text.
+///
+/// # Errors
+///
+/// [`CodecError`] for malformed input, unknown tags, or an encoding
+/// version this build does not read.
+pub fn decode_unit(source: &str) -> Result<Unit, CodecError> {
+    let mut t = Tokens::new(source);
+    let version = t.next_u32()?;
+    if version != ENCODING_VERSION {
+        return Err(cerr(format!(
+            "unit encoding version skew: stream has {version}, this build reads {ENCODING_VERSION}"
+        )));
+    }
+    let index = t.next_usize()?;
+    let scenario = next_text(&mut t)?;
+    let kind = next_kind(&mut t)?;
+    let app = next_app_ref(&mut t)?;
+    let cores = t.next_usize()?;
+    let levels = t.next_usize()?;
+    let budget_keyword = t.next_tok()?;
+    let budget = BudgetSpec::parse(budget_keyword).map_err(|e| cerr(format!("bad budget: {e}")))?;
+    let selection = next_selection(&mut t)?;
+    let seed = t.next_u64()?;
+    t.finish()?;
+    Ok(Unit {
+        index,
+        scenario,
+        kind,
+        app,
+        cores,
+        levels,
+        budget,
+        selection,
+        seed,
+    })
+}
+
+fn cerr(msg: impl Into<String>) -> CodecError {
+    CodecError(msg.into())
+}
+
+fn next_text(t: &mut Tokens<'_>) -> Result<String, CodecError> {
+    let tok = t.next_tok()?;
+    let hex = tok
+        .strip_prefix('x')
+        .ok_or_else(|| cerr(format!("expected a string token, got `{tok}`")))?;
+    let digit = |b: u8| char::from(b).to_digit(16);
+    let bytes: Option<Vec<u8>> = hex
+        .as_bytes()
+        .chunks(2)
+        .map(|pair| match *pair {
+            [hi, lo] => Some(((digit(hi)? << 4) | digit(lo)?) as u8),
+            _ => None,
+        })
+        .collect();
+    let bytes = bytes.ok_or_else(|| cerr(format!("bad hex in string token `{tok}`")))?;
+    String::from_utf8(bytes).map_err(|_| cerr(format!("non-UTF-8 string token `{tok}`")))
+}
+
+fn next_kind(t: &mut Tokens<'_>) -> Result<UnitKind, CodecError> {
+    match t.next_tok()? {
+        "optimize" => Ok(UnitKind::Optimize),
+        "baseline" => Ok(UnitKind::Baseline(
+            Objective::from_keyword(t.next_tok()?).map_err(cerr)?,
+        )),
+        "sweep" => Ok(UnitKind::Sweep {
+            count: t.next_usize()?,
+            scale: t.next_u8()?,
+        }),
+        "simulate" => {
+            let n = t.next_usize()?;
+            let scaling = (0..n).map(|_| t.next_u8()).collect::<Result<_, _>>()?;
+            let n_groups = t.next_usize()?;
+            let mut groups = Vec::with_capacity(n_groups.min(1024));
+            for _ in 0..n_groups {
+                let len = t.next_usize()?;
+                groups.push(
+                    (0..len)
+                        .map(|_| t.next_usize())
+                        .collect::<Result<Vec<_>, _>>()?,
+                );
+            }
+            Ok(UnitKind::Simulate {
+                scaling,
+                groups,
+                ser: t.next_f64()?,
+            })
+        }
+        other => Err(cerr(format!("unknown unit kind `{other}`"))),
+    }
+}
+
+fn next_app_spec(t: &mut Tokens<'_>) -> Result<AppSpec, CodecError> {
+    let text = next_text(t)?;
+    text.parse()
+        .map_err(|e| cerr(format!("bad app spec `{text}`: {e}")))
+}
+
+fn next_app_ref(t: &mut Tokens<'_>) -> Result<AppRef, CodecError> {
+    match t.next_tok()? {
+        "spec" => Ok(AppRef::Spec(next_app_spec(t)?)),
+        "inline" => Ok(AppRef::Inline(Arc::new(next_application(t)?))),
+        "scaled" => Ok(AppRef::Scaled {
+            spec: next_app_spec(t)?,
+            deadline_scale: t.next_f64()?,
+        }),
+        other => Err(cerr(format!("unknown app tag `{other}`"))),
+    }
+}
+
+fn next_application(t: &mut Tokens<'_>) -> Result<Application, CodecError> {
+    let name = next_text(t)?;
+    let mode = match t.next_u64()? {
+        0 => ExecutionMode::Batch,
+        1 => ExecutionMode::Pipelined {
+            iterations: t.next_u32()?,
+        },
+        other => return Err(cerr(format!("unknown execution-mode tag {other}"))),
+    };
+    let deadline_s = t.next_f64()?;
+    let graph_name = next_text(t)?;
+    let n_tasks = t.next_usize()?;
+    let mut builder = TaskGraphBuilder::new(graph_name);
+    for _ in 0..n_tasks {
+        let task_name = next_text(t)?;
+        builder.add_task(task_name, Cycles::new(t.next_u64()?));
+    }
+    let n_edges = t.next_usize()?;
+    for _ in 0..n_edges {
+        let src = TaskId::new(t.next_usize()?);
+        let dst = TaskId::new(t.next_usize()?);
+        let comm = Cycles::new(t.next_u64()?);
+        builder
+            .add_edge(src, dst, comm)
+            .map_err(|e| cerr(format!("bad edge: {e}")))?;
+    }
+    let graph = builder
+        .build()
+        .map_err(|e| cerr(format!("bad graph: {e}")))?;
+    let mut registers = RegisterModelBuilder::new(n_tasks);
+    let n_blocks = t.next_usize()?;
+    let mut block_ids = Vec::with_capacity(n_blocks.min(4096));
+    for _ in 0..n_blocks {
+        let block_name = next_text(t)?;
+        block_ids.push(registers.add_block(block_name, Bits::new(t.next_u64()?)));
+    }
+    for task_index in 0..n_tasks {
+        let n = t.next_usize()?;
+        for _ in 0..n {
+            let b = t.next_usize()?;
+            let &id = block_ids
+                .get(b)
+                .ok_or_else(|| cerr(format!("register block {b} out of range")))?;
+            registers
+                .assign(TaskId::new(task_index), id)
+                .map_err(|e| cerr(format!("bad register assignment: {e}")))?;
+        }
+    }
+    Application::new(name, graph, registers.build(), mode, deadline_s)
+        .map_err(|e| cerr(format!("bad application: {e}")))
+}
+
+fn next_selection(t: &mut Tokens<'_>) -> Result<SelectionPolicy, CodecError> {
+    match t.next_u64()? {
+        0 => Ok(SelectionPolicy::PowerGammaProduct),
+        1 => Ok(SelectionPolicy::PowerFirst {
+            tolerance: t.next_f64()?,
+        }),
+        2 => Ok(SelectionPolicy::Weighted {
+            w_power: t.next_f64()?,
+        }),
+        3 => Ok(SelectionPolicy::GammaFirst),
+        other => Err(cerr(format!("unknown selection tag {other}"))),
     }
 }
 
@@ -728,6 +1129,122 @@ mod tests {
             panic!("simulate payload expected");
         };
         assert!(report.analytic.gamma > 0.0);
+    }
+
+    /// Every kind, every app-ref form and every selection policy.
+    fn sample_units() -> Vec<Unit> {
+        let mut units = crate::parse_campaign(
+            "name = \"wire\"\nbudget = \"fast\"\n\
+             [scenario]\nkind = \"optimize\"\napps = \"mpeg2, fig8, random:12:9\"\ncores = \"3-4\"\n\
+             [scenario]\nkind = \"baseline\"\nobjectives = \"r,tm,tmr\"\napps = \"mpeg2\"\ncores = \"4\"\n\
+             [scenario]\nkind = \"sweep\"\napps = \"mpeg2\"\ncores = \"4\"\ncount = 7\nscales = \"2\"\n\
+             [scenario]\nkind = \"optimize\"\napps = \"fig8\"\ncores = \"3\"\nselections = \"power, gamma\"\n",
+        )
+        .unwrap()
+        .expand();
+        // An inline application (harness-built workload) and a simulate
+        // unit with explicit design-point structure.
+        let inline = Arc::new(AppSpec::Mpeg2.build().unwrap());
+        let mut u = units[0].clone();
+        u.scenario = "inline scenario \"with\" quotes\nand newlines".into();
+        u.app = AppRef::Inline(inline);
+        u.kind = UnitKind::Simulate {
+            scaling: vec![2, 2, 3, 2],
+            groups: vec![vec![0, 1, 2, 3, 4, 5], vec![6, 7], vec![8], vec![9, 10]],
+            ser: 1.234e-9,
+        };
+        u.cores = 4;
+        units.push(u);
+        // The ablations' weighted selection, which no keyword names.
+        let mut u = units[0].clone();
+        u.selection = SelectionPolicy::Weighted { w_power: 0.3 };
+        units.push(u);
+        // A deadline-scaled workload (campaign `deadline_scale` key).
+        let mut u = units[1].clone();
+        u.app = AppRef::Scaled {
+            spec: AppSpec::Mpeg2,
+            deadline_scale: 0.4,
+        };
+        units.push(u);
+        units
+    }
+
+    #[test]
+    fn units_round_trip_with_identical_content_hashes() {
+        for unit in sample_units() {
+            let encoded = encode_unit(&unit);
+            let back = decode_unit(&encoded).unwrap_or_else(|e| panic!("{e}: {encoded}"));
+            assert_eq!(crate::unit_hash(&unit), crate::unit_hash(&back));
+            assert_eq!(unit.index, back.index);
+            assert_eq!(unit.scenario, back.scenario);
+            // Stable golden form: re-encoding is byte-identical.
+            assert_eq!(encoded, encode_unit(&back));
+        }
+    }
+
+    #[test]
+    fn unit_hash_is_fnv_over_the_encoding_without_presentation() {
+        for unit in sample_units() {
+            let encoded = encode_unit(&unit);
+            let tokens: Vec<&str> = encoded.split(' ').collect();
+            // Version, index, scenario, then the content tokens.
+            let identity = [&tokens[..1], &tokens[3..]].concat().join(" ");
+            let mut h = ContentHasher::new();
+            h.write(identity.as_bytes());
+            assert_eq!(crate::unit_hash(&unit), h.finish(), "{encoded}");
+        }
+    }
+
+    #[test]
+    fn inline_applications_rebuild_exactly() {
+        let app = Arc::new(AppSpec::Mpeg2.build().unwrap());
+        let mut out = String::new();
+        write_application(&mut out, &app);
+        let back = next_application(&mut Tokens::new(&out)).unwrap();
+        assert_eq!(*app, back);
+    }
+
+    #[test]
+    fn malformed_unit_text_is_an_error_not_a_panic() {
+        let v = ENCODING_VERSION;
+        assert!(decode_unit(&format!("{v} 0 x optimize spec x6d70656732 4 3 fast 0 5")).is_ok());
+        for bad in [
+            String::new(),
+            format!("{v}"),
+            "999 0 x".to_string(),
+            format!("{v} 0 x optimize spec x6d70656732 4 3 fast 0"), // truncated (no seed)
+            format!("{v} 0 x optimize spec xzz 4 3 fast 0 5"),       // bad hex
+            format!("{v} 0 x optimize spec x6d70656732 4 3 leisurely 0 5"),
+            format!("{v} 0 y0 optimize spec x6d70656732 4 3 fast 0 5"), // bad string token
+            format!("{v} 0 x frobnicate"),
+            format!("{v} 0 xa\u{e9}b optimize spec x6d70656732 4 3 fast 0 5"), // non-ASCII hex
+        ] {
+            assert!(decode_unit(&bad).is_err(), "`{bad}`");
+        }
+
+        // Deterministic mutation fuzz over a valid encoding: truncations
+        // and byte flips decode or error, never panic.
+        let unit = sample_units().pop().unwrap();
+        let encoded = encode_unit(&unit);
+        for cut in 0..encoded.len() {
+            let _ = decode_unit(&encoded[..cut]);
+        }
+        let mut state = 0xD15Cu64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let bytes = encoded.as_bytes();
+        for _ in 0..500 {
+            let mut mutated = bytes.to_vec();
+            let pos = (next() as usize) % mutated.len();
+            mutated[pos] = (next() & 0x7F) as u8; // keep it UTF-8
+            if let Ok(text) = std::str::from_utf8(&mutated) {
+                let _ = decode_unit(text);
+            }
+        }
     }
 
     #[test]

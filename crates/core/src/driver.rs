@@ -100,6 +100,24 @@ pub enum SelectionPolicy {
     GammaFirst,
 }
 
+impl SelectionPolicy {
+    /// Parses the keyword the CLI and the campaign grammar select a policy
+    /// with: `product` (the default), `power` (power-first within a 5 %
+    /// band) or `gamma`.
+    ///
+    /// # Errors
+    ///
+    /// Names the accepted keywords for anything else.
+    pub fn from_keyword(s: &str) -> Result<Self, String> {
+        match s {
+            "product" => Ok(SelectionPolicy::PowerGammaProduct),
+            "power" => Ok(SelectionPolicy::PowerFirst { tolerance: 0.05 }),
+            "gamma" => Ok(SelectionPolicy::GammaFirst),
+            other => Err(format!("unknown selection `{other}` (product|power|gamma)")),
+        }
+    }
+}
+
 /// Configuration of the full optimization flow.
 #[derive(Debug, Clone)]
 pub struct OptimizerConfig {

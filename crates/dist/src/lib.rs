@@ -12,9 +12,11 @@
 //! * [`frame`] — a length-prefixed, versioned frame protocol. Torn
 //!   frames, oversized lengths and garbage bytes are rejected with
 //!   errors, never panics.
-//! * [`wire`] — the canonical unit encoding dispatched to workers
-//!   (including fully inlined applications for harness-built workloads)
-//!   and the work/result frame bodies.
+//! * [`wire`] — the work, result and work-error frame bodies. A work
+//!   item carries the unit's canonical encoding
+//!   ([`sea_campaign::encode_unit`], with harness-built applications fully
+//!   inlined), the same tokens its content hash covers, so a worker
+//!   recomputes exactly the hash its coordinator sent.
 //! * [`daemon`] — the one coordinator: an event loop over a listener
 //!   and a shared worker fleet, keeping one [`sea_campaign::RunState`]
 //!   per campaign — the unit-source/result-slot machine the in-process

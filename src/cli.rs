@@ -33,6 +33,8 @@
 use std::fmt;
 
 use crate::arch::LevelSet;
+use crate::baselines::Objective;
+use crate::opt::SelectionPolicy;
 use sea_campaign::spec::MAX_SWEEP_COUNT;
 use sea_campaign::BudgetSpec;
 
@@ -251,19 +253,6 @@ pub enum OutputFormat {
     Jsonl,
 }
 
-/// `--selection` values: which [`sea_opt::SelectionPolicy`] the optimizer
-/// uses for its iterative assessment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SelectionSpec {
-    /// The library default: joint `P·Γ` product (`product`, or omitted).
-    #[default]
-    Default,
-    /// Power-first with the 5 % tolerance band (`power`).
-    Power,
-    /// Γ-first (`gamma`).
-    Gamma,
-}
-
 /// Arguments shared by the optimizing commands.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OptimizeArgs {
@@ -277,8 +266,8 @@ pub struct OptimizeArgs {
     pub paper_budget: bool,
     /// Search seed.
     pub seed: u64,
-    /// Selection policy of the iterative assessment.
-    pub selection: SelectionSpec,
+    /// Selection policy of the iterative assessment (`--selection`).
+    pub selection: SelectionPolicy,
     /// Worker threads for the scaling enumeration (`None` = the engine's
     /// default: the `SEA_JOBS` env var, else available parallelism).
     /// Results are identical for every value; only wall-clock changes.
@@ -292,19 +281,8 @@ pub struct OptimizeArgs {
 pub struct BaselineArgs {
     /// Shared optimization arguments.
     pub common: OptimizeArgs,
-    /// Objective: `r`, `tm` or `tmr`.
-    pub objective: BaselineObjective,
-}
-
-/// Baseline objective selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BaselineObjective {
-    /// Minimize register usage (Exp:1).
-    R,
-    /// Minimize execution time (Exp:2).
-    Tm,
-    /// Minimize the product (Exp:3).
-    TmR,
+    /// Objective (`--objective`).
+    pub objective: Objective,
 }
 
 /// An explicit design point on the command line.
@@ -502,7 +480,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         "optimize" => Ok(Command::Optimize(parse_optimize(rest)?)),
         "baseline" => {
             let objective = match get_flag(rest, "--objective")? {
-                Some(o) => parse_objective(&o)?,
+                Some(o) => Objective::from_keyword(&o).map_err(CliError)?,
                 None => return Err(CliError("baseline requires --objective r|tm|tmr".into())),
             };
             Ok(Command::Baseline(BaselineArgs {
@@ -621,15 +599,8 @@ fn parse_optimize(args: &[String]) -> Result<OptimizeArgs, CliError> {
         Some(b) => return Err(CliError(format!("unknown budget `{b}` (fast|paper)"))),
     };
     let selection = match get_flag(args, "--selection")? {
-        None => SelectionSpec::Default,
-        Some(s) if s == "product" => SelectionSpec::Default,
-        Some(s) if s == "power" => SelectionSpec::Power,
-        Some(s) if s == "gamma" => SelectionSpec::Gamma,
-        Some(s) => {
-            return Err(CliError(format!(
-                "unknown selection `{s}` (product|power|gamma)"
-            )))
-        }
+        None => SelectionPolicy::default(),
+        Some(s) => SelectionPolicy::from_keyword(&s).map_err(CliError)?,
     };
     let jobs = match get_flag(args, "--jobs")? {
         None => None,
@@ -654,15 +625,6 @@ fn parse_optimize(args: &[String]) -> Result<OptimizeArgs, CliError> {
         jobs,
         csv: has_switch(args, "--csv"),
     })
-}
-
-fn parse_objective(s: &str) -> Result<BaselineObjective, CliError> {
-    match s {
-        "r" => Ok(BaselineObjective::R),
-        "tm" => Ok(BaselineObjective::Tm),
-        "tmr" => Ok(BaselineObjective::TmR),
-        other => Err(CliError(format!("unknown objective `{other}` (r|tm|tmr)"))),
-    }
 }
 
 /// Parses a `|`-separated group list like `0,1,2|3|4,5`.
@@ -1208,7 +1170,7 @@ mod tests {
         assert_eq!(a.levels, 4);
         assert!(a.paper_budget);
         assert_eq!(a.seed, 9);
-        assert_eq!(a.selection, SelectionSpec::Gamma);
+        assert_eq!(a.selection, SelectionPolicy::GammaFirst);
         assert_eq!(a.jobs, Some(8));
         assert!(a.csv);
     }
@@ -1220,7 +1182,7 @@ mod tests {
         };
         assert_eq!(a.levels, 3);
         assert!(!a.paper_budget);
-        assert_eq!(a.selection, SelectionSpec::Default);
+        assert_eq!(a.selection, SelectionPolicy::PowerGammaProduct);
         assert_eq!(a.jobs, None);
         assert!(!a.csv);
     }
@@ -1253,9 +1215,9 @@ mod tests {
     #[test]
     fn parses_baseline_objectives() {
         for (s, o) in [
-            ("r", BaselineObjective::R),
-            ("tm", BaselineObjective::Tm),
-            ("tmr", BaselineObjective::TmR),
+            ("r", Objective::RegisterUsage),
+            ("tm", Objective::Parallelism),
+            ("tmr", Objective::RegTimeProduct),
         ] {
             let Command::Baseline(b) = parse(&argv(&format!(
                 "baseline --objective {s} --app mpeg2 --cores 4"

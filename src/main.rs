@@ -4,19 +4,17 @@
 use std::process::ExitCode;
 
 use sea_dse::arch::{Architecture, ScalingVector, SerModel};
-use sea_dse::baselines::{BaselineOptimizer, Objective};
+use sea_dse::baselines::BaselineOptimizer;
 use sea_dse::campaign::{
     open_journal, read_journal_records, run_units_configured, Cache, CsvSink, EntryHealth,
     HumanSink, JsonlSink, RunConfig, Sink,
 };
 use sea_dse::cli::{
-    self, BaselineObjective, CacheAction, CacheArgs, CampaignArgs, Command, DaemonArgs, DesignArgs,
-    OptimizeArgs, OutputFormat, PolicySpec, ReportArgs, ServeArgs, SubmitArgs, WorkerArgs,
+    self, CacheAction, CacheArgs, CampaignArgs, Command, DaemonArgs, DesignArgs, OptimizeArgs,
+    OutputFormat, PolicySpec, ReportArgs, ServeArgs, SubmitArgs, WorkerArgs,
 };
 use sea_dse::experiments::campaigns as builtin_campaigns;
-use sea_dse::opt::{
-    DesignOptimizer, OptimizationOutcome, OptimizerConfig, SearchBudget, SelectionPolicy,
-};
+use sea_dse::opt::{DesignOptimizer, OptimizationOutcome, OptimizerConfig, SearchBudget};
 use sea_dse::sched::metrics::EvalContext;
 use sea_dse::sched::recovery::{self, RecoveryPolicy};
 use sea_dse::sched::Mapping;
@@ -55,15 +53,10 @@ fn run(cmd: Command) -> Result<(), String> {
         }
         Command::Baseline(b) => {
             let app = b.common.app.build().map_err(|e| e.to_string())?;
-            let objective = match b.objective {
-                BaselineObjective::R => Objective::RegisterUsage,
-                BaselineObjective::Tm => Objective::Parallelism,
-                BaselineObjective::TmR => Objective::RegTimeProduct,
-            };
-            let out = BaselineOptimizer::new(config_of(&b.common), objective)
+            let out = BaselineOptimizer::new(config_of(&b.common), b.objective)
                 .optimize(&app)
                 .map_err(|e| e.to_string())?;
-            println!("# {}", objective.label());
+            println!("# {}", b.objective.label());
             print_outcome(&out, b.common.csv);
             Ok(())
         }
@@ -690,11 +683,7 @@ fn config_of(a: &OptimizeArgs) -> OptimizerConfig {
     if let Some(jobs) = a.jobs {
         cfg.jobs = jobs;
     }
-    cfg.selection = match a.selection {
-        cli::SelectionSpec::Default => SelectionPolicy::PowerGammaProduct,
-        cli::SelectionSpec::Power => SelectionPolicy::PowerFirst { tolerance: 0.05 },
-        cli::SelectionSpec::Gamma => SelectionPolicy::GammaFirst,
-    };
+    cfg.selection = a.selection;
     cfg
 }
 

@@ -201,7 +201,19 @@ fn an_oversized_range_is_refused_and_the_daemon_keeps_serving() {
     // before it was checked: one Submit frame aborted the process on an
     // 8 TB allocation. The sweep `count` and the simulate `ser` were
     // accepted and killed every worker that took one of their units, so
-    // the campaign never finished.
+    // the campaign never finished. The last two expanded to 57.6 M units
+    // and to 100,032 core counts, aborting the daemon on allocation.
+    let seeds: Vec<String> = (1..=1000).map(|s| s.to_string()).collect();
+    let grid = format!(
+        "apps = \"{}\"\nkind = \"optimize\"\ncores = \"1-64\"\nlevels = \"2-4\"\n\
+         selections = \"product,power,gamma\"\nseeds = \"{}\"\n",
+        ["mpeg2"; 100].join(","),
+        seeds.join(",")
+    );
+    let cores = format!(
+        "apps = \"mpeg2\"\nkind = \"optimize\"\ncores = \"{}\"\n",
+        ["1-64"; 1563].join(",")
+    );
     let refused = [
         (
             "apps = \"mpeg2\"\nkind = \"optimize\"\ncores = \"1-1000000000000\"\n",
@@ -225,6 +237,11 @@ fn an_oversized_range_is_refused_and_the_daemon_keeps_serving() {
              groups = \"0,1,2,3,4,5|6,7|8|9,10\"\nser = \"inf\"\n",
             "line 8: SER must be a rate per bit per cycle in (0, 1]",
         ),
+        (
+            &grid,
+            "line 2: the campaign expands to more than 100000 units",
+        ),
+        (&cores, "line 5: `cores` lists more than 100000 values"),
     ];
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();

@@ -626,9 +626,11 @@ proptest! {
 /// Golden hex fixtures: unit and spec hashes must be *stable across
 /// process runs and builds* — journals and cache entries written by one
 /// binary must be readable by the next. A failure here means the
-/// canonical encoding changed; if that change is intentional, bump the
-/// encoding version in `crates/campaign/src/hash.rs` so stale artifacts
-/// are refused, and regenerate these constants.
+/// canonical unit encoding changed; if that change is intentional, bump
+/// `ENCODING_VERSION` in `crates/campaign/src/unit.rs` and the cache,
+/// journal and wire versions so stale artifacts are refused, and
+/// regenerate these constants (each is FNV-1a-128 over the encoding's
+/// version and content tokens, as `unit.rs` tests check).
 #[test]
 fn content_hashes_match_golden_fixtures() {
     let optimize = Unit {
@@ -644,7 +646,7 @@ fn content_hashes_match_golden_fixtures() {
     };
     assert_eq!(
         unit_hash(&optimize).to_hex(),
-        "22d4fb4c6f31dfb1d916dfda56396258"
+        "dafbaeaa49a8c6d9d17613c8b81383c0"
     );
 
     let mut simulate = optimize.clone();
@@ -656,7 +658,7 @@ fn content_hashes_match_golden_fixtures() {
     simulate.seed = 13;
     assert_eq!(
         unit_hash(&simulate).to_hex(),
-        "8502b406178617751a6f4484d345ec5d"
+        "7bac96d5cf697a4631fc6c0888ff0888"
     );
 
     // Inline applications hash by *content*, pinned independently of the
@@ -665,7 +667,7 @@ fn content_hashes_match_golden_fixtures() {
     inline.app = AppRef::Inline(std::sync::Arc::new(AppSpec::Mpeg2.build().unwrap()));
     assert_eq!(
         unit_hash(&inline).to_hex(),
-        "235421e82db72a776df1c8eec0f3391c"
+        "b835f632d3fed88079d0f84bcce29ce0"
     );
 
     // The quickstart builtin's spec hash — the value a resume journal
@@ -679,6 +681,6 @@ fn content_hashes_match_golden_fixtures() {
     .expand();
     assert_eq!(
         units_hash(&quickstart).to_hex(),
-        "592cb1dd547d8e2657787e7c5d35cf65"
+        "60134948e9e250f32e85b7144864b8b2"
     );
 }
