@@ -32,8 +32,9 @@ impl CoreId {
 
 impl fmt::Display for CoreId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // 1-based like the paper's "Core 1".
-        write!(f, "core{}", self.0 + 1)
+        // 1-based like the paper's "Core 1"; widened, since a decoded
+        // id may be any `usize` and an error message prints it.
+        write!(f, "core{}", self.0 as u128 + 1)
     }
 }
 

@@ -22,6 +22,17 @@
 //! as a miss — the unit is recomputed and the entry rewritten; corruption
 //! never crashes a campaign and never poisons a report. So is an entry
 //! written under another [`CACHE_VERSION`].
+//!
+//! Readers decode only what they read. A run that needs typed payloads
+//! (the experiment harnesses behind `reproduce`, and TCP workers, which
+//! ship the entry) decodes all of it ([`Cache::load`]). A run that does
+//! not (`sea-dse campaign`, `serve`, every daemon-submitted campaign)
+//! takes a *record-only* hit ([`Cache::load_record`]): checksum, magic,
+//! version, embedded hash, record line and payload kind, but no payload
+//! decode — so it cannot heal a payload that passes the checksum yet
+//! does not decode, which a run that reads payloads still treats as a
+//! miss and rewrites. `sea-dse report` and `cache verify` read records
+//! the same way ([`Cache::records`], [`validate_entry`]).
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
@@ -102,13 +113,29 @@ impl Cache {
         self.dir.join(format!("{}.unit", hash.to_hex()))
     }
 
-    /// Looks a unit up. Any miss, parse failure, checksum mismatch or
-    /// shape incompatibility returns `None` — the caller recomputes.
+    /// Looks a unit up, typed payload and all. Any miss, parse failure,
+    /// checksum mismatch or shape incompatibility returns `None` — the
+    /// caller recomputes.
     #[must_use]
     pub fn load(&self, unit: &Unit) -> Option<UnitResult> {
         let hash = unit_hash(unit);
         let source = std::fs::read_to_string(self.entry_path(hash)).ok()?;
         decode_entry(&source, unit, hash).ok()
+    }
+
+    /// Looks up only the record of `unit`, whose [`unit_hash`] is `hash`,
+    /// rebound to the unit's own index and scenario: the cache hit of a
+    /// run that reads no payloads. The entry passes every check of
+    /// [`Cache::load`] but the payload decode — checksum, magic, version,
+    /// embedded hash, record line and a known payload kind — so a payload
+    /// that passes the checksum yet does not decode is a hit here and a
+    /// miss there.
+    #[must_use]
+    pub fn load_record(&self, unit: &Unit, hash: ContentHash) -> Option<UnitRecord> {
+        debug_assert_eq!(hash, unit_hash(unit), "`hash` is another unit's");
+        let source = std::fs::read_to_string(self.entry_path(hash)).ok()?;
+        let parts = parse_entry(&source, Some(hash)).ok()?;
+        Some(parts.record.rebound(unit))
     }
 
     /// Publishes a completed unit result (atomic rename; best-effort —
@@ -118,21 +145,32 @@ impl Cache {
     ///
     /// Propagates filesystem errors for callers that do care (tests).
     pub fn store(&self, result: &UnitResult) -> std::io::Result<()> {
+        let hash = unit_hash(&result.unit);
+        self.publish(hash, &encode_entry(result, hash))
+    }
+
+    /// Publishes the entry bytes of the unit with `hash`: a temp file,
+    /// then an atomic rename. [`Cache::store`] publishes the entry it
+    /// encodes; a coordinator publishes the bytes a worker sent, once
+    /// [`decode_result`] has verified them against the dispatched unit.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn publish(&self, hash: ContentHash, entry: &str) -> std::io::Result<()> {
         // Per-store unique temp name: pid separates processes, the
         // counter separates same-process workers storing the *same* unit
         // hash (possible when two scenarios contain content-identical
         // units) — without it, one worker's fs::write could truncate the
         // file another worker is mid-rename on.
         static STORE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let hash = unit_hash(&result.unit);
-        let body = encode_entry(result, hash);
         let tmp = self.dir.join(format!(
             ".{}.{}.{}.tmp",
             hash.to_hex(),
             std::process::id(),
             STORE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
         ));
-        std::fs::write(&tmp, body)?;
+        std::fs::write(&tmp, entry)?;
         std::fs::rename(&tmp, self.entry_path(hash))
     }
 
@@ -484,14 +522,16 @@ fn decode_payload(kind: &str, body: &str, unit: &Unit) -> Result<UnitPayload, Co
         }
         "sweep" => {
             let mut t = Tokens::new(body);
+            // The count is input: the points grow as they decode.
             let n = t.next_usize()?;
-            let mut points = Vec::with_capacity(n);
-            for _ in 0..n {
-                points.push(SweepPoint {
-                    mapping: codec::decode_mapping(&mut t, unit.cores)?,
-                    evaluation: codec::decode_evaluation(&mut t)?,
-                });
-            }
+            let points = (0..n)
+                .map(|_| {
+                    Ok(SweepPoint {
+                        mapping: codec::decode_mapping(&mut t, unit.cores)?,
+                        evaluation: codec::decode_evaluation(&mut t)?,
+                    })
+                })
+                .collect::<Result<Vec<_>, CodecError>>()?;
             t.finish()?;
             Ok(UnitPayload::Sweep(points))
         }
@@ -838,6 +878,49 @@ mod tests {
         cache.store(&run_unit(&u).unwrap()).unwrap();
         assert!(cache.load(&u).is_some());
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// `entry` with the `token`-th token of its payload replaced by
+    /// `value`, sealed with a valid checksum.
+    fn forge_payload(entry: &str, token: usize, value: &str) -> String {
+        let prefix = &entry[..=entry.rfind("\nend ").unwrap()];
+        let payload_line = prefix.find("\npayload ").unwrap() + 1;
+        let body = payload_line + prefix[payload_line..].find('\n').unwrap() + 1;
+        // Each piece is one token and the separator after it.
+        let mut pieces: Vec<String> = prefix[body..]
+            .split_inclusive([' ', '\n'])
+            .map(str::to_string)
+            .collect();
+        let separator = pieces[token].pop().unwrap();
+        pieces[token] = format!("{value}{separator}");
+        let prefix = format!("{}{}", &prefix[..body], pieces.concat());
+        format!("{prefix}end {}\n", checksum(&prefix).to_hex())
+    }
+
+    #[test]
+    fn forged_payload_counts_are_errors_not_allocations() {
+        // The sweep point count, and an MPEG-2 outcome's explored count.
+        let sweep = unit(UnitKind::Sweep { count: 8, scale: 1 }, 42);
+        let mut design = unit(UnitKind::Optimize, 0x5EA);
+        design.app = AppRef::Spec(AppSpec::Mpeg2);
+        design.cores = 4;
+        for (u, token) in [(&sweep, 0), (&design, 2)] {
+            let result = run_unit(u).unwrap();
+            let count = match &result.payload {
+                UnitPayload::Sweep(points) => points.len(),
+                UnitPayload::Design(out) => out.explored.len(),
+                other => panic!("unexpected payload {other:?}"),
+            };
+            let entry = encode_result(&result);
+            // The token is the count: putting its own value back reseals
+            // the same bytes.
+            assert_eq!(forge_payload(&entry, token, &count.to_string()), entry);
+            for count in ["18446744073709551615", "4000000000000"] {
+                let forged = forge_payload(&entry, token, count);
+                assert!(validate_entry(&forged, None).is_ok(), "sealed");
+                assert!(decode_result(&forged, u).is_err(), "count {count}");
+            }
+        }
     }
 
     #[test]

@@ -28,6 +28,8 @@
 //! expansion's. A record whose unit hash does not match the unit at its
 //! index is dropped and recomputed rather than trusted.
 
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::Path;
@@ -54,19 +56,25 @@ fn jerr(msg: impl Into<String>) -> CampaignError {
 // Minimal JSON reading for the fixed, flat shapes this crate emits.
 // ---------------------------------------------------------------------------
 
-/// A value inside a flat JSON object: string, raw number, null, or one
-/// nested object captured as its raw source slice.
+/// A value inside a flat JSON object, borrowed from the source: a string
+/// (unescaped, which copies it only when it holds a backslash), a raw
+/// number token, null, or one nested object as its source slice.
 #[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
-    Str(String),
-    Num(String),
+enum JsonValue<'a> {
+    Str(Cow<'a, str>),
+    Num(&'a str),
     Null,
-    Obj(String),
+    Obj(&'a str),
 }
 
-fn unescape(s: &str) -> Result<String, String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
+/// Unescapes a string literal's raw content, borrowing it when it holds
+/// no escape.
+fn unescape(raw: &str) -> Result<Cow<'_, str>, String> {
+    if !raw.contains('\\') {
+        return Ok(Cow::Borrowed(raw));
+    }
+    let mut out = String::with_capacity(raw.len());
+    let mut chars = raw.chars();
     while let Some(c) = chars.next() {
         if c != '\\' {
             out.push(c);
@@ -87,19 +95,19 @@ fn unescape(s: &str) -> Result<String, String> {
             other => return Err(format!("bad escape `\\{other:?}`")),
         }
     }
-    Ok(out)
+    Ok(Cow::Owned(out))
 }
 
 /// Scans a JSON string literal starting at the opening quote; returns the
 /// raw (escaped) content and the index just past the closing quote.
-fn scan_string(s: &str, start: usize) -> Result<(String, usize), String> {
+fn scan_string(s: &str, start: usize) -> Result<(&str, usize), String> {
     let bytes = s.as_bytes();
     debug_assert_eq!(bytes.get(start), Some(&b'"'));
     let mut i = start + 1;
     while i < bytes.len() {
         match bytes[i] {
             b'\\' => i += 2,
-            b'"' => return Ok((s[start + 1..i].to_string(), i + 1)),
+            b'"' => return Ok((&s[start + 1..i], i + 1)),
             _ => i += 1,
         }
     }
@@ -108,7 +116,7 @@ fn scan_string(s: &str, start: usize) -> Result<(String, usize), String> {
 
 /// Scans a balanced JSON object starting at `{`; returns the raw slice
 /// including braces and the index just past it.
-fn scan_object(s: &str, start: usize) -> Result<(String, usize), String> {
+fn scan_object(s: &str, start: usize) -> Result<(&str, usize), String> {
     let bytes = s.as_bytes();
     debug_assert_eq!(bytes.get(start), Some(&b'{'));
     let mut depth = 0usize;
@@ -127,7 +135,7 @@ fn scan_object(s: &str, start: usize) -> Result<(String, usize), String> {
                 depth -= 1;
                 i += 1;
                 if depth == 0 {
-                    return Ok((s[start..i].to_string(), i));
+                    return Ok((&s[start..i], i));
                 }
             }
             _ => i += 1,
@@ -144,86 +152,21 @@ fn skip_ws(s: &str, mut i: usize) -> usize {
     i
 }
 
-/// Parses one flat JSON object (`{"k":v,...}`) where every value is a
-/// string, number, `null`, or a nested flat object (captured raw).
-fn parse_flat_object(source: &str) -> Result<Vec<(String, JsonValue)>, String> {
-    let s = source.trim();
-    let bytes = s.as_bytes();
-    if bytes.first() != Some(&b'{') || bytes.last() != Some(&b'}') {
-        return Err("not a JSON object".into());
-    }
-    let mut fields = Vec::new();
-    let mut i = skip_ws(s, 1);
-    if bytes.get(i) == Some(&b'}') {
-        return Ok(fields);
-    }
-    loop {
-        if bytes.get(i) != Some(&b'"') {
-            return Err(format!("expected key at byte {i}"));
-        }
-        let (raw_key, next) = scan_string(s, i)?;
-        let key = unescape(&raw_key)?;
-        i = skip_ws(s, next);
-        if bytes.get(i) != Some(&b':') {
-            return Err(format!("expected `:` after key `{key}`"));
-        }
-        i = skip_ws(s, i + 1);
-        let value = match bytes.get(i) {
-            Some(&b'"') => {
-                let (raw, next) = scan_string(s, i)?;
-                i = next;
-                JsonValue::Str(unescape(&raw)?)
-            }
-            Some(&b'{') => {
-                let (raw, next) = scan_object(s, i)?;
-                i = next;
-                JsonValue::Obj(raw)
-            }
-            Some(_) => {
-                let end = s[i..]
-                    .find([',', '}'])
-                    .map(|off| i + off)
-                    .ok_or("unterminated value")?;
-                let tok = s[i..end].trim();
-                i = end;
-                if tok == "null" {
-                    JsonValue::Null
-                } else if tok.is_empty() {
-                    return Err(format!("empty value for `{key}`"));
-                } else {
-                    JsonValue::Num(tok.to_string())
-                }
-            }
-            None => return Err("unterminated object".into()),
-        };
-        fields.push((key, value));
-        i = skip_ws(s, i);
-        match bytes.get(i) {
-            Some(&b',') => i = skip_ws(s, i + 1),
-            Some(&b'}') => {
-                if skip_ws(s, i + 1) != s.len() {
-                    return Err("trailing content after object".into());
-                }
-                return Ok(fields);
-            }
-            _ => return Err(format!("expected `,` or `}}` at byte {i}")),
-        }
-    }
-}
+/// The fields of one flat object that a reader asked for, by key: each
+/// key's value, if the object had it.
+struct Fields<'a, const N: usize>([(&'static str, Option<JsonValue<'a>>); N]);
 
-struct Fields(Vec<(String, JsonValue)>);
-
-impl Fields {
-    fn take(&mut self, key: &str) -> Result<JsonValue, String> {
-        let pos = self
+impl<'a, const N: usize> Fields<'a, N> {
+    fn take(&mut self, key: &str) -> Result<JsonValue<'a>, String> {
+        let (_, value) = self
             .0
-            .iter()
-            .position(|(k, _)| k == key)
-            .ok_or(format!("missing field `{key}`"))?;
-        Ok(self.0.remove(pos).1)
+            .iter_mut()
+            .find(|(k, _)| *k == key)
+            .expect("only keys given to `parse_fields` are taken");
+        value.take().ok_or_else(|| format!("missing field `{key}`"))
     }
 
-    fn str(&mut self, key: &str) -> Result<String, String> {
+    fn str(&mut self, key: &str) -> Result<Cow<'a, str>, String> {
         match self.take(key)? {
             JsonValue::Str(s) => Ok(s),
             other => Err(format!("field `{key}` is not a string: {other:?}")),
@@ -251,8 +194,91 @@ impl Fields {
     fn opt_str(&mut self, key: &str) -> Result<Option<String>, String> {
         match self.take(key)? {
             JsonValue::Null => Ok(None),
-            JsonValue::Str(s) => Ok(Some(s)),
+            JsonValue::Str(s) => Ok(Some(s.into_owned())),
             other => Err(format!("field `{key}` is not a string: {other:?}")),
+        }
+    }
+}
+
+/// Parses one flat JSON object (`{"k":v,...}`) where every value is a
+/// string, number, `null`, or a nested flat object (kept as its source
+/// slice), and keeps the values of `keys`. Each field is matched in place
+/// as it parses: the first occurrence of a key wins, and keys not asked
+/// for are checked for syntax and skipped.
+fn parse_fields<'a, const N: usize>(
+    source: &'a str,
+    keys: [&'static str; N],
+) -> Result<Fields<'a, N>, String> {
+    let mut fields = Fields(keys.map(|key| (key, None)));
+    let s = source.trim();
+    let bytes = s.as_bytes();
+    if bytes.first() != Some(&b'{') || bytes.last() != Some(&b'}') {
+        return Err("not a JSON object".into());
+    }
+    let mut i = skip_ws(s, 1);
+    if bytes.get(i) == Some(&b'}') {
+        return Ok(fields);
+    }
+    // The objects this crate writes list their keys in `keys` order, so
+    // the slot after the last match is tried first.
+    let mut next_slot = 0;
+    loop {
+        if bytes.get(i) != Some(&b'"') {
+            return Err(format!("expected key at byte {i}"));
+        }
+        let (raw_key, next) = scan_string(s, i)?;
+        let key = unescape(raw_key)?;
+        i = skip_ws(s, next);
+        if bytes.get(i) != Some(&b':') {
+            return Err(format!("expected `:` after key `{key}`"));
+        }
+        i = skip_ws(s, i + 1);
+        let value = match bytes.get(i) {
+            Some(&b'"') => {
+                let (raw, next) = scan_string(s, i)?;
+                i = next;
+                JsonValue::Str(unescape(raw)?)
+            }
+            Some(&b'{') => {
+                let (raw, next) = scan_object(s, i)?;
+                i = next;
+                JsonValue::Obj(raw)
+            }
+            Some(_) => {
+                let end = s[i..]
+                    .find([',', '}'])
+                    .map(|off| i + off)
+                    .ok_or("unterminated value")?;
+                let tok = s[i..end].trim();
+                i = end;
+                if tok == "null" {
+                    JsonValue::Null
+                } else if tok.is_empty() {
+                    return Err(format!("empty value for `{key}`"));
+                } else {
+                    JsonValue::Num(tok)
+                }
+            }
+            None => return Err("unterminated object".into()),
+        };
+        let slot = match fields.0.get(next_slot) {
+            Some((k, _)) if *k == key => Some(next_slot),
+            _ => fields.0.iter().position(|(k, _)| *k == key),
+        };
+        if let Some(k) = slot {
+            next_slot = k + 1;
+            fields.0[k].1.get_or_insert(value);
+        }
+        i = skip_ws(s, i);
+        match bytes.get(i) {
+            Some(&b',') => i = skip_ws(s, i + 1),
+            Some(&b'}') => {
+                if skip_ws(s, i + 1) != s.len() {
+                    return Err("trailing content after object".into());
+                }
+                return Ok(fields);
+            }
+            _ => return Err(format!("expected `,` or `}}` at byte {i}")),
         }
     }
 }
@@ -269,8 +295,28 @@ impl Fields {
 /// Returns a message for malformed JSON, missing fields, or an unknown
 /// `status`.
 pub fn parse_record_json(source: &str) -> Result<UnitRecord, String> {
-    let mut f = Fields(parse_flat_object(source)?);
-    let status = match f.str("status")?.as_str() {
+    let mut f = parse_fields(
+        source,
+        [
+            "index",
+            "scenario",
+            "kind",
+            "app",
+            "cores",
+            "levels",
+            "seed",
+            "status",
+            "power_mw",
+            "gamma",
+            "tm_seconds",
+            "r_kbits",
+            "evaluations",
+            "scaling",
+            "mapping",
+            "experienced_seus",
+        ],
+    )?;
+    let status = match &*f.str("status")? {
         "ok" => "ok",
         "infeasible" => "infeasible",
         "too-few-tasks" => "too-few-tasks",
@@ -278,9 +324,9 @@ pub fn parse_record_json(source: &str) -> Result<UnitRecord, String> {
     };
     Ok(UnitRecord {
         index: f.num("index")?,
-        scenario: f.str("scenario")?,
-        kind: f.str("kind")?,
-        app: f.str("app")?,
+        scenario: f.str("scenario")?.into_owned(),
+        kind: f.str("kind")?.into_owned(),
+        app: f.str("app")?.into_owned(),
         cores: f.num("cores")?,
         levels: f.num("levels")?,
         seed: f.num("seed")?,
@@ -363,13 +409,13 @@ pub struct Journal {
 }
 
 fn parse_header(line: &str) -> Result<JournalHeader, String> {
-    let mut f = Fields(parse_flat_object(line)?);
+    let mut f = parse_fields(line, ["journal", "version", "name", "spec_hash", "units"])?;
     let magic = f.str("journal")?;
     if magic != "sea-campaign" {
         return Err(format!("not a sea-campaign journal (magic `{magic}`)"));
     }
     let version = f.num("version")?;
-    let name = f.str("name")?;
+    let name = f.str("name")?.into_owned();
     let hex = f.str("spec_hash")?;
     let spec_hash = ContentHash::parse_hex(&hex).ok_or(format!("malformed spec_hash `{hex}`"))?;
     let units = f.num("units")?;
@@ -382,12 +428,12 @@ fn parse_header(line: &str) -> Result<JournalHeader, String> {
 }
 
 fn parse_record(line: &str) -> Result<JournalRecord, String> {
-    let mut f = Fields(parse_flat_object(line)?);
+    let mut f = parse_fields(line, ["unit", "index", "record"])?;
     let hex = f.str("unit")?;
     let unit_hash = ContentHash::parse_hex(&hex).ok_or(format!("malformed unit hash `{hex}`"))?;
     let index = f.num("index")?;
     let record = match f.take("record")? {
-        JsonValue::Obj(raw) => parse_record_json(&raw)?,
+        JsonValue::Obj(raw) => parse_record_json(raw)?,
         other => return Err(format!("field `record` is not an object: {other:?}")),
     };
     Ok(JournalRecord {
@@ -651,19 +697,19 @@ pub fn read_journal_records(
     let journal = parse_journal(&source)?;
     // Slot by enumeration index (last wins, like a resume) so the
     // returned order matches the live report regardless of the
-    // completion order the journal happened to record.
-    let mut slots: Vec<Option<UnitRecord>> = vec![None; journal.header.units];
+    // completion order the journal happened to record. The slots are as
+    // many as the records, whatever unit count the header claims.
+    let mut slots: BTreeMap<usize, UnitRecord> = BTreeMap::new();
     for r in journal.records {
-        if r.index >= slots.len() {
+        if r.index >= journal.header.units {
             return Err(jerr(format!(
                 "journal record index {} is outside the campaign (0..{})",
-                r.index,
-                slots.len()
+                r.index, journal.header.units
             )));
         }
-        slots[r.index] = Some(r.record);
+        slots.insert(r.index, r.record);
     }
-    Ok((journal.header, slots.into_iter().flatten().collect()))
+    Ok((journal.header, slots.into_values().collect()))
 }
 
 #[cfg(test)]
@@ -701,6 +747,50 @@ mod tests {
         assert_eq!(back.gamma.map(f64::to_bits), r.gamma.map(f64::to_bits));
         assert_eq!(back.status, "ok");
         assert_eq!(back.r_kbits, None);
+    }
+
+    #[test]
+    fn malformed_records_are_errors_not_panics() {
+        let good = json_record(&record());
+        assert!(parse_record_json(&good).is_ok());
+        let cut = good.find("mpeg2").unwrap();
+        let bad = [
+            ("unterminated string", format!("{}}}", &good[..cut])),
+            ("trailing lone backslash", format!("{}\\}}", &good[..cut])),
+            ("bad \\u escape", good.replacen("mpeg2", "mp\\u00g2", 1)),
+            ("short \\u escape", good.replacen("mpeg2", "mpeg2\\u", 1)),
+            ("lone surrogate", good.replacen("mpeg2", "\\ud800", 1)),
+            ("unknown escape", good.replacen("mpeg2", "mpeg\\/2", 1)),
+            ("trailing content", format!("{good} {{}}")),
+            ("trailing brace", format!("{good}}}")),
+            ("missing field", good.replacen(",\"seed\":77", "", 1)),
+            (
+                "string for a number",
+                good.replacen("\"cores\":4", "\"cores\":\"4\"", 1),
+            ),
+            ("number for a string", good.replacen("\"mpeg2\"", "5", 1)),
+            (
+                "negative count",
+                good.replacen("\"index\":2", "\"index\":-2", 1),
+            ),
+            (
+                "object for a float",
+                good.replacen("\"r_kbits\":null", "\"r_kbits\":{}", 1),
+            ),
+            (
+                "bad key escape",
+                good.replacen("\"levels\"", "\"lev\\qels\"", 1),
+            ),
+        ];
+        for (what, line) in bad {
+            assert_ne!(line, good, "{what}: the edit applies");
+            assert!(parse_record_json(&line).is_err(), "{what}: {line}");
+        }
+        // Escapes decode: in values and in keys.
+        let escaped =
+            good.replacen("mpeg2", "mp\\u0065g2", 1)
+                .replacen("\"levels\"", "\"lev\\u0065ls\"", 1);
+        assert_eq!(json_record(&parse_record_json(&escaped).unwrap()), good);
     }
 
     #[test]
@@ -762,10 +852,16 @@ mod tests {
         let path = dir.join(format!("sea-journal-read-{}.jsonl", std::process::id()));
         std::fs::write(&path, &src).unwrap();
         let (header, records) = read_journal_records(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
         assert_eq!(header.units, 3);
         let indices: Vec<usize> = records.iter().map(|r| r.index).collect();
         assert_eq!(indices, vec![0, 2], "enumeration order, gap skipped");
+
+        // A header claiming trillions of units sizes nothing by its claim.
+        let huge = src.replacen("\"units\":3", "\"units\":4000000000000", 1);
+        std::fs::write(&path, huge).unwrap();
+        let (header, records) = read_journal_records(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!((header.units, records.len()), (4_000_000_000_000, 2));
     }
 
     #[test]
@@ -789,7 +885,7 @@ mod tests {
             assert_eq!(j.records.len(), k - 1);
             assert_eq!(j.valid_len, src.len(), "clean prefix is fully valid");
             for obj in src.lines() {
-                assert!(parse_flat_object(obj).is_ok(), "line is valid JSON: {obj}");
+                assert!(parse_fields(obj, []).is_ok(), "line is valid JSON: {obj}");
             }
         }
     }

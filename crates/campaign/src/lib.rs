@@ -59,7 +59,7 @@ pub use journal::{
     open_journal, parse_journal, read_journal_records, Journal, JournalPlan, JournalWriter,
 };
 pub use pool::{
-    dispatch_order, produce_unit, produce_unit_cancellable, run_units, run_units_configured,
+    dispatch_order, probe_cache, produce_unit_cancellable, run_units, run_units_configured,
     Completion, RunConfig, RunOutcome, RunState, UnitOutcome,
 };
 pub use sink::{

@@ -28,7 +28,9 @@
 //!   content-addressed cache *before* evaluating and publish fresh
 //!   results back to it. A cache hit counts as a completion (it streams
 //!   to the sink and lands in the journal); a prefilled unit does not
-//!   (it already completed in a previous process).
+//!   (it already completed in a previous process). A run that reads no
+//!   payloads ([`RunConfig::need_payloads`] false) decodes only the
+//!   record of a hit ([`probe_cache`]).
 //! * **Write-ahead journal** ([`RunConfig::journal`]) — the
 //!   single-threaded collector durably appends each newly completed
 //!   record before the final report exists, so a killed campaign loses
@@ -50,14 +52,29 @@ use crate::CampaignError;
 #[derive(Debug)]
 pub enum UnitOutcome {
     /// Executed this run (or restored from the cache with its full typed
-    /// payload).
+    /// payload, for a run that reads payloads).
     Full(UnitResult),
-    /// Restored record-only from a resume journal — the numbers are
-    /// final, the typed payload was not rebuilt.
+    /// Restored record-only — from a resume journal, or from the cache by
+    /// a run that reads no payloads ([`Cache::load_record`]). The numbers
+    /// are final; the typed payload was not decoded.
     Restored(UnitRecord),
 }
 
 impl UnitOutcome {
+    /// This outcome as the outcome of `unit`, which has the same
+    /// [`unit_hash`]: index and scenario are taken from `unit`.
+    #[must_use]
+    pub fn rebound(&self, unit: &Unit) -> UnitOutcome {
+        match self {
+            UnitOutcome::Full(r) => UnitOutcome::Full(UnitResult::rebound(
+                unit,
+                r.payload.clone(),
+                r.record.clone(),
+            )),
+            UnitOutcome::Restored(r) => UnitOutcome::Restored(r.clone().rebound(unit)),
+        }
+    }
+
     /// The flat record, whichever way the unit completed.
     #[must_use]
     pub fn record(&self) -> &UnitRecord {
@@ -127,7 +144,8 @@ pub struct RunConfig<'a> {
     pub prefilled: Vec<Option<UnitRecord>>,
     /// When true (the experiment harnesses), a prefilled record alone
     /// cannot satisfy a unit: the pool restores the typed payload from
-    /// the cache or re-executes.
+    /// the cache or re-executes. When false, a cache hit decodes only
+    /// the record ([`probe_cache`]).
     pub need_payloads: bool,
     /// Write-ahead journal appender; each newly completed unit is durably
     /// recorded in completion order. Owned, so long-lived callers (the
@@ -150,15 +168,16 @@ impl<'a> RunConfig<'a> {
     }
 }
 
-/// One unit's completion, as produced by [`produce_unit`] (or restored
-/// from a cache/network transport) and consumed by [`RunState::complete`].
+/// One unit's completion, as produced by [`produce_unit_cancellable`]
+/// (or restored from a cache/network transport) and consumed by
+/// [`RunState::complete`].
 #[derive(Debug)]
 pub struct Completion {
     /// Enumeration position (authoritative for slotting, independent of
     /// `unit.index`).
     pub index: usize,
-    /// The result, or the hard error that produced none.
-    pub result: Result<UnitResult, CampaignError>,
+    /// The outcome, or the hard error that produced none.
+    pub result: Result<UnitOutcome, CampaignError>,
     /// Whether the result was restored from the result cache rather than
     /// evaluated.
     pub from_cache: bool,
@@ -181,25 +200,36 @@ pub fn dispatch_order(units: &[Unit], pending: &[usize]) -> Vec<usize> {
     order.into_iter().map(|(_, i)| i).collect()
 }
 
-/// Runs one unit the configured way: cache probe, then execution plus
-/// best-effort cache publication. `index` is the enumeration position
-/// (authoritative for slotting, independent of `unit.index`). This is the
-/// single evaluation path shared by the thread-pool workers and the
-/// network workers of `sea-dist`.
+/// Probes `cache` for `unit`, whose [`unit_hash`] is `hash`, the way a
+/// run reads it: the full result ([`Cache::load`]) when the run needs
+/// payloads, else the record alone ([`Cache::load_record`]), which skips
+/// the payload decode. The thread pool and the coordinator's dispatch
+/// path both probe through here.
 #[must_use]
-pub fn produce_unit(
-    index: usize,
+pub fn probe_cache(
+    cache: &Cache,
     unit: &Unit,
-    cache: Option<&Cache>,
-    inner_jobs: usize,
-) -> Completion {
-    produce_unit_cancellable(index, unit, cache, inner_jobs, None)
+    hash: ContentHash,
+    need_payloads: bool,
+) -> Option<UnitOutcome> {
+    if need_payloads {
+        cache.load(unit).map(UnitOutcome::Full)
+    } else {
+        cache.load_record(unit, hash).map(UnitOutcome::Restored)
+    }
 }
 
-/// [`produce_unit`] with a cooperative cancellation flag threaded into
-/// the unit's optimizer. Network workers install one so a lost
-/// coordinator (or a daemon-side `Cancel`) stops the in-flight unit at
-/// the next scaling-chunk boundary; a cancelled completion carries
+/// Runs one unit the way a network worker of `sea-dist` does: a full
+/// cache probe (a worker ships the whole entry), then execution plus
+/// best-effort cache publication. `index` is the enumeration position
+/// (authoritative for slotting, independent of `unit.index`). The thread
+/// pool produces units the same way, except that it probes through
+/// [`probe_cache`], record-only when its run reads no payloads.
+///
+/// `cancel` is a cooperative cancellation flag threaded into the unit's
+/// optimizer. Network workers install one so a lost coordinator (or a
+/// daemon-side `Cancel`) stops the in-flight unit at the next
+/// scaling-chunk boundary; a cancelled completion carries
 /// [`sea_opt::OptError::Cancelled`] and is never published to the cache.
 #[must_use]
 pub fn produce_unit_cancellable(
@@ -209,14 +239,33 @@ pub fn produce_unit_cancellable(
     inner_jobs: usize,
     cancel: Option<&Arc<AtomicBool>>,
 ) -> Completion {
-    if let Some(cache) = cache {
-        if let Some(result) = cache.load(unit) {
-            return Completion {
-                index,
-                result: Ok(result),
-                from_cache: true,
-            };
-        }
+    produce(
+        index,
+        unit,
+        unit_hash(unit),
+        cache,
+        true,
+        inner_jobs,
+        cancel,
+    )
+}
+
+/// [`produce_unit_cancellable`] with the probe of [`probe_cache`].
+fn produce(
+    index: usize,
+    unit: &Unit,
+    hash: ContentHash,
+    cache: Option<&Cache>,
+    need_payloads: bool,
+    inner_jobs: usize,
+    cancel: Option<&Arc<AtomicBool>>,
+) -> Completion {
+    if let Some(outcome) = cache.and_then(|c| probe_cache(c, unit, hash, need_payloads)) {
+        return Completion {
+            index,
+            result: Ok(outcome),
+            from_cache: true,
+        };
     }
     let result = run_unit_cancellable(unit, inner_jobs, cancel);
     if let (Some(cache), Ok(r)) = (cache, &result) {
@@ -225,7 +274,7 @@ pub fn produce_unit_cancellable(
     }
     Completion {
         index,
-        result,
+        result: result.map(UnitOutcome::Full),
         from_cache: false,
     }
 }
@@ -247,12 +296,15 @@ pub struct RunState {
     slots: Vec<Option<UnitOutcome>>,
     errors: Vec<Option<CampaignError>>,
     pending: Vec<usize>,
+    /// Every unit's [`unit_hash`], by enumeration index.
+    hashes: Vec<ContentHash>,
     /// Leader → the index and unit of each pending unit with its
     /// [`unit_hash`], in enumeration order. Only leaders with followers
     /// have an entry, so only they pay for the fan-out.
     followers: HashMap<usize, Vec<(usize, Unit)>>,
     journaled: Vec<bool>,
     journal: Option<JournalWriter>,
+    need_payloads: bool,
     resumed: usize,
     executed: usize,
     cache_hits: usize,
@@ -308,9 +360,10 @@ impl RunState {
             }
         }
         let outstanding = pending.len();
+        let hashes: Vec<ContentHash> = units.iter().map(unit_hash).collect();
         let mut first: HashMap<ContentHash, usize> = HashMap::with_capacity(outstanding);
         let mut followers: HashMap<usize, Vec<(usize, Unit)>> = HashMap::new();
-        pending.retain(|&i| match first.entry(unit_hash(&units[i])) {
+        pending.retain(|&i| match first.entry(hashes[i]) {
             Entry::Vacant(slot) => {
                 slot.insert(i);
                 true
@@ -325,9 +378,11 @@ impl RunState {
             errors: (0..units.len()).map(|_| None).collect(),
             slots,
             pending,
+            hashes,
             followers,
             journaled,
             journal,
+            need_payloads,
             resumed,
             executed: 0,
             cache_hits: 0,
@@ -343,6 +398,20 @@ impl RunState {
     #[must_use]
     pub fn pending(&self) -> &[usize] {
         &self.pending
+    }
+
+    /// The [`unit_hash`] of the unit at `index`.
+    #[must_use]
+    pub fn hash(&self, index: usize) -> ContentHash {
+        self.hashes[index]
+    }
+
+    /// Whether the run reads typed payloads ([`RunConfig::need_payloads`]).
+    /// A cache hit of a run that does not is record-only
+    /// ([`probe_cache`]).
+    #[must_use]
+    pub fn needs_payloads(&self) -> bool {
+        self.need_payloads
     }
 
     /// How many units (leaders and their followers) have not completed
@@ -410,18 +479,14 @@ impl RunState {
         } else {
             self.executed += 1;
         }
-        let copies: Vec<(usize, Result<UnitResult, CampaignError>)> = self
+        let copies: Vec<(usize, Result<UnitOutcome, CampaignError>)> = self
             .followers
             .remove(&index)
             .unwrap_or_default()
             .into_iter()
             .map(|(f, unit)| {
                 let copy = match &result {
-                    Ok(r) => Ok(UnitResult::rebound(
-                        &unit,
-                        r.payload.clone(),
-                        r.record.clone(),
-                    )),
+                    Ok(outcome) => Ok(outcome.rebound(&unit)),
                     Err(e) => Err(e.clone()),
                 };
                 (f, copy)
@@ -441,15 +506,15 @@ impl RunState {
     fn settle(
         &mut self,
         index: usize,
-        result: Result<UnitResult, CampaignError>,
+        result: Result<UnitOutcome, CampaignError>,
         sink: &mut dyn Sink,
     ) -> bool {
         self.outstanding -= 1;
         match result {
-            Ok(r) => {
-                sink.unit_completed(&r.record);
+            Ok(outcome) => {
+                sink.unit_completed(outcome.record());
                 if let (Some(journal), false) = (self.journal.as_mut(), self.journaled[index]) {
-                    if let Err(e) = journal.append(index, unit_hash(&r.unit), &r.record) {
+                    if let Err(e) = journal.append(index, self.hashes[index], outcome.record()) {
                         self.journal_error = Some(CampaignError::Journal(format!(
                             "cannot append unit {index} to the journal: {e} — \
                              aborting so the write-ahead guarantee is not silently lost"
@@ -457,7 +522,7 @@ impl RunState {
                         return false;
                     }
                 }
-                self.slots[index] = Some(UnitOutcome::Full(r));
+                self.slots[index] = Some(outcome);
             }
             Err(e) => {
                 self.errors[index] = Some(e);
@@ -555,20 +620,26 @@ pub fn run_units_configured(
     // machine.
     let inner_jobs = (requested / pending.len().max(1)).max(1);
 
+    let produce_one =
+        |i: usize, hash| produce(i, &units[i], hash, cache, need_payloads, inner_jobs, None);
+
     if jobs <= 1 {
         // Sequential runs keep enumeration order: with one worker there
         // is no straggler tail to shrink, and in-order progress lines
         // are easier to follow.
         for &i in &pending {
-            let done = produce_unit(i, &units[i], cache, inner_jobs);
+            let done = produce_one(i, state.hash(i));
             if !state.complete(done, sink) {
                 break;
             }
         }
     } else {
-        let pending = dispatch_order(units, &pending);
+        let pending: Vec<(usize, ContentHash)> = dispatch_order(units, &pending)
+            .into_iter()
+            .map(|i| (i, state.hash(i)))
+            .collect();
         let next = AtomicUsize::new(0);
-        let pending_ref = &pending;
+        let (pending_ref, produce_one) = (&pending, &produce_one);
         std::thread::scope(|s| {
             let (tx, rx) = mpsc::channel();
             for _ in 0..jobs {
@@ -576,13 +647,10 @@ pub fn run_units_configured(
                 let next = &next;
                 s.spawn(move || loop {
                     let k = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&i) = pending_ref.get(k) else {
+                    let Some(&(i, hash)) = pending_ref.get(k) else {
                         break;
                     };
-                    if tx
-                        .send(produce_unit(i, &units[i], cache, inner_jobs))
-                        .is_err()
-                    {
+                    if tx.send(produce_one(i, hash)).is_err() {
                         break;
                     }
                 });
@@ -736,11 +804,11 @@ count = 15
         assert_eq!(state.pending().len(), units.len());
         assert_eq!(state.outstanding(), units.len());
         for &i in &units.iter().map(|u| u.index).collect::<Vec<_>>() {
-            let done = produce_unit(i, &units[i], None, 1);
+            let done = produce_unit_cancellable(i, &units[i], None, 1, None);
             assert!(state.complete(done, &mut NullSink));
             assert!(state.is_filled(i));
             // The duplicate is dropped on the floor.
-            let dup = produce_unit(i, &units[i], None, 1);
+            let dup = produce_unit_cancellable(i, &units[i], None, 1, None);
             assert!(state.complete(dup, &mut NullSink));
         }
         assert_eq!(state.outstanding(), 0);

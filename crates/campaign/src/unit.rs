@@ -272,11 +272,11 @@ impl Unit {
     /// inner job count anyway.
     #[must_use]
     pub fn optimizer_config(&self) -> OptimizerConfig {
-        let mut config = OptimizerConfig::paper(self.cores).with_levels(level_set(self.levels));
+        let mut config =
+            OptimizerConfig::paper_with_jobs(self.cores, 1).with_levels(level_set(self.levels));
         config.budget = self.budget.to_budget();
         config.seed = self.seed;
         config.selection = self.selection;
-        config.jobs = 1;
         config
     }
 
@@ -817,13 +817,11 @@ impl UnitResult {
     /// are presentation, not content, so they are taken from `unit`: a
     /// cache entry may come from a campaign that placed the unit
     /// elsewhere, and a duplicate unit copies an earlier one's result.
-    pub(crate) fn rebound(unit: &Unit, payload: UnitPayload, mut record: UnitRecord) -> Self {
-        record.index = unit.index;
-        record.scenario = unit.scenario.clone();
+    pub(crate) fn rebound(unit: &Unit, payload: UnitPayload, record: UnitRecord) -> Self {
         UnitResult {
             unit: unit.clone(),
             payload,
-            record,
+            record: record.rebound(unit),
         }
     }
 }
@@ -867,6 +865,15 @@ pub struct UnitRecord {
 }
 
 impl UnitRecord {
+    /// This record as the record of `unit`, which has the same
+    /// [`crate::unit_hash`]: index and scenario are presentation, so they
+    /// are taken from `unit`.
+    pub(crate) fn rebound(mut self, unit: &Unit) -> Self {
+        self.index = unit.index;
+        self.scenario.clone_from(&unit.scenario);
+        self
+    }
+
     fn empty(unit: &Unit, status: &'static str) -> Self {
         UnitRecord {
             index: unit.index,

@@ -300,22 +300,25 @@ pub fn decode_evaluation(t: &mut Tokens<'_>) -> Result<MappingEvaluation, CodecE
     let power_mw = t.next_f64()?;
     let gamma = t.next_f64()?;
     let r_total = Bits::new(t.next_u64()?);
+    // Counts are input, not a size to reserve: vectors grow as items
+    // decode, so a forged count ends at the input's end, not in `alloc`.
     let n = t.next_usize()?;
-    let mut per_core = Vec::with_capacity(n);
-    for _ in 0..n {
-        per_core.push(CoreEval {
-            core: CoreId::new(t.next_usize()?),
-            coefficient: t.next_u8()?,
-            f_hz: t.next_f64()?,
-            vdd: t.next_f64()?,
-            busy_s: t.next_f64()?,
-            alpha: t.next_f64()?,
-            r_bits: Bits::new(t.next_u64()?),
-            exposure_cycles: t.next_f64()?,
-            lambda: t.next_f64()?,
-            gamma: t.next_f64()?,
-        });
-    }
+    let per_core = (0..n)
+        .map(|_| {
+            Ok(CoreEval {
+                core: CoreId::new(t.next_usize()?),
+                coefficient: t.next_u8()?,
+                f_hz: t.next_f64()?,
+                vdd: t.next_f64()?,
+                busy_s: t.next_f64()?,
+                alpha: t.next_f64()?,
+                r_bits: Bits::new(t.next_u64()?),
+                exposure_cycles: t.next_f64()?,
+                lambda: t.next_f64()?,
+                gamma: t.next_f64()?,
+            })
+        })
+        .collect::<Result<Vec<_>, CodecError>>()?;
     Ok(MappingEvaluation {
         tm_seconds,
         tm_nominal_cycles,
@@ -393,23 +396,24 @@ pub fn decode_outcome(
     let total_evaluations = t.next_usize()?;
     let n_explored = t.next_usize()?;
     let best = decode_design(&mut t, arch)?;
-    let mut explored = Vec::with_capacity(n_explored);
-    for _ in 0..n_explored {
-        let scaling = decode_scaling(&mut t, arch)?;
-        let feasible = t.next_bool()?;
-        let evaluations = t.next_usize()?;
-        let best = match t.next_tok()? {
-            "D" => Some(decode_design(&mut t, arch)?),
-            "-" => None,
-            other => return Err(err(format!("expected `D` or `-`, got `{other}`"))),
-        };
-        explored.push(ScalingOutcome {
-            scaling,
-            best,
-            feasible,
-            evaluations,
-        });
-    }
+    let explored = (0..n_explored)
+        .map(|_| {
+            let scaling = decode_scaling(&mut t, arch)?;
+            let feasible = t.next_bool()?;
+            let evaluations = t.next_usize()?;
+            let best = match t.next_tok()? {
+                "D" => Some(decode_design(&mut t, arch)?),
+                "-" => None,
+                other => return Err(err(format!("expected `D` or `-`, got `{other}`"))),
+            };
+            Ok(ScalingOutcome {
+                scaling,
+                best,
+                feasible,
+                evaluations,
+            })
+        })
+        .collect::<Result<Vec<_>, CodecError>>()?;
     t.finish()?;
     Ok(OptimizationOutcome {
         best,
@@ -493,6 +497,42 @@ mod tests {
         let mut enc = encode_outcome(&out);
         enc.push_str(" extra");
         assert!(decode_outcome(&enc, &arch).is_err());
+
+        // Forged counts end at the input's end instead of sizing an
+        // allocation: `usize::MAX` used to panic with a capacity
+        // overflow, 4·10¹² to abort the process.
+        let enc = encode_outcome(&out);
+        let forge = |source: &str, token: usize, count: &str| -> String {
+            let mut tokens: Vec<&str> = source.split(' ').collect();
+            tokens[token] = count;
+            tokens.join(" ")
+        };
+        let mut evaluation = String::new();
+        encode_evaluation(&mut evaluation, &out.best.evaluation);
+        let per_core = out.best.evaluation.per_core.len().to_string();
+        assert_eq!(forge(&enc, 2, &out.explored.len().to_string()), enc);
+        assert_eq!(forge(&enc, 11, &per_core), enc);
+        assert_eq!(forge(&evaluation, 6, &per_core), evaluation);
+        for count in ["18446744073709551615", "4000000000000"] {
+            // `outcome <evaluations> <explored> ...`: the explored count.
+            let explored = forge(&enc, 2, count);
+            assert!(
+                decode_outcome(&explored, &arch).is_err(),
+                "explored {count}"
+            );
+            // The best design's evaluation: scaling, mapping, then five
+            // values and the register total before its per-core count.
+            let per_core = forge(&enc, 11, count);
+            assert!(
+                decode_outcome(&per_core, &arch).is_err(),
+                "per-core {count}"
+            );
+            let alone = forge(&evaluation, 6, count);
+            assert!(
+                decode_evaluation(&mut Tokens::new(&alone)).is_err(),
+                "evaluation {count}"
+            );
+        }
     }
 
     #[test]

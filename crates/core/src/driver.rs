@@ -172,6 +172,15 @@ impl OptimizerConfig {
     /// use.
     #[must_use]
     pub fn paper(n_cores: usize) -> Self {
+        OptimizerConfig::paper_with_jobs(n_cores, default_jobs())
+    }
+
+    /// [`OptimizerConfig::paper`] on `jobs` worker threads (clamped to at
+    /// least 1), without asking the host for its parallelism — a query
+    /// that reads the cgroup quota files on Linux, and a waste for callers
+    /// that pick the thread count themselves.
+    #[must_use]
+    pub fn paper_with_jobs(n_cores: usize, jobs: usize) -> Self {
         OptimizerConfig {
             arch: Architecture::arm7_calibrated(n_cores, LevelSet::arm7_three_level()),
             ser: SerModel::default(),
@@ -179,7 +188,7 @@ impl OptimizerConfig {
             budget: SearchBudget::thorough(),
             selection: SelectionPolicy::default(),
             seed: 0x5EA,
-            jobs: default_jobs(),
+            jobs: jobs.max(1),
             incremental: incremental_default(),
             prune: prune_default(),
             cancel: None,

@@ -25,16 +25,16 @@
 //! wall-clock only, never a report.
 //!
 //! **Dedupe.** Within a campaign, [`RunState::plan`] groups units with
-//! equal [`unit_hash`] and queues only each group's leader; its result
-//! completes the rest. Across campaigns, the hash excludes the
-//! presentation fields (enumeration index, scenario label), so identical
-//! units in different campaigns share one content hash. The coordinator
-//! keeps a *followers* map from in-flight content hash to every
+//! equal [`sea_campaign::unit_hash`] and queues only each group's
+//! leader; its result completes the rest. Across campaigns, the hash
+//! excludes the presentation fields (enumeration index, scenario label),
+//! so identical units in different campaigns share one content hash. The
+//! coordinator keeps a *followers* map from in-flight content hash to every
 //! `(campaign, index)` pair interested in it: a unit about to be
 //! dispatched whose hash is already in flight registers as a follower
-//! instead, and the one verified result fans out to every follower
-//! through [`sea_campaign::decode_result`] (which rewrites the
-//! presentation fields per campaign). Each distinct unit evaluates once.
+//! instead, and the one verified result fans out to every follower,
+//! rebound to each one's presentation fields ([`UnitOutcome::rebound`]).
+//! Each distinct unit evaluates once.
 //!
 //! **Failure handling.** A worker that disconnects, stays silent past the
 //! heartbeat timeout while holding a unit, or sends a result that does
@@ -50,9 +50,13 @@
 //! is attributed to the worker whose dispatch path probed it (a
 //! worker-local hit on the unmodified wire is invisible to the
 //! coordinator, so the dispatch-path probe is the honest per-worker
-//! statistic). The trade-off of probing at dispatch rather than at
-//! submission: a fully-warm campaign sends zero Work frames but still
-//! needs one connected worker to drain its queue.
+//! statistic). The probe decodes what the campaign reads
+//! ([`sea_campaign::probe_cache`]): only the record, unless its
+//! [`RunState`] needs payloads — submitted campaigns never do. A verified
+//! result is published as the bytes the worker sent. The trade-off of
+//! probing at dispatch rather than at submission: a fully-warm campaign
+//! sends zero Work frames but still needs one connected worker to drain
+//! its queue.
 //!
 //! **Durability.** With a journal directory configured, every submitted
 //! campaign write-ahead journals to `<spec_hash>.jsonl` exactly like a
@@ -79,8 +83,8 @@ use std::time::{Duration, Instant};
 
 use sea_campaign::{
     decode_result, dispatch_order, json_escape, json_record, jsonl_report, open_journal,
-    parse_campaign, unit_hash, units_hash, Cache, CampaignError, Completion, ContentHash, NullSink,
-    RunConfig, RunOutcome, RunState, Sink, Unit, UnitResult,
+    parse_campaign, probe_cache, units_hash, Cache, CampaignError, Completion, ContentHash,
+    NullSink, RunConfig, RunOutcome, RunState, Sink, Unit, UnitOutcome,
 };
 
 use crate::frame::{check_handshake, handshake_line, read_frame, write_frame, Frame, FrameKind};
@@ -492,7 +496,7 @@ impl<'s> CampaignRun<'s> {
     fn complete(
         &mut self,
         index: usize,
-        result: Result<UnitResult, CampaignError>,
+        result: Result<UnitOutcome, CampaignError>,
         from_cache: bool,
         peers: &mut HashMap<u64, Peer>,
     ) -> usize {
@@ -978,7 +982,7 @@ impl<'s> Coordinator<'s> {
                 if state.is_filled(i) {
                     continue;
                 }
-                let hash = unit_hash(&run.units[i]);
+                let (hash, need_payloads) = (state.hash(i), state.needs_payloads());
                 if let Some(list) = self.followers.get_mut(&hash) {
                     // Already evaluating on some worker (possibly for
                     // another campaign): ride that evaluation instead of
@@ -986,11 +990,14 @@ impl<'s> Coordinator<'s> {
                     list.push((c, i));
                     continue;
                 }
-                if let Some(result) = self.cache.and_then(|cache| cache.load(&run.units[i])) {
+                let hit = self
+                    .cache
+                    .and_then(|cache| probe_cache(cache, &run.units[i], hash, need_payloads));
+                if let Some(outcome) = hit {
                     if let Some(ws) = self.stats.get_mut(&id) {
                         ws.cache_hits += 1;
                     }
-                    let settled = run.complete(i, Ok(result), true, &mut self.peers);
+                    let settled = run.complete(i, Ok(outcome), true, &mut self.peers);
                     self.deduped += settled.saturating_sub(1);
                     continue;
                 }
@@ -1129,24 +1136,20 @@ impl<'s> Coordinator<'s> {
         ws.completed += 1;
         ws.busy += ticket.since.elapsed();
         if let Some(cache) = self.cache {
-            // Best-effort publication: a full disk must not fail a campaign.
-            let _ = cache.store(&primary);
+            // The verified bytes are the entry: publish them as they are.
+            // Best-effort: a full disk must not fail a campaign.
+            let _ = cache.publish(ticket.hash, entry);
         }
         self.evaluated += 1;
-        let mut primary = Some(primary);
+        let primary = UnitOutcome::Full(primary);
         let mut settled = 0;
         for (c, i) in self.followers.remove(&ticket.hash).unwrap_or_default() {
             let run = &mut self.campaigns[c];
-            // Every follower but the dispatched unit re-decodes against
-            // its own unit, so the presentation fields (index, scenario)
-            // belong to *its* campaign.
-            let dispatched = (c, i) == (ticket.campaign, ticket.index);
-            let result = match primary.take_if(|_| dispatched) {
-                Some(result) => Ok(result),
-                None => decode_result(entry, &run.units[i])
-                    .map_err(|e| terr(format!("unverifiable result for unit {i}: {e}"))),
-            };
-            settled += run.complete(i, result, false, &mut self.peers);
+            // Every follower has the dispatched unit's content hash, so
+            // the verified result is its result too, rebound to the
+            // presentation fields (index, scenario) of *its* campaign.
+            let outcome = primary.rebound(&run.units[i]);
+            settled += run.complete(i, Ok(outcome), false, &mut self.peers);
         }
         self.deduped += settled.saturating_sub(1);
         Ok(())

@@ -32,10 +32,9 @@
 //!   wire-submitted campaigns; [`serve_units`] runs one in-process
 //!   campaign and returns when it is done.
 //! * [`worker`] — [`run_worker`] connects, evaluates
-//!   dispatched units through the exact
-//!   [`sea_campaign::produce_unit`] path the thread-pool workers run
-//!   (cache probe, evaluation, cache publication), and streams results
-//!   back while heartbeating.
+//!   dispatched units through [`sea_campaign::produce_unit_cancellable`],
+//!   the path the thread-pool workers run (cache probe, evaluation,
+//!   cache publication), and streams results back while heartbeating.
 //!
 //! [`run_distributed_local`] wires a localhost coordinator to N
 //! in-process workers — the path `reproduce --distributed` and the

@@ -1,10 +1,10 @@
 //! The worker: connects to a coordinator, evaluates dispatched units, and
 //! streams results back.
 //!
-//! A worker evaluates through [`sea_campaign::produce_unit`] — the exact
-//! path the in-process thread-pool workers run (optional local cache
-//! probe, evaluation, best-effort cache publication) — so a unit computes
-//! the same bytes no matter which machine runs it. While a unit
+//! A worker evaluates through [`sea_campaign::produce_unit_cancellable`]
+//! — the path the in-process thread-pool workers run (optional local
+//! cache probe, evaluation, best-effort cache publication) — so a unit
+//! computes the same bytes no matter which machine runs it. While a unit
 //! evaluates, the connection stays live with periodic
 //! [`FrameKind::Heartbeat`] frames so the coordinator can tell "slow"
 //! from "dead".
@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use sea_campaign::{encode_result, produce_unit_cancellable, Cache, CampaignError};
+use sea_campaign::{encode_result, produce_unit_cancellable, Cache, CampaignError, UnitOutcome};
 
 use crate::frame::{
     check_handshake, handshake_line, read_frame, write_frame, FrameError, FrameKind,
@@ -229,7 +229,10 @@ fn serve_session(
                     Err(reason) => return Ok(SessionEnd::Lost(reason)),
                 };
                 match done.result {
-                    Ok(result) => {
+                    Ok(UnitOutcome::Restored(_)) => {
+                        unreachable!("produce_unit_cancellable probes for full results")
+                    }
+                    Ok(UnitOutcome::Full(result)) => {
                         let entry = encode_result(&result);
                         let body = wire::encode_result_body(
                             index,

@@ -8,9 +8,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use sea_dse::campaign::{
-    csv_report, jsonl_report, open_journal, parse_campaign, parse_journal, run_unit,
-    run_units_configured, unit_hash, AppRef, BudgetSpec, Cache, NullSink, RunConfig, Unit,
-    UnitKind, UnitRecord,
+    csv_report, decode_result, jsonl_report, open_journal, parse_campaign, parse_journal, run_unit,
+    run_units_configured, unit_hash, validate_entry, AppRef, BudgetSpec, Cache, ContentHasher,
+    NullSink, RunConfig, Unit, UnitKind, UnitOutcome, UnitRecord,
 };
 use sea_dse::opt::SelectionPolicy;
 use sea_dse::taskgraph::generator::RandomGraphConfig;
@@ -152,6 +152,78 @@ fn duplicates_run_once_with_the_bytes_of_running_each_alone() {
         );
         assert_eq!(reports(&outcome.records()), golden);
     }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn record_only_hits_skip_the_payload_and_payload_runs_heal_it() {
+    let units = units();
+    let dups = duplicates(&units);
+    let leaders = units.len() - dups.len();
+    let dir = temp_dir();
+    let cache = Cache::open(dir.join("cache")).unwrap();
+    let run = |jobs: usize, need_payloads: bool| {
+        let mut config = RunConfig::new(jobs);
+        config.cache = Some(&cache);
+        config.need_payloads = need_payloads;
+        run_units_configured(&units, config, &mut NullSink).unwrap()
+    };
+    let cold = run(2, false);
+    assert_eq!((cold.executed, cold.cache_hits), (leaders, 0));
+    let golden = reports(&cold.records());
+
+    // Reseal the design entry of unit 0 (mpeg2, which unit 4 repeats
+    // under another scenario) around a payload that does not decode.
+    let (leader, follower) = (0, 4);
+    assert_eq!(unit_hash(&units[leader]), unit_hash(&units[follower]));
+    let path = cache.entry_path(unit_hash(&units[leader]));
+    let good = std::fs::read_to_string(&path).unwrap();
+    let body = good.find("\npayload design\n").unwrap() + "\npayload design\n".len();
+    let prefix = format!("{}outcome not-a-count\n", &good[..body]);
+    let mut sum = ContentHasher::new();
+    sum.write(prefix.as_bytes());
+    let broken = format!("{prefix}end {}\n", sum.finish().to_hex());
+    assert_eq!(validate_entry(&broken, None), Ok("design"));
+    assert!(decode_result(&broken, &units[leader]).is_err());
+    std::fs::write(&path, &broken).unwrap();
+
+    // A run that reads no payloads checks everything but the payload:
+    // every unit hits, and nothing heals the entry.
+    for jobs in [1, 2] {
+        let warm = run(jobs, false);
+        assert_eq!(
+            (warm.executed, warm.cache_hits, warm.deduped),
+            (0, leaders, dups.len()),
+            "jobs={jobs}"
+        );
+        assert_eq!(reports(&warm.records()), golden, "jobs={jobs}");
+        // The follower of a record-only leader carries its own index and
+        // scenario.
+        match &warm.units[follower] {
+            UnitOutcome::Restored(record) => {
+                assert_eq!(record.index, follower);
+                assert_eq!(record.scenario, units[follower].scenario);
+                assert_ne!(record.scenario, units[leader].scenario);
+            }
+            UnitOutcome::Full(_) => panic!("a record-only leader's follower has no payload"),
+        }
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), broken);
+    }
+
+    // A run that reads payloads misses that entry, recomputes the unit
+    // and rewrites the entry.
+    let healed = run(2, true);
+    assert_eq!(
+        (healed.executed, healed.cache_hits, healed.deduped),
+        (1, leaders - 1, dups.len())
+    );
+    assert_eq!(reports(&healed.records()), golden);
+    let result = healed.units[follower].result().expect("payloads were read");
+    assert_eq!(
+        (result.unit.index, &result.unit.scenario),
+        (follower, &units[follower].scenario)
+    );
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), good);
     let _ = std::fs::remove_dir_all(dir);
 }
 

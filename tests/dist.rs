@@ -163,56 +163,77 @@ fn a_worker_killed_mid_unit_does_not_change_the_reports() {
 
 #[test]
 fn a_corrupt_result_costs_the_connection_not_the_unit() {
+    use sea_dse::campaign::cache::CACHE_VERSION;
+    use sea_dse::campaign::{ContentHash, ContentHasher};
     use sea_dse::dist::frame::{handshake_line, read_frame, write_frame, FrameKind};
     use sea_dse::dist::wire;
 
     let units = quickstart_units();
     let golden = local_golden(&units);
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    // Signals that the saboteur holds a work item, so the honest worker
-    // only joins afterwards (the saboteur must reliably get a unit).
-    let (got_work_tx, got_work_rx) = std::sync::mpsc::channel::<()>();
-
-    let outcome = std::thread::scope(|s| {
-        s.spawn(move || {
-            let mut stream = std::net::TcpStream::connect(addr).unwrap();
-            write_frame(&mut stream, FrameKind::Hello, handshake_line().as_bytes()).unwrap();
-            let welcome = read_frame(&mut stream).unwrap();
-            assert_eq!(welcome.kind, FrameKind::Welcome);
-            let work = read_frame(&mut stream).unwrap();
-            assert_eq!(work.kind, FrameKind::Work);
-            let (index, hash, _unit) =
-                wire::decode_work(std::str::from_utf8(&work.body).unwrap()).unwrap();
-            got_work_tx.send(()).unwrap();
-            // A result whose header parses but whose entry bytes cannot
-            // be verified: the coordinator must refuse this connection
-            // and re-queue the unit, never losing it.
-            let body =
-                wire::encode_result_body(index, hash, "sea-unit-cache 1 garbage\nnot an entry\n");
-            let _ = write_frame(&mut stream, FrameKind::Result, body.as_bytes());
-            // Expect a Refuse (or a straight close) and go away.
-            let _ = read_frame(&mut stream);
-        });
-        s.spawn(move || {
-            got_work_rx.recv().unwrap();
-            let _ = run_worker(&addr.to_string(), &WorkerConfig::default());
-        });
-        let result = serve_units(
-            &listener,
-            &units,
-            ServeConfig::new(RunConfig::new(1)),
-            &mut NullSink,
+    // Two result bodies whose headers parse but whose entries cannot be
+    // verified: bytes that are no entry at all, and a correctly sealed
+    // entry for the dispatched unit whose sweep point count is forged
+    // (a count the decoder once reserved memory for, ending the
+    // coordinator).
+    let record = golden.2.lines().next().unwrap().to_string();
+    let garbage = |_: ContentHash| "sea-unit-cache 1 garbage\nnot an entry\n".to_string();
+    let forged_count = |hash: ContentHash| {
+        let prefix = format!(
+            "sea-unit-cache {CACHE_VERSION} {}\nrecord {record}\npayload sweep\n\
+             18446744073709551615\n",
+            hash.to_hex()
         );
-        drop(listener);
-        result
-    })
-    .unwrap();
-    assert_eq!(
-        golden,
-        reports(&outcome.records()),
-        "the sabotaged unit was recomputed by the honest worker"
-    );
+        let mut sum = ContentHasher::new();
+        sum.write(prefix.as_bytes());
+        format!("{prefix}end {}\n", sum.finish().to_hex())
+    };
+    let sabotage: [&(dyn Fn(ContentHash) -> String + Sync); 2] = [&garbage, &forged_count];
+    for entry_for in sabotage {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Signals that the saboteur holds a work item, so the honest
+        // worker only joins afterwards (the saboteur must reliably get a
+        // unit).
+        let (got_work_tx, got_work_rx) = std::sync::mpsc::channel::<()>();
+
+        let outcome = std::thread::scope(|s| {
+            s.spawn(move || {
+                let mut stream = std::net::TcpStream::connect(addr).unwrap();
+                write_frame(&mut stream, FrameKind::Hello, handshake_line().as_bytes()).unwrap();
+                let welcome = read_frame(&mut stream).unwrap();
+                assert_eq!(welcome.kind, FrameKind::Welcome);
+                let work = read_frame(&mut stream).unwrap();
+                assert_eq!(work.kind, FrameKind::Work);
+                let (index, hash, _unit) =
+                    wire::decode_work(std::str::from_utf8(&work.body).unwrap()).unwrap();
+                got_work_tx.send(()).unwrap();
+                // The coordinator must refuse this connection and
+                // re-queue the unit, never losing it.
+                let body = wire::encode_result_body(index, hash, &entry_for(hash));
+                let _ = write_frame(&mut stream, FrameKind::Result, body.as_bytes());
+                // Expect a Refuse (or a straight close) and go away.
+                let _ = read_frame(&mut stream);
+            });
+            s.spawn(move || {
+                got_work_rx.recv().unwrap();
+                let _ = run_worker(&addr.to_string(), &WorkerConfig::default());
+            });
+            let result = serve_units(
+                &listener,
+                &units,
+                ServeConfig::new(RunConfig::new(1)),
+                &mut NullSink,
+            );
+            drop(listener);
+            result
+        })
+        .unwrap();
+        assert_eq!(
+            golden,
+            reports(&outcome.records()),
+            "the sabotaged unit was recomputed by the honest worker"
+        );
+    }
 }
 
 #[test]

@@ -3,9 +3,10 @@
 use proptest::prelude::*;
 
 use sea_dse::arch::{Architecture, CoreId, LevelSet, ScalingVector, SerModel};
+use sea_dse::campaign::journal::{header_line, record_line};
 use sea_dse::campaign::{
-    json_record, parse_campaign, unit_hash, units_hash, AppRef, BudgetSpec, Unit, UnitKind,
-    UnitRecord,
+    decode_result, encode_result, json_record, parse_campaign, parse_journal, run_unit, unit_hash,
+    units_hash, validate_entry, AppRef, BudgetSpec, ContentHasher, Unit, UnitKind, UnitRecord,
 };
 use sea_dse::opt::ScalingIter;
 use sea_dse::opt::SelectionPolicy;
@@ -620,6 +621,149 @@ proptest! {
         // Fully serial with no overlap would be `serial` per iteration...
         // the pipeline must do no worse than that plus one fill pass.
         prop_assert!(sched.makespan_s() <= serial * f64::from(iterations) + serial + 1e-9);
+    }
+}
+
+/// Valid cache entries of every payload kind with their units, and a
+/// journal of their records: what the parser fuzzer mutates.
+fn fuzz_fixtures() -> &'static (Vec<(Unit, String)>, String) {
+    static FIXTURES: std::sync::OnceLock<(Vec<(Unit, String)>, String)> =
+        std::sync::OnceLock::new();
+    FIXTURES.get_or_init(|| {
+        let design = Unit {
+            index: 0,
+            scenario: "fuzz \"q\"".into(),
+            kind: UnitKind::Optimize,
+            app: AppRef::Spec(AppSpec::Mpeg2),
+            cores: 4,
+            levels: 2,
+            budget: BudgetSpec::Smoke,
+            selection: SelectionPolicy::PowerGammaProduct,
+            seed: 3,
+        };
+        let units = [
+            design.clone(),
+            // Deadline-infeasible under the paper calibration.
+            Unit {
+                app: AppRef::Spec(AppSpec::Fig8),
+                cores: 3,
+                ..design.clone()
+            },
+            Unit {
+                kind: UnitKind::Sweep { count: 2, scale: 1 },
+                ..design.clone()
+            },
+            Unit {
+                kind: UnitKind::Simulate {
+                    scaling: vec![2, 2, 2, 2],
+                    groups: vec![vec![0, 1, 2, 3, 4, 5], vec![6, 7], vec![8], vec![9, 10]],
+                    ser: sea_dse::arch::ser::PAPER_SER,
+                },
+                ..design
+            },
+        ];
+        let mut journal = header_line("fuzz", units_hash(&units), units.len());
+        let mut entries = Vec::new();
+        for (index, unit) in units.into_iter().enumerate() {
+            let unit = Unit { index, ..unit };
+            let result = run_unit(&unit).expect("fixture unit runs");
+            journal.push('\n');
+            journal.push_str(&record_line(index, unit_hash(&unit), &result.record));
+            entries.push((unit, encode_result(&result)));
+        }
+        journal.push('\n');
+        (entries, journal)
+    })
+}
+
+/// Byte ranges of the tokens of `bytes`: runs between whitespace and
+/// JSON punctuation.
+fn token_ranges(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let separator = |b: u8| b.is_ascii_whitespace() || b",:{}\"".contains(&b);
+    let mut ranges = Vec::new();
+    let mut start = None;
+    for (i, &b) in bytes.iter().enumerate().chain([(bytes.len(), &b' ')]) {
+        match (separator(b), start) {
+            (true, Some(s)) => {
+                ranges.push(s..i);
+                start = None;
+            }
+            (false, None) => start = Some(i),
+            _ => {}
+        }
+    }
+    ranges
+}
+
+/// Applies byte and token edits `(op, position, value)` to `source`:
+/// overwrite, insert or delete a byte; replace a decimal token with a
+/// count a decoder once reserved memory for; or replace any token with a
+/// JSON or escape fragment.
+fn mutate(source: &str, edits: &[(u8, usize, u8)]) -> String {
+    const COUNTS: [&str; 2] = ["18446744073709551615", "4000000000000"];
+    const FRAGMENTS: [&str; 10] = [
+        "", "-1", "null", "{", "}", "\"", "\\", "\\u", "\\ud800", "{}",
+    ];
+    let mut bytes = source.as_bytes().to_vec();
+    for &(op, at, value) in edits {
+        let at = at % (bytes.len() + 1);
+        let tokens = token_ranges(&bytes);
+        let decimal: Vec<_> = tokens
+            .iter()
+            .filter(|r| bytes[(*r).clone()].iter().all(u8::is_ascii_digit))
+            .cloned()
+            .collect();
+        match op % 5 {
+            0 if at < bytes.len() => bytes[at] = value,
+            1 => bytes.insert(at, value),
+            2 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            3 if !decimal.is_empty() => {
+                let count = COUNTS[usize::from(value) % COUNTS.len()];
+                bytes.splice(decimal[at % decimal.len()].clone(), count.bytes());
+            }
+            4 if !tokens.is_empty() => {
+                let fragment = FRAGMENTS[usize::from(value) % FRAGMENTS.len()];
+                bytes.splice(tokens[at % tokens.len()].clone(), fragment.bytes());
+            }
+            _ => {}
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// `entry` with its checksum line recomputed over everything before it,
+/// so an edit reaches the parsers behind the checksum.
+fn reseal(entry: &str) -> String {
+    let Some(end) = entry.rfind("\nend ") else {
+        return entry.to_string();
+    };
+    let prefix = &entry[..=end];
+    let mut sum = ContentHasher::new();
+    sum.write(prefix.as_bytes());
+    format!("{prefix}end {}\n", sum.finish().to_hex())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Mutated cache entries, resealed, and mutated journals are values
+    /// or errors, never panics or unbounded allocations.
+    #[test]
+    fn mutated_entries_and_journals_are_values_or_errors(
+        pick in 0usize..4,
+        edits in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<u8>()), 1..5),
+    ) {
+        let (entries, journal) = fuzz_fixtures();
+        let (unit, entry) = &entries[pick];
+        prop_assert!(decode_result(&reseal(entry), unit).is_ok());
+        let mutated = reseal(&mutate(entry, &edits));
+        let _ = validate_entry(&mutated, None);
+        let _ = validate_entry(&mutated, Some(unit_hash(unit)));
+        let _ = decode_result(&mutated, unit);
+        prop_assert!(parse_journal(journal).is_ok());
+        let _ = parse_journal(&mutate(journal, &edits));
     }
 }
 
