@@ -33,7 +33,17 @@
 //! does not decode, which a run that reads payloads still treats as a
 //! miss and rewrites. `sea-dse report` and `cache verify` read records
 //! the same way ([`Cache::records`], [`validate_entry`]).
+//!
+//! Every entry read opens the file and reads it whole, without asking the
+//! kernel for its size. The directory scans behind `sea-dse report
+//! <cache-dir>`, `cache verify` and `cache stats` ([`Cache::records`],
+//! [`Cache::survey`]) read and check entries on
+//! [`sea_opt::default_jobs`] threads of [`sea_taskgraph::par`], then
+//! sort what they found, so their output does not depend on the thread
+//! count.
 
+use std::io::Read as _;
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
@@ -41,6 +51,7 @@ use sea_baselines::sweep::SweepPoint;
 use sea_opt::codec::{self, CodecError, Tokens};
 use sea_sim::fault::CoreFaults;
 use sea_sim::SimSummary;
+use sea_taskgraph::par::par;
 
 use crate::hash::{unit_hash, ContentHash, ContentHasher};
 use crate::journal::parse_record_json;
@@ -119,7 +130,7 @@ impl Cache {
     #[must_use]
     pub fn load(&self, unit: &Unit) -> Option<UnitResult> {
         let hash = unit_hash(unit);
-        let source = std::fs::read_to_string(self.entry_path(hash)).ok()?;
+        let source = read_entry(&self.entry_path(hash)).ok()?;
         decode_entry(&source, unit, hash).ok()
     }
 
@@ -133,7 +144,7 @@ impl Cache {
     #[must_use]
     pub fn load_record(&self, unit: &Unit, hash: ContentHash) -> Option<UnitRecord> {
         debug_assert_eq!(hash, unit_hash(unit), "`hash` is another unit's");
-        let source = std::fs::read_to_string(self.entry_path(hash)).ok()?;
+        let source = read_entry(&self.entry_path(hash)).ok()?;
         let parts = parse_entry(&source, Some(hash)).ok()?;
         Some(parts.record.rebound(unit))
     }
@@ -178,25 +189,32 @@ impl Cache {
     /// modification time and structural health (magic, version, embedded
     /// hash vs. file name, checksum, record line — everything except the
     /// typed payload, which needs the owning unit to decode). Entries are
-    /// returned sorted by file name so reports are deterministic.
+    /// read on [`sea_opt::default_jobs`] threads and returned sorted by
+    /// file name, so reports are deterministic.
     ///
     /// # Errors
     ///
     /// Propagates directory-read failures; per-entry read failures are
     /// reported as [`EntryHealth::Corrupt`], not errors.
     pub fn survey(&self) -> std::io::Result<Vec<EntrySurvey>> {
-        let mut entries: Vec<EntrySurvey> = self
-            .scan()?
-            .into_iter()
-            .map(|raw| {
+        self.survey_on(sea_opt::default_jobs())
+    }
+
+    /// [`Cache::survey`] on up to `jobs` threads.
+    fn survey_on(&self, jobs: usize) -> std::io::Result<Vec<EntrySurvey>> {
+        let mut entries = Vec::new();
+        scan_files(
+            &self.entry_files()?,
+            jobs,
+            |path, hash| {
                 // A file whose name is not a unit hash can never be a
                 // cache hit (lookups derive paths from hashes), so it is
                 // unhealthy no matter what it contains.
-                let health = if raw.hash.is_none() {
+                let health = if hash.is_none() {
                     EntryHealth::Corrupt("file name is not a 32-hex-digit unit hash".into())
                 } else {
-                    match std::fs::read_to_string(&raw.path) {
-                        Ok(source) => match validate_entry(&source, raw.hash) {
+                    match read_entry(path) {
+                        Ok(source) => match validate_entry(&source, hash) {
                             Ok(kind) => EntryHealth::Ok {
                                 kind: kind.to_string(),
                             },
@@ -205,26 +223,28 @@ impl Cache {
                         Err(e) => EntryHealth::Corrupt(format!("unreadable: {e}")),
                     }
                 };
+                let (bytes, modified) = stat(path);
                 EntrySurvey {
-                    path: raw.path,
-                    hash: raw.hash,
-                    bytes: raw.bytes,
-                    modified: raw.modified,
+                    path: path.to_path_buf(),
+                    hash,
+                    bytes,
+                    modified,
                     health,
                 }
-            })
-            .collect();
+            },
+            |_, entry| entries.push(entry),
+        );
         entries.sort_by(|a, b| a.path.cmp(&b.path));
         Ok(entries)
     }
 
-    /// Metadata-only entry listing (no contents read) — what pruning
-    /// needs; [`Cache::survey`] layers content validation on top.
-    fn scan(&self) -> std::io::Result<Vec<RawEntry>> {
-        let mut entries = Vec::new();
+    /// Every `.unit` file in the directory and the unit hash its name
+    /// parses to (`None` for a malformed name) — names only, no metadata
+    /// and no contents.
+    fn entry_files(&self) -> std::io::Result<Vec<(PathBuf, Option<ContentHash>)>> {
+        let mut files = Vec::new();
         for dirent in std::fs::read_dir(&self.dir)? {
-            let dirent = dirent?;
-            let path = dirent.path();
+            let path = dirent?.path();
             let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
                 continue;
             };
@@ -232,18 +252,9 @@ impl Cache {
                 continue; // temp files, strays — not entries
             };
             let hash = ContentHash::parse_hex(stem);
-            let (bytes, modified) = match dirent.metadata() {
-                Ok(m) => (m.len(), m.modified().ok()),
-                Err(_) => (0, None),
-            };
-            entries.push(RawEntry {
-                path,
-                hash,
-                bytes,
-                modified,
-            });
+            files.push((path, hash));
         }
-        Ok(entries)
+        Ok(files)
     }
 
     /// Prunes entries by age and/or total size: first every entry older
@@ -263,7 +274,18 @@ impl Cache {
         let now = SystemTime::now();
         // Metadata only: pruning by age/size must not read (let alone
         // checksum) every entry's contents.
-        let mut entries = self.scan()?;
+        let mut entries: Vec<RawEntry> = self
+            .entry_files()?
+            .into_iter()
+            .map(|(path, _)| {
+                let (bytes, modified) = stat(&path);
+                RawEntry {
+                    path,
+                    bytes,
+                    modified,
+                }
+            })
+            .collect();
         // Oldest first; entries without a readable mtime sort oldest so
         // they are reclaimed before anything with a known age.
         entries.sort_by_key(|e| e.modified);
@@ -317,47 +339,131 @@ impl Cache {
     /// offline-analytics read path (`sea-dse report <cache-dir>`).
     /// Structural validation (checksum, magic, version, embedded hash,
     /// record line) runs per entry but the typed payload is never
-    /// decoded and nothing is re-evaluated. Corrupt or mis-named entries
-    /// are skipped and counted, mirroring the "a bad entry is a miss"
-    /// rule. Records are returned sorted by enumeration index (ties by
-    /// file name) so the rendered report matches the live campaign's
-    /// order.
+    /// decoded and nothing is re-evaluated. Entries are read on
+    /// [`sea_opt::default_jobs`] threads, and no entry's metadata is
+    /// queried. Corrupt or mis-named entries are skipped and counted,
+    /// mirroring the "a bad entry is a miss" rule. Records are returned
+    /// sorted by enumeration index (ties by file name) so the rendered
+    /// report matches the live campaign's order.
     ///
     /// # Errors
     ///
     /// Propagates directory-read failures; per-entry problems are the
     /// skip count, not errors.
     pub fn records(&self) -> std::io::Result<(Vec<UnitRecord>, usize)> {
-        let mut rows: Vec<(usize, PathBuf, UnitRecord)> = Vec::new();
+        self.records_on(sea_opt::default_jobs())
+    }
+
+    /// [`Cache::records`] on up to `jobs` threads.
+    fn records_on(&self, jobs: usize) -> std::io::Result<(Vec<UnitRecord>, usize)> {
+        let files = self.entry_files()?;
+        let mut rows: Vec<(usize, usize, UnitRecord)> = Vec::with_capacity(files.len());
         let mut skipped = 0usize;
-        for raw in self.scan()? {
-            let Some(hash) = raw.hash else {
-                skipped += 1;
-                continue;
-            };
-            let parsed = std::fs::read_to_string(&raw.path)
-                .map_err(|e| format!("unreadable: {e}"))
-                .and_then(|source| parse_entry(&source, Some(hash)).map(|parts| parts.record));
-            match parsed {
-                Ok(record) => rows.push((record.index, raw.path, record)),
-                Err(_) => skipped += 1,
-            }
-        }
-        rows.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+        scan_files(
+            &files,
+            jobs,
+            |path, hash| {
+                let hash = hash?;
+                let source = read_entry(path).ok()?;
+                parse_entry(&source, Some(hash))
+                    .ok()
+                    .map(|parts| parts.record)
+            },
+            |k, parsed| match parsed {
+                Some(record) => rows.push((record.index, k, record)),
+                None => skipped += 1,
+            },
+        );
+        rows.sort_by(|a, b| (a.0, &files[a.1].0).cmp(&(b.0, &files[b.1].0)));
         Ok((rows.into_iter().map(|(_, _, r)| r).collect(), skipped))
     }
+}
+
+/// Entries per job of a directory scan. Handing results back per batch
+/// rather than per entry spares the collecting thread a wake-up per
+/// entry, each of which takes a core from the readers.
+const SCAN_BATCH: usize = 16;
+
+/// Runs `read` on every entry file of `files` on up to `jobs` threads of
+/// [`par`] and hands each `(position in files, result)` to `collect` on
+/// this thread, in completion order.
+fn scan_files<T: Send>(
+    files: &[(PathBuf, Option<ContentHash>)],
+    jobs: usize,
+    read: impl Fn(&Path, Option<ContentHash>) -> T + Sync,
+    mut collect: impl FnMut(usize, T),
+) {
+    let order: Vec<usize> = (0..files.len().div_ceil(SCAN_BATCH)).collect();
+    par(
+        jobs,
+        &order,
+        |batch| {
+            let start = batch * SCAN_BATCH;
+            files[start..files.len().min(start + SCAN_BATCH)]
+                .iter()
+                .map(|(path, hash)| read(path, *hash))
+                .collect::<Vec<T>>()
+        },
+        |batch, results| {
+            for (k, result) in (batch * SCAN_BATCH..).zip(results) {
+                collect(k, result);
+            }
+            ControlFlow::Continue(())
+        },
+    );
 }
 
 /// One entry's file metadata (no contents read).
 struct RawEntry {
     path: PathBuf,
-    hash: Option<ContentHash>,
     bytes: u64,
     modified: Option<SystemTime>,
 }
 
+/// Size and modification time of the file at `path`, as a directory
+/// listing reports them (a symlink is not followed); `(0, None)` when
+/// the query fails.
+fn stat(path: &Path) -> (u64, Option<SystemTime>) {
+    match std::fs::symlink_metadata(path) {
+        Ok(m) => (m.len(), m.modified().ok()),
+        Err(_) => (0, None),
+    }
+}
+
+/// Initial read buffer of [`read_entry`]: simulate entries are about
+/// 1.4 KiB and design entries about 11 KiB.
+const ENTRY_READ_BYTES: usize = 8 << 10;
+
+/// Reads one entry file whole. Unlike `std::fs::read_to_string`, it asks
+/// the kernel for no size (no `statx`, no `lseek`): a read into a
+/// pre-sized buffer plus the read that returns 0 is the whole cost of a
+/// typical entry. Invalid UTF-8 is the error `read_to_string` reports.
+fn read_entry(path: &Path) -> std::io::Result<String> {
+    let mut file = std::fs::File::open(path)?;
+    let mut buf = vec![0u8; ENTRY_READ_BYTES];
+    let mut len = 0;
+    loop {
+        if len == buf.len() {
+            buf.resize(2 * len, 0);
+        }
+        match file.read(&mut buf[len..]) {
+            Ok(0) => break,
+            Ok(n) => len += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    buf.truncate(len);
+    String::from_utf8(buf).map_err(|_| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "stream did not contain valid UTF-8",
+        )
+    })
+}
+
 /// One surveyed cache entry ([`Cache::survey`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EntrySurvey {
     /// Entry file path.
     pub path: PathBuf,
@@ -568,6 +674,14 @@ fn encode_entry(result: &UnitResult, hash: ContentHash) -> String {
     s
 }
 
+/// True for exactly the token `CACHE_VERSION.to_string()` spells,
+/// without allocating it: `parse` also takes `+4` and `04`, but those are
+/// longer than the canonical decimal form.
+fn is_current_version(token: &str) -> bool {
+    const DIGITS: usize = CACHE_VERSION.ilog10() as usize + 1;
+    token.len() == DIGITS && token.parse() == Ok(CACHE_VERSION)
+}
+
 fn take_line<'a>(rest: &mut &'a str) -> Option<&'a str> {
     let pos = rest.find('\n')?;
     let line = &rest[..pos];
@@ -599,7 +713,7 @@ fn parse_entry(source: &str, expected: Option<ContentHash>) -> Result<EntryParts
     if parts.next() != Some("sea-unit-cache") {
         return Err("not a cache entry".into());
     }
-    if parts.next() != Some(CACHE_VERSION.to_string().as_str()) {
+    if !parts.next().is_some_and(is_current_version) {
         return Err("unsupported cache version".into());
     }
     let entry_hash = parts
@@ -1074,6 +1188,101 @@ mod tests {
         let indices: Vec<usize> = records.iter().map(|r| r.index).collect();
         assert_eq!(indices, vec![1, 3]);
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn scans_agree_across_thread_counts() {
+        let (dir, cache) = temp_cache();
+        // Enough entries for several scan batches: one result sealed
+        // under many keys, stored out of index order.
+        let result = run_unit(&unit(UnitKind::Optimize, 70)).unwrap();
+        let n = 3 * SCAN_BATCH + 5;
+        for k in 0..n {
+            let mut r = result.clone();
+            r.record.index = n - 1 - k;
+            let hash = ContentHash(0x5ca0 + k as u128);
+            cache.publish(hash, &encode_entry(&r, hash)).unwrap();
+        }
+        // One entry of each kind a scan must skip or flag: a truncated
+        // entry, a mis-named `.unit` file, a temp file and a stray file.
+        let victim = cache.entry_path(ContentHash(0x5ca0));
+        let good = std::fs::read_to_string(&victim).unwrap();
+        std::fs::write(&victim, &good[..good.len() / 2]).unwrap();
+        std::fs::write(dir.join("not-a-hash.unit"), &good).unwrap();
+        std::fs::write(dir.join(".0123.1.2.tmp"), &good).unwrap();
+        std::fs::write(dir.join("README"), "stray").unwrap();
+
+        let render = |(records, skipped): (Vec<UnitRecord>, usize)| {
+            let lines: Vec<String> = records.iter().map(json_record).collect();
+            (lines, skipped)
+        };
+        let (lines, skipped) = render(cache.records_on(1).unwrap());
+        assert_eq!(skipped, 2, "the truncated and the mis-named entry");
+        let expected: Vec<String> = (0..n - 1).map(|i| format!("{{\"index\":{i},")).collect();
+        let got: Vec<String> = lines
+            .iter()
+            .map(|l| l[..l.find(',').unwrap() + 1].to_string())
+            .collect();
+        assert_eq!(got, expected);
+        let survey = cache.survey_on(1).unwrap();
+        assert_eq!(survey.len(), n + 1);
+        let corrupt = survey
+            .iter()
+            .filter(|e| matches!(e.health, EntryHealth::Corrupt(_)))
+            .count();
+        assert_eq!(corrupt, 2);
+        for jobs in [2, 3, 16] {
+            assert_eq!(
+                render(cache.records_on(jobs).unwrap()),
+                (lines.clone(), skipped),
+                "jobs={jobs}"
+            );
+            assert_eq!(cache.survey_on(jobs).unwrap(), survey, "jobs={jobs}");
+        }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn entry_reads_match_read_to_string() {
+        let (dir, _cache) = temp_cache();
+        // Empty, within the first buffer, exactly one buffer, and
+        // several buffers long.
+        for len in [0, 100, ENTRY_READ_BYTES, 3 * ENTRY_READ_BYTES + 5] {
+            let text: String = "entry é\n".chars().cycle().take(len).collect();
+            let path = dir.join(format!("{len}.unit"));
+            std::fs::write(&path, &text).unwrap();
+            assert_eq!(read_entry(&path).unwrap(), text, "len={len}");
+        }
+        // Failures read as `read_to_string` reports them, which is what
+        // `cache verify` prints.
+        let path = dir.join("latin1.unit");
+        std::fs::write(&path, b"caf\xe9\n").unwrap();
+        let missing = dir.join("missing.unit");
+        for path in [path, missing] {
+            assert_eq!(
+                read_entry(&path).unwrap_err().to_string(),
+                std::fs::read_to_string(&path).unwrap_err().to_string()
+            );
+        }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn only_the_canonical_version_token_is_current() {
+        let v = CACHE_VERSION;
+        assert!(is_current_version(&v.to_string()));
+        for token in [
+            String::new(),
+            format!("0{v}"),
+            format!("+{v}"),
+            format!(" {v}"),
+            format!("{v} "),
+            format!("{v}{v}"),
+            (v + 1).to_string(),
+            (v - 1).to_string(),
+        ] {
+            assert!(!is_current_version(&token), "{token:?}");
+        }
     }
 
     #[test]

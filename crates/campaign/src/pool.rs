@@ -1,14 +1,16 @@
 //! The shared worker pool: executes a flat unit list across scenarios.
 //!
-//! Workers pull unit indices from a shared atomic counter (work stealing
-//! over the enumeration — no per-scenario barriers, so a wide campaign
-//! keeps every core busy until the tail) and report `(index, result)`
-//! over a channel. The collector streams each completion to the sink in
-//! *completion* order and slots the result by *enumeration* index, so the
-//! returned list — and every final report rendered from it — is bitwise
-//! identical for any worker count. Units are pure functions of their own
-//! fields ([`crate::unit`]), which is the whole guarantee: scheduling can
-//! only change wall-clock and the interleaving of progress lines.
+//! The threads are the workspace's one pool, [`sea_taskgraph::par`]:
+//! workers pull unit indices from a shared counter (work stealing over
+//! the dispatch order — no per-scenario barriers, so a wide campaign
+//! keeps every core busy until the tail) and hand each `(index, result)`
+//! back to the calling thread. There [`RunState::complete`] streams each
+//! completion to the sink in *completion* order and slots the result by
+//! *enumeration* index, so the returned list — and every final report
+//! rendered from it — is bitwise identical for any worker count. Units
+//! are pure functions of their own fields ([`crate::unit`]), which is the
+//! whole guarantee: scheduling can only change wall-clock and the
+//! interleaving of progress lines.
 //!
 //! [`run_units_configured`] layers the persistence machinery on top, all
 //! of it decided and enforced by [`RunState`], which every backend
@@ -38,8 +40,11 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::ops::ControlFlow;
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
+
+use sea_taskgraph::par::par;
 
 use crate::cache::Cache;
 use crate::hash::{unit_hash, ContentHash};
@@ -620,51 +625,34 @@ pub fn run_units_configured(
     // machine.
     let inner_jobs = (requested / pending.len().max(1)).max(1);
 
-    let produce_one =
-        |i: usize, hash| produce(i, &units[i], hash, cache, need_payloads, inner_jobs, None);
-
-    if jobs <= 1 {
-        // Sequential runs keep enumeration order: with one worker there
-        // is no straggler tail to shrink, and in-order progress lines
-        // are easier to follow.
-        for &i in &pending {
-            let done = produce_one(i, state.hash(i));
-            if !state.complete(done, sink) {
-                break;
-            }
-        }
+    // Sequential runs keep enumeration order: with one worker there is
+    // no straggler tail to shrink, and in-order progress lines are
+    // easier to follow.
+    let order = if jobs <= 1 {
+        pending
     } else {
-        let pending: Vec<(usize, ContentHash)> = dispatch_order(units, &pending)
-            .into_iter()
-            .map(|i| (i, state.hash(i)))
-            .collect();
-        let next = AtomicUsize::new(0);
-        let (pending_ref, produce_one) = (&pending, &produce_one);
-        std::thread::scope(|s| {
-            let (tx, rx) = mpsc::channel();
-            for _ in 0..jobs {
-                let tx = tx.clone();
-                let next = &next;
-                s.spawn(move || loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(i, hash)) = pending_ref.get(k) else {
-                        break;
-                    };
-                    if tx.send(produce_one(i, hash)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            for done in rx {
-                if !state.complete(done, sink) {
-                    // Dropping the receiver makes the workers' next
-                    // send fail, winding the pool down.
-                    break;
-                }
-            }
-        });
-    }
+        dispatch_order(units, &pending)
+    };
+    // The jobs read the hashes while the callback holds the state.
+    let hashes: Vec<ContentHash> = (0..units.len()).map(|i| state.hash(i)).collect();
+    let produce_one = |i: usize| {
+        produce(
+            i,
+            &units[i],
+            hashes[i],
+            cache,
+            need_payloads,
+            inner_jobs,
+            None,
+        )
+    };
+    par(jobs, &order, produce_one, |_, done| {
+        if state.complete(done, sink) {
+            ControlFlow::Continue(())
+        } else {
+            ControlFlow::Break(())
+        }
+    });
 
     state.finish(sink)
 }

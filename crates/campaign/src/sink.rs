@@ -290,20 +290,33 @@ pub fn csv_report(records: &[UnitRecord]) -> String {
 #[must_use]
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    push_json_escaped(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out` escaped as [`json_escape`] does. Runs with
+/// nothing to escape are copied whole; every escaped character is
+/// ASCII, so the scan can go byte by byte.
+fn push_json_escaped(out: &mut String, s: &str) {
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[clean..i]);
+        clean = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
-    out
+    out.push_str(&s[clean..]);
 }
 
 pub(crate) fn json_field_f64(out: &mut String, key: &str, v: Option<f64>) {
@@ -319,45 +332,51 @@ pub(crate) fn json_field_f64(out: &mut String, key: &str, v: Option<f64>) {
     }
 }
 
+/// Rendered length of a typical record, for pre-sizing buffers.
+const RECORD_BYTES: usize = 384;
+
 /// Renders one record as a single-line JSON object with a fixed key
 /// order.
 #[must_use]
 pub fn json_record(r: &UnitRecord) -> String {
-    let mut out = String::with_capacity(256);
+    let mut out = String::with_capacity(RECORD_BYTES);
+    push_json_record(&mut out, r);
+    out
+}
+
+/// Appends [`json_record`]'s rendering of `r` to `out`.
+fn push_json_record(out: &mut String, r: &UnitRecord) {
+    let _ = write!(out, "{{\"index\":{},\"scenario\":\"", r.index);
+    push_json_escaped(out, &r.scenario);
+    out.push_str("\",\"kind\":\"");
+    push_json_escaped(out, &r.kind);
+    out.push_str("\",\"app\":\"");
+    push_json_escaped(out, &r.app);
     let _ = write!(
         out,
-        "{{\"index\":{},\"scenario\":\"{}\",\"kind\":\"{}\",\"app\":\"{}\",\"cores\":{},\
-         \"levels\":{},\"seed\":{},\"status\":\"{}\"",
-        r.index,
-        json_escape(&r.scenario),
-        json_escape(&r.kind),
-        json_escape(&r.app),
-        r.cores,
-        r.levels,
-        r.seed,
-        r.status,
+        "\",\"cores\":{},\"levels\":{},\"seed\":{},\"status\":\"{}\"",
+        r.cores, r.levels, r.seed, r.status,
     );
-    json_field_f64(&mut out, "power_mw", r.power_mw);
-    json_field_f64(&mut out, "gamma", r.gamma);
-    json_field_f64(&mut out, "tm_seconds", r.tm_seconds);
-    json_field_f64(&mut out, "r_kbits", r.r_kbits);
+    json_field_f64(out, "power_mw", r.power_mw);
+    json_field_f64(out, "gamma", r.gamma);
+    json_field_f64(out, "tm_seconds", r.tm_seconds);
+    json_field_f64(out, "r_kbits", r.r_kbits);
     match r.evaluations {
         Some(e) => {
             let _ = write!(out, ",\"evaluations\":{e}");
         }
         None => out.push_str(",\"evaluations\":null"),
     }
-    match &r.scaling {
-        Some(s) => {
-            let _ = write!(out, ",\"scaling\":\"{}\"", json_escape(s));
+    for (key, text) in [(",\"scaling\":", &r.scaling), (",\"mapping\":", &r.mapping)] {
+        out.push_str(key);
+        match text {
+            Some(text) => {
+                out.push('"');
+                push_json_escaped(out, text);
+                out.push('"');
+            }
+            None => out.push_str("null"),
         }
-        None => out.push_str(",\"scaling\":null"),
-    }
-    match &r.mapping {
-        Some(m) => {
-            let _ = write!(out, ",\"mapping\":\"{}\"", json_escape(m));
-        }
-        None => out.push_str(",\"mapping\":null"),
     }
     match r.experienced_seus {
         Some(n) => {
@@ -366,15 +385,14 @@ pub fn json_record(r: &UnitRecord) -> String {
         None => out.push_str(",\"experienced_seus\":null"),
     }
     out.push('}');
-    out
 }
 
 /// Renders the enumeration-order JSONL report (one object per line).
 #[must_use]
 pub fn jsonl_report(records: &[UnitRecord]) -> String {
-    let mut out = String::new();
+    let mut out = String::with_capacity(records.len() * (RECORD_BYTES + 1));
     for r in records {
-        out.push_str(&json_record(r));
+        push_json_record(&mut out, r);
         out.push('\n');
     }
     out
@@ -472,6 +490,76 @@ mod tests {
         assert!(line.contains("\"power_mw\":4.6875"));
         assert!(line.contains("\"r_kbits\":null"));
         assert!(!line.contains('\n'));
+    }
+
+    #[test]
+    fn json_record_matches_golden_bytes() {
+        // Clean text is copied as is.
+        assert_eq!(
+            json_record(&record()),
+            "{\"index\":3,\"scenario\":\"s, with comma\",\"kind\":\"optimize\",\
+             \"app\":\"mpeg2\",\"cores\":4,\"levels\":3,\"seed\":9,\"status\":\"ok\",\
+             \"power_mw\":4.6875,\"gamma\":327000.25,\"tm_seconds\":13.5,\
+             \"r_kbits\":null,\"evaluations\":1200,\"scaling\":\"(3,3,2,2)\",\
+             \"mapping\":\"core1: t1 | core2: t2\",\"experienced_seus\":null}"
+        );
+        // Every escaped field, with every escape class: quotes,
+        // backslashes, the three named controls, the other controls as
+        // \u00XX; DEL (0x7f) and non-ASCII text pass through.
+        let mut r = record();
+        r.scenario = "say \"hi\" \\ back\\".into();
+        r.kind = "line\nbreak\ttab\rcr".into();
+        r.app = "\u{1}\u{1f}\u{7f}\u{0}".into();
+        r.scaling = Some("(3,3) é ü 日本 \"q\"".into());
+        r.mapping = Some("\"core1\": t1\t|\u{1f} → t2\\".into());
+        r.power_mw = None;
+        r.evaluations = None;
+        r.experienced_seus = Some(7);
+        assert_eq!(
+            json_record(&r),
+            "{\"index\":3,\"scenario\":\"say \\\"hi\\\" \\\\ back\\\\\",\
+             \"kind\":\"line\\nbreak\\ttab\\rcr\",\"app\":\"\\u0001\\u001f\u{7f}\\u0000\",\
+             \"cores\":4,\"levels\":3,\"seed\":9,\"status\":\"ok\",\"power_mw\":null,\
+             \"gamma\":327000.25,\"tm_seconds\":13.5,\"r_kbits\":null,\"evaluations\":null,\
+             \"scaling\":\"(3,3) é ü 日本 \\\"q\\\"\",\
+             \"mapping\":\"\\\"core1\\\": t1\\t|\\u001f → t2\\\\\",\"experienced_seus\":7}"
+        );
+        // Each escaped field, one at a time, with every class at once.
+        let text = "a\"b\\c\nd\te\rf\u{1}g\u{1f}h\u{7f}i → 日本";
+        let escaped = "a\\\"b\\\\c\\nd\\te\\rf\\u0001g\\u001fh\u{7f}i → 日本";
+        let plain = json_record(&record());
+        for (field, clean) in [
+            ("scenario", "s, with comma"),
+            ("kind", "optimize"),
+            ("app", "mpeg2"),
+            ("scaling", "(3,3,2,2)"),
+            ("mapping", "core1: t1 | core2: t2"),
+        ] {
+            let mut r = record();
+            match field {
+                "scenario" => r.scenario = text.into(),
+                "kind" => r.kind = text.into(),
+                "app" => r.app = text.into(),
+                "scaling" => r.scaling = Some(text.into()),
+                _ => r.mapping = Some(text.into()),
+            }
+            let from = format!("\"{field}\":\"{clean}\"");
+            let to = format!("\"{field}\":\"{escaped}\"");
+            assert_eq!(json_record(&r), plain.replace(&from, &to), "{field}");
+        }
+        r.scaling = None;
+        r.mapping = None;
+        assert!(
+            json_record(&r).ends_with(",\"scaling\":null,\"mapping\":null,\"experienced_seus\":7}")
+        );
+        assert_eq!(json_escape("\u{1}a\"\\\n"), "\\u0001a\\\"\\\\\\n");
+        assert_eq!(json_escape("plain"), "plain");
+        assert_eq!(json_escape(""), "");
+        // The report is the records, one per line.
+        assert_eq!(
+            jsonl_report(&[record(), r.clone()]),
+            format!("{}\n{}\n", json_record(&record()), json_record(&r))
+        );
     }
 
     #[test]

@@ -10,9 +10,12 @@
 //!
 //! The scaling enumeration is embarrassingly parallel, so the driver
 //! partitions it into fixed, index-based chunks of [`SCALING_CHUNK`]
-//! combinations and fans the chunks out over a `std::thread::scope` worker
-//! pool of [`OptimizerConfig::jobs`] threads (std-only; no external
-//! runtime). The partition is a function of the enumeration alone — never
+//! combinations and fans the chunks out over up to
+//! [`OptimizerConfig::jobs`] threads of the workspace's one pool,
+//! [`sea_taskgraph::par`] (std-only; no external runtime). One job, or
+//! one chunk, runs inline on the calling thread. Each chunk's result is
+//! slotted by its position in the chunk list, so completion order never
+//! shows. The partition is a function of the enumeration alone — never
 //! of the job count — the per-scaling search seeds derive from the global
 //! enumeration index, the continuation warm-start chain lives *within* a
 //! chunk, and chunk results are merged back in enumeration order.
@@ -28,8 +31,8 @@
 //! the job count additionally shifts where each search's limit lands.
 
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -39,6 +42,7 @@ use sea_sched::metrics::{EvalContext, ExposurePolicy, MappingEvaluation};
 use sea_sched::{
     incremental_default, prune_default, tm_lower_bound, IncrementalEvaluator, Mapping,
 };
+use sea_taskgraph::par::par;
 use sea_taskgraph::{Application, TaskGraphSoa};
 
 use crate::clock::WallClock;
@@ -521,9 +525,9 @@ impl DesignOptimizer {
         }
     }
 
-    /// Runs `chunks` (a list of chunk indices) and returns one result
-    /// per entry, in order. Fans out over up to `jobs` workers when it
-    /// pays.
+    /// Runs `chunks` (a list of chunk indices) on up to `jobs` threads
+    /// and returns one result per entry, in list order whatever the
+    /// completion order.
     fn explore_chunks(
         &self,
         app: &Application,
@@ -532,53 +536,18 @@ impl DesignOptimizer {
         chunks: &[usize],
         jobs: usize,
     ) -> Vec<Result<ChunkOutcome, OptError>> {
-        let jobs = jobs.clamp(1, chunks.len().max(1));
-        if jobs == 1 {
-            chunks
-                .iter()
-                .map(|&k| self.explore_chunk(app, soa, scalings, k))
-                .collect()
-        } else {
-            self.explore_parallel(app, soa, scalings, chunks, jobs)
-        }
-    }
-
-    /// Fans chunks out over a scoped worker pool. Workers pull slots of
-    /// the `chunks` list from a shared counter (dynamic load balancing)
-    /// and report `(slot, result)` over a channel; the results land in
-    /// list order regardless of completion order.
-    fn explore_parallel(
-        &self,
-        app: &Application,
-        soa: &Arc<TaskGraphSoa>,
-        scalings: &[ScalingVector],
-        chunks: &[usize],
-        jobs: usize,
-    ) -> Vec<Result<ChunkOutcome, OptError>> {
-        let next = AtomicUsize::new(0);
         let mut slots: Vec<Option<Result<ChunkOutcome, OptError>>> =
             chunks.iter().map(|_| None).collect();
-        std::thread::scope(|s| {
-            let (tx, rx) = mpsc::channel();
-            for _ in 0..jobs {
-                let tx = tx.clone();
-                let next = &next;
-                s.spawn(move || loop {
-                    let slot = next.fetch_add(1, Ordering::Relaxed);
-                    if slot >= chunks.len() {
-                        break;
-                    }
-                    let result = self.explore_chunk(app, soa, scalings, chunks[slot]);
-                    if tx.send((slot, result)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            for (slot, result) in rx {
+        let order: Vec<usize> = (0..chunks.len()).collect();
+        par(
+            jobs,
+            &order,
+            |slot| self.explore_chunk(app, soa, scalings, chunks[slot]),
+            |slot, result| {
                 slots[slot] = Some(result);
-            }
-        });
+                ControlFlow::Continue(())
+            },
+        );
         slots
             .into_iter()
             .map(|slot| slot.expect("every chunk reports exactly once"))

@@ -75,10 +75,11 @@
 //! campaigns.
 
 use std::collections::{HashMap, VecDeque};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Mutex, PoisonError};
+use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 
 use sea_campaign::{
@@ -224,7 +225,7 @@ pub fn run_daemon(
     config: &DaemonConfig,
 ) -> Result<DaemonReport, CampaignError> {
     let mut coordinator = Coordinator::new(config.cache.as_ref(), config.journal_dir.as_deref());
-    serve(listener, &mut coordinator, config.heartbeat_timeout)?;
+    serve(listener, |rx| coordinator.run(rx, config.heartbeat_timeout))?;
     Ok(coordinator.report())
 }
 
@@ -261,7 +262,7 @@ pub fn serve_units(
     } = config;
     let mut coordinator = Coordinator::new(run.cache, None);
     coordinator.register_local(units, run, sink);
-    serve(listener, &mut coordinator, heartbeat_timeout)?;
+    serve(listener, |rx| coordinator.run(rx, heartbeat_timeout))?;
     coordinator.campaigns[0].finished.take().unwrap_or_else(|| {
         Err(terr(
             "a client stopped the coordinator or cancelled the campaign before it finished",
@@ -279,18 +280,29 @@ enum Event {
     Gone(u64),
 }
 
-/// Accepts connections on `listener` and drives `coordinator` until it
-/// stops. A reader thread per connection feeds frames to the loop on
-/// this thread; teardown wakes the listener and shuts every live
-/// connection down, so the threads can join.
+/// Accepts connections on `listener` and runs `event_loop` (the
+/// coordinator's, outside tests) on this thread until it returns. A
+/// reader thread per connection feeds frames to the loop; teardown wakes
+/// the listener and shuts every live connection down, so the threads can
+/// join. The teardown runs from a drop guard, so a panicking loop still
+/// releases the threads and the panic reaches the caller.
 fn serve(
     listener: &TcpListener,
-    coordinator: &mut Coordinator<'_>,
-    heartbeat_timeout: Duration,
+    event_loop: impl FnOnce(&mpsc::Receiver<Event>) -> Result<(), CampaignError>,
 ) -> Result<(), CampaignError> {
     let local_addr = listener
         .local_addr()
         .map_err(|e| terr(format!("cannot resolve the coordinator address: {e}")))?;
+    // A listener bound to the unspecified address (0.0.0.0/[::]) is woken
+    // via loopback — connecting *to* the unspecified address is not
+    // portable.
+    let mut wake_addr = local_addr;
+    if wake_addr.ip().is_unspecified() {
+        wake_addr.set_ip(match wake_addr.ip() {
+            std::net::IpAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
+            std::net::IpAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
+        });
+    }
     let stop = AtomicBool::new(false);
     // Every *live* connection's stream, registered by the listener thread
     // before its reader spawns and unregistered by the reader on exit:
@@ -301,11 +313,9 @@ fn serve(
     let (tx, rx) = mpsc::channel::<Event>();
 
     std::thread::scope(|s| {
-        let listener_tx = tx.clone();
         let stop_ref = &stop;
         let accepted_ref = &accepted;
         let listener_handle = s.spawn(move || {
-            let tx = listener_tx;
             let mut next_id = 0u64;
             loop {
                 let Ok((stream, _addr)) = listener.accept() else {
@@ -353,29 +363,38 @@ fn serve(
                 });
             }
         });
+        let _teardown = Teardown {
+            stop: &stop,
+            wake_addr,
+            listener: Some(listener_handle),
+            accepted: &accepted,
+        };
+        event_loop(&rx)
+    })
+}
 
-        let result = coordinator.run(&rx, heartbeat_timeout);
+/// Ends [`serve`]'s transport threads when dropped, whether the event
+/// loop returned or panicked.
+struct Teardown<'scope, 'env> {
+    stop: &'env AtomicBool,
+    wake_addr: SocketAddr,
+    listener: Option<ScopedJoinHandle<'scope, ()>>,
+    accepted: &'env Mutex<HashMap<u64, TcpStream>>,
+}
 
-        // Teardown. A listener bound to the unspecified address
-        // (0.0.0.0/[::]) is woken via loopback — connecting *to* the
-        // unspecified address is not portable.
-        stop.store(true, Ordering::SeqCst);
-        let mut wake_addr = local_addr;
-        if wake_addr.ip().is_unspecified() {
-            wake_addr.set_ip(match wake_addr.ip() {
-                std::net::IpAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
-                std::net::IpAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
-            });
+impl Drop for Teardown<'_, '_> {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.wake_addr);
+        // Joined before the sweep, so no stream is registered after it.
+        if let Some(listener) = self.listener.take() {
+            let _ = listener.join();
         }
-        let _ = TcpStream::connect(wake_addr);
-        let _ = listener_handle.join();
-        for stream in accepted.lock().unwrap().values() {
+        let accepted = self.accepted.lock().unwrap_or_else(PoisonError::into_inner);
+        for stream in accepted.values() {
             let _ = stream.shutdown(Shutdown::Both);
         }
-        drop(tx);
-
-        result
-    })
+    }
 }
 
 /// What a connection has identified itself as.
@@ -1240,5 +1259,35 @@ impl<'s> Coordinator<'s> {
             deduped: self.deduped,
             workers,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::AssertUnwindSafe;
+
+    #[test]
+    fn a_panicking_event_loop_surfaces_instead_of_hanging() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (done_tx, done_rx) = mpsc::channel();
+        let server = std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                serve(&listener, |events| {
+                    // Panic with the listener blocked in `accept` and a
+                    // reader blocked in `read`.
+                    assert!(matches!(events.recv(), Ok(Event::Connected(..))));
+                    panic!("event loop failure");
+                })
+            }));
+            let _ = done_tx.send(outcome.is_err());
+        });
+        let _peer = TcpStream::connect(addr).unwrap();
+        let panicked = done_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("serve returned within 5 s");
+        assert!(panicked, "the event loop's panic reached the caller");
+        server.join().unwrap();
     }
 }

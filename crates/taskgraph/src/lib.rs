@@ -20,6 +20,8 @@
 //!   register table r1..r9.
 //! * [`generator`] — the random task-graph generator used in §V
 //!   (uniform computation/communication costs, exponential out-degree).
+//! * [`par`](mod@par) — the workspace's one scoped thread pool, shared by the
+//!   optimizer's chunk driver, the campaign pool and the cache scans.
 //!
 //! # Example
 //!
@@ -45,6 +47,7 @@ pub mod fig8;
 pub mod generator;
 pub mod graph;
 pub mod mpeg2;
+pub mod par;
 pub mod presets;
 pub mod registers;
 pub mod soa;

@@ -426,6 +426,22 @@ fn daemon_restart_resumes_the_journal_and_workers_reconnect() {
         "at least one unit restored from the journal: {st}"
     );
 
+    // The campaign can finish before both workers are back: one still in
+    // reconnect backoff would miss the Shutdown and retry a daemon that
+    // is gone until its window runs out, which is an error return. Stop
+    // only once the status lists both.
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    loop {
+        let st = status(&addr).unwrap();
+        if st.matches("\"worker\":").count() >= 2 {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "both workers reconnect within 60 s: {st}"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
     stop(&addr).unwrap();
     child.wait().unwrap();
     let second_log = drain.join().unwrap();
