@@ -379,35 +379,22 @@ impl Cache {
     }
 }
 
-/// Entries per job of a directory scan. Handing results back per batch
-/// rather than per entry spares the collecting thread a wake-up per
-/// entry, each of which takes a core from the readers.
-const SCAN_BATCH: usize = 16;
-
 /// Runs `read` on every entry file of `files` on up to `jobs` threads of
 /// [`par`] and hands each `(position in files, result)` to `collect` on
-/// this thread, in completion order.
+/// this thread.
 fn scan_files<T: Send>(
     files: &[(PathBuf, Option<ContentHash>)],
     jobs: usize,
     read: impl Fn(&Path, Option<ContentHash>) -> T + Sync,
     mut collect: impl FnMut(usize, T),
 ) {
-    let order: Vec<usize> = (0..files.len().div_ceil(SCAN_BATCH)).collect();
+    let order: Vec<usize> = (0..files.len()).collect();
     par(
         jobs,
         &order,
-        |batch| {
-            let start = batch * SCAN_BATCH;
-            files[start..files.len().min(start + SCAN_BATCH)]
-                .iter()
-                .map(|(path, hash)| read(path, *hash))
-                .collect::<Vec<T>>()
-        },
-        |batch, results| {
-            for (k, result) in (batch * SCAN_BATCH..).zip(results) {
-                collect(k, result);
-            }
+        |k| read(&files[k].0, files[k].1),
+        |k, result| {
+            collect(k, result);
             ControlFlow::Continue(())
         },
     );
@@ -1193,10 +1180,10 @@ mod tests {
     #[test]
     fn scans_agree_across_thread_counts() {
         let (dir, cache) = temp_cache();
-        // Enough entries for several scan batches: one result sealed
-        // under many keys, stored out of index order.
+        // Enough entries for every thread count below to read several:
+        // one result sealed under many keys, stored out of index order.
         let result = run_unit(&unit(UnitKind::Optimize, 70)).unwrap();
-        let n = 3 * SCAN_BATCH + 5;
+        let n = 53;
         for k in 0..n {
             let mut r = result.clone();
             r.record.index = n - 1 - k;

@@ -1,16 +1,19 @@
 //! The shared worker pool: executes a flat unit list across scenarios.
 //!
 //! The threads are the workspace's one pool, [`sea_taskgraph::par`]:
-//! workers pull unit indices from a shared counter (work stealing over
-//! the dispatch order — no per-scenario barriers, so a wide campaign
-//! keeps every core busy until the tail) and hand each `(index, result)`
-//! back to the calling thread. There [`RunState::complete`] streams each
-//! completion to the sink in *completion* order and slots the result by
-//! *enumeration* index, so the returned list — and every final report
-//! rendered from it — is bitwise identical for any worker count. Units
-//! are pure functions of their own fields ([`crate::unit`]), which is the
-//! whole guarantee: scheduling can only change wall-clock and the
-//! interleaving of progress lines.
+//! the calling thread and `jobs - 1` helpers pull unit indices from a
+//! shared counter (work stealing over the dispatch order — no
+//! per-scenario barriers, so a wide campaign keeps every core busy until
+//! the tail), and the helpers hand each `(index, result)` back to the
+//! calling thread, which takes them between its own units. There
+//! [`RunState::complete`] streams each completion to the sink as the
+//! calling thread receives it — in *completion* order, except that a
+//! helper's completion can wait for the caller's unit in progress — and
+//! slots the result by *enumeration* index, so the returned list — and
+//! every final report rendered from it — is bitwise identical for any
+//! worker count. Units are pure functions of their own fields
+//! ([`crate::unit`]), which is the whole guarantee: scheduling can only
+//! change wall-clock and the interleaving of progress lines.
 //!
 //! [`run_units_configured`] layers the persistence machinery on top, all
 //! of it decided and enforced by [`RunState`], which every backend
@@ -580,9 +583,9 @@ impl RunState {
 /// resume point. The sink's [`Sink::begin`] and
 /// [`Sink::unit_completed`] observe only units that complete *in this
 /// process* (fresh executions and cache hits — so a resumed run's
-/// progress counts to its own total, not the campaign's), in completion
-/// order; [`Sink::finish`] always observes every record in enumeration
-/// order.
+/// progress counts to its own total, not the campaign's), in the order
+/// the calling thread receives them (see the module docs);
+/// [`Sink::finish`] always observes every record in enumeration order.
 ///
 /// # Errors
 ///

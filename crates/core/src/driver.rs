@@ -12,8 +12,9 @@
 //! partitions it into fixed, index-based chunks of [`SCALING_CHUNK`]
 //! combinations and fans the chunks out over up to
 //! [`OptimizerConfig::jobs`] threads of the workspace's one pool,
-//! [`sea_taskgraph::par`] (std-only; no external runtime). One job, or
-//! one chunk, runs inline on the calling thread. Each chunk's result is
+//! [`sea_taskgraph::par`] (std-only; no external runtime), the calling
+//! thread one of them. One job, or one chunk, runs inline on the calling
+//! thread alone. Each chunk's result is
 //! slotted by its position in the chunk list, so completion order never
 //! shows. The partition is a function of the enumeration alone — never
 //! of the job count — the per-scaling search seeds derive from the global
