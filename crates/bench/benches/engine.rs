@@ -266,29 +266,21 @@ fn main() {
 
     // Bound-and-prune on a deadline-tight mpeg2 (38% of the nominal
     // deadline): 12 of 15 scalings carry a TM lower bound past the
-    // deadline, so the pruned run searches only 3. `verify` is the
-    // SEA_PRUNE=0 mode, which searches doomed chunks anyway and asserts
-    // them infeasible — the ratio of these two benches is the pruning
-    // speedup on this workload, with a byte-identical winner.
+    // deadline, so the pruned run searches only 3.
     let tight = app
         .with_deadline(app.deadline_s() * 0.38)
         .expect("positive deadline");
     let mut c = Criterion::default().sample_size(10);
-    for (label, prune) in [("pruned", true), ("verify", false)] {
-        c.bench_function(
-            &format!("engine/optimize fast(4) mpeg2@d0.38 {label}"),
-            |b| {
-                b.iter(|| {
-                    // The campaign configuration: calibrated platform
-                    // overhead (the bound only bites there) at fast budget.
-                    let mut config = OptimizerConfig::paper(4).with_jobs(1).with_prune(prune);
-                    config.budget = SearchBudget::fast();
-                    let out = DesignOptimizer::new(config).optimize(&tight).unwrap();
-                    black_box(out.total_evaluations)
-                })
-            },
-        );
-    }
+    c.bench_function("engine/optimize fast(4) mpeg2@d0.38 pruned", |b| {
+        b.iter(|| {
+            // The campaign configuration: calibrated platform overhead
+            // (the bound only bites there) at fast budget.
+            let mut config = OptimizerConfig::paper(4).with_jobs(1);
+            config.budget = SearchBudget::fast();
+            let out = DesignOptimizer::new(config).optimize(&tight).unwrap();
+            black_box(out.total_evaluations)
+        })
+    });
 
     criterion::write_summary(env!("CARGO_CRATE_NAME"));
 }

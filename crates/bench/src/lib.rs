@@ -1,22 +1,6 @@
-//! Shared helpers for the per-table/per-figure Criterion benches.
-//!
-//! Every bench in `benches/` regenerates one artefact of the paper — it
-//! prints the reproduced rows/series once (so `cargo bench` output doubles
-//! as a reproduction log) and then measures the runtime of the underlying
-//! computation at the smoke effort level.
+//! Shared helpers for the Criterion benches in `benches/`.
 
 use criterion::Criterion;
-
-/// Criterion configuration for the experiment benches: small sample counts
-/// because a single iteration already runs a full (smoke-budget) design
-/// space exploration.
-#[must_use]
-pub fn experiment_criterion() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .measurement_time(std::time::Duration::from_secs(8))
-        .warm_up_time(std::time::Duration::from_secs(1))
-}
 
 /// Criterion configuration for micro-kernels (schedulers, samplers).
 #[must_use]

@@ -30,6 +30,18 @@
 //! elapsed time, which no engine — sequential included — reproduces
 //! exactly across runs, machines, or load levels; under a wall-clock cap
 //! the job count additionally shifts where each search's limit lands.
+//!
+//! # Bound-and-prune
+//!
+//! A chunk whose every scaling has a [`tm_lower_bound`] beyond the
+//! deadline holds no feasible design, so the driver skips it and records
+//! placeholder outcomes (no design, zero evaluations). The skip set is a
+//! function of the problem alone. Debug builds search the doomed chunks
+//! anyway and assert that none of them holds a feasible design; release
+//! builds rest on `tests/small_scope.rs`, which checks the bound against
+//! every mapping of every small instance. When every chunk is doomed, the
+//! driver searches them all to report the closest design's `TM`, the
+//! same bits in both builds.
 
 use std::num::NonZeroUsize;
 use std::ops::ControlFlow;
@@ -40,9 +52,7 @@ use serde::{Deserialize, Serialize};
 
 use sea_arch::{Architecture, LevelSet, ScalingVector, SerModel};
 use sea_sched::metrics::{EvalContext, ExposurePolicy, MappingEvaluation};
-use sea_sched::{
-    incremental_default, prune_default, tm_lower_bound, IncrementalEvaluator, Mapping,
-};
+use sea_sched::{tm_lower_bound, IncrementalEvaluator, Mapping};
 use sea_taskgraph::par::par;
 use sea_taskgraph::{Application, TaskGraphSoa};
 
@@ -142,24 +152,6 @@ pub struct OptimizerConfig {
     /// bitwise identical for every value (see the [module docs](self));
     /// defaults to [`default_jobs`].
     pub jobs: usize,
-    /// Whether the annealer evaluates candidates through the delta-based
-    /// incremental path. Outcomes are bitwise identical either way (the
-    /// incremental evaluator is pinned to the full path in debug builds
-    /// and by CI's `incremental-equivalence` job); disabling trades speed
-    /// for the simpler code path. Defaults to
-    /// [`sea_sched::incremental_default`] (`SEA_INCREMENTAL=0` disables).
-    pub incremental: bool,
-    /// Whether provably-doomed scaling chunks (every scaling's
-    /// [`tm_lower_bound`] beyond the deadline) are *skipped*. The skip
-    /// set is a pure function of (application, architecture) — never of
-    /// this flag — so outcomes are bitwise identical either way:
-    /// `prune = false` is a verification mode that searches the doomed
-    /// chunks anyway, asserts the bound told the truth, and then
-    /// discards the results (debug builds always verify, and CI's
-    /// `pruning-equivalence` job pins the release-mode equivalence).
-    /// Defaults to [`sea_sched::prune_default`] (`SEA_PRUNE=0`
-    /// disables).
-    pub prune: bool,
     /// Cooperative cancellation flag. When set, the driver checks it
     /// between scaling chunks (the unit of parallel work) and aborts the
     /// run with [`OptError::Cancelled`] once it reads `true` — a doomed
@@ -194,8 +186,6 @@ impl OptimizerConfig {
             selection: SelectionPolicy::default(),
             seed: 0x5EA,
             jobs: jobs.max(1),
-            incremental: incremental_default(),
-            prune: prune_default(),
             cancel: None,
         }
     }
@@ -228,23 +218,6 @@ impl OptimizerConfig {
     #[must_use]
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
-        self
-    }
-
-    /// Enables or disables delta-based candidate evaluation
-    /// (non-consuming builder); outcomes are identical either way.
-    #[must_use]
-    pub fn with_incremental(mut self, incremental: bool) -> Self {
-        self.incremental = incremental;
-        self
-    }
-
-    /// Enables or disables skipping provably-doomed scaling chunks
-    /// (non-consuming builder); outcomes are identical either way —
-    /// `false` verifies the bound instead of trusting it.
-    #[must_use]
-    pub fn with_prune(mut self, prune: bool) -> Self {
-        self.prune = prune;
         self
     }
 
@@ -421,8 +394,8 @@ impl DesignOptimizer {
         // contribute a feasible design, and — because warm-start chains
         // are confined to chunks — skipping it cannot perturb any other
         // chunk's search. The skip set depends only on the problem
-        // (never on `config.prune` or the job count), so pruned runs
-        // stay bitwise identical to verification runs.
+        // (never on the job count or the build), so debug and release
+        // runs stay bitwise identical.
         let deadline = app.deadline_s();
         let doomed = chunk_doomed(soa, app, arch, &scalings);
         let live: Vec<usize> = (0..n_chunks).filter(|&k| !doomed[k]).collect();
@@ -430,10 +403,9 @@ impl DesignOptimizer {
 
         let live_results = self.explore_chunks(app, soa, &scalings, &live, jobs);
 
-        // Verification mode (`SEA_PRUNE=0`, and every debug build):
-        // search the doomed chunks anyway and let the merge below assert
-        // that none of them holds a feasible design.
-        let verify = !self.config.prune || cfg!(debug_assertions);
+        // Debug builds search the doomed chunks anyway and let the merge
+        // below assert that none of them holds a feasible design.
+        let verify = cfg!(debug_assertions);
         let mut dead_results: Option<Vec<Result<ChunkOutcome, OptError>>> =
             if verify && !dead.is_empty() {
                 Some(self.explore_chunks(app, soa, &scalings, &dead, jobs))
@@ -444,7 +416,7 @@ impl DesignOptimizer {
         // Merge in enumeration order; the fold below then reproduces the
         // sequential selection exactly. Pruned chunks contribute
         // placeholder records (no design, zero evaluations) in *both*
-        // modes; verification results are checked and discarded.
+        // builds; debug verification results are checked and discarded.
         let mut explored = Vec::with_capacity(scalings.len());
         let mut total_evaluations = 0usize;
         let mut doomed_designs: Vec<DesignPoint> = Vec::new();
@@ -505,9 +477,9 @@ impl DesignOptimizer {
             None => {
                 // The closest-design diagnostic quantifies over the
                 // *whole* enumeration. Runs that skipped doomed chunks
-                // search them now (verification runs already did); the
-                // rerun is chunk-local and globally seeded, so the
-                // reported TM is byte-exact across modes.
+                // search them now (debug runs already did); the rerun is
+                // chunk-local and globally seeded, so the reported TM is
+                // byte-exact across builds.
                 if doomed_designs.is_empty() && !dead.is_empty() {
                     for result in self.explore_chunks(app, soa, &scalings, &dead, jobs) {
                         let chunk = result?;
@@ -581,8 +553,7 @@ impl DesignOptimizer {
         let ctx = EvalContext::new(app, &self.config.arch)
             .with_ser(self.config.ser)
             .with_exposure(self.config.exposure);
-        let mut ev = IncrementalEvaluator::with_soa(ctx, Arc::clone(soa))
-            .with_enabled(self.config.incremental);
+        let mut ev = IncrementalEvaluator::with_soa(ctx, Arc::clone(soa));
         let mut warm: Option<Mapping> = None;
         let mut outcomes = Vec::with_capacity(SCALING_CHUNK);
         let mut extra_evaluations = 0usize;
@@ -690,7 +661,7 @@ impl DesignOptimizer {
 /// Per-chunk doom flags: chunk `k` is doomed when **every** scaling in
 /// it has a [`tm_lower_bound`] beyond the deadline, i.e. provably no
 /// mapping at any of its scalings meets the constraint. A pure function
-/// of the problem — the spine of the prune/verify equivalence.
+/// of the problem, so debug and release builds skip the same chunks.
 fn chunk_doomed(
     soa: &TaskGraphSoa,
     app: &Application,
@@ -727,7 +698,7 @@ fn check_doomed_chunk(chunk: &ChunkOutcome, deadline_s: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sea_taskgraph::{fig8, mpeg2};
+    use sea_taskgraph::{fig8, mpeg2, TaskId};
 
     #[test]
     fn mpeg2_four_core_optimization_succeeds() {
@@ -881,25 +852,53 @@ mod tests {
         assert!(out.best.evaluation.meets_deadline);
     }
 
+    /// The tight configuration's outcome, captured from a run that
+    /// searched the doomed chunk instead of skipping it: pruning changes
+    /// nothing but the placeholders. Debug builds still search the chunk
+    /// (and assert it infeasible); release builds skip it.
     #[test]
-    fn prune_flag_never_changes_the_outcome() {
+    fn pruned_runs_match_the_searched_outcome() {
+        const EXPLORED: [([u8; 4], bool, usize); 15] = [
+            ([3, 3, 3, 3], false, 0),
+            ([3, 3, 3, 2], false, 0),
+            ([3, 3, 3, 1], false, 0),
+            ([3, 3, 2, 2], false, 1935),
+            ([3, 3, 2, 1], false, 1932),
+            ([3, 3, 1, 1], false, 1935),
+            ([3, 2, 2, 2], false, 1932),
+            ([3, 2, 2, 1], false, 1935),
+            ([3, 2, 1, 1], false, 1926),
+            ([3, 1, 1, 1], true, 1935),
+            ([2, 2, 2, 2], false, 1926),
+            ([2, 2, 2, 1], false, 1926),
+            ([2, 2, 1, 1], true, 1926),
+            ([2, 1, 1, 1], true, 1935),
+            ([1, 1, 1, 1], true, 1926),
+        ];
         let (app, cfg) = tight_config();
-        let pruned = DesignOptimizer::new(cfg.clone().with_prune(true))
-            .optimize(&app)
-            .unwrap();
-        let verified = DesignOptimizer::new(cfg.with_prune(false))
-            .optimize(&app)
-            .unwrap();
-        assert_eq!(pruned.best.mapping, verified.best.mapping);
-        assert_eq!(pruned.best.scaling, verified.best.scaling);
-        assert_eq!(pruned.best.evaluation, verified.best.evaluation);
-        assert_eq!(pruned.total_evaluations, verified.total_evaluations);
-        assert_eq!(pruned.explored.len(), verified.explored.len());
-        for (a, b) in pruned.explored.iter().zip(&verified.explored) {
-            assert_eq!(a.scaling, b.scaling);
-            assert_eq!(a.feasible, b.feasible);
-            assert_eq!(a.evaluations, b.evaluations);
-            assert_eq!(a.best.is_some(), b.best.is_some());
+        let out = DesignOptimizer::new(cfg).optimize(&app).unwrap();
+        let best = &out.best;
+        let cores: Vec<usize> = (0..best.mapping.n_tasks())
+            .map(|t| best.mapping.core_of(TaskId::new(t)).index())
+            .collect();
+        assert_eq!(cores, [2, 2, 2, 2, 3, 3, 3, 0, 1, 1, 1]);
+        assert_eq!(best.scaling.coefficients(), [2, 1, 1, 1]);
+        let e = &best.evaluation;
+        assert_eq!(
+            [e.tm_seconds, e.gamma, e.power_mw].map(f64::to_bits),
+            [
+                0x401b_5254_f28d_ef70,
+                0x4100_d8c2_3517_98b6,
+                0x403c_89a9_aaa5_6bbd
+            ]
+        );
+        assert_eq!(out.total_evaluations, 23_177);
+        assert_eq!(out.explored.len(), EXPLORED.len());
+        for (o, (scaling, feasible, evaluations)) in out.explored.iter().zip(EXPLORED) {
+            assert_eq!(o.scaling.coefficients(), scaling);
+            assert_eq!(o.feasible, feasible, "{scaling:?}");
+            assert_eq!(o.evaluations, evaluations, "{scaling:?}");
+            assert_eq!(o.best.is_some(), evaluations > 0, "{scaling:?}");
         }
     }
 
@@ -920,33 +919,22 @@ mod tests {
     }
 
     #[test]
-    fn infeasible_diagnostic_is_prune_invariant() {
-        // 0.2 × deadline dooms every chunk: the fallback reruns them so
-        // the closest-design diagnostic matches a verification run
-        // byte-for-byte.
+    fn infeasible_diagnostic_matches_the_searched_bits() {
+        // 0.2 × deadline dooms every chunk. Debug builds search them while
+        // verifying, release builds in the fallback rerun; both must report
+        // the closest design's TM captured from a run that searched every
+        // chunk, bit for bit.
         let (app, cfg) = tight_config();
         let app = app.with_deadline(app.deadline_s() * 0.4).unwrap();
-        let run = |prune: bool| {
-            DesignOptimizer::new(cfg.clone().with_prune(prune))
-                .optimize(&app)
-                .unwrap_err()
-        };
-        let (a, b) = (run(true), run(false));
-        match (a, b) {
-            (
-                OptError::Infeasible {
-                    best_tm_seconds: ta,
-                    deadline_s: da,
-                },
-                OptError::Infeasible {
-                    best_tm_seconds: tb,
-                    deadline_s: db,
-                },
-            ) => {
-                assert_eq!(ta.to_bits(), tb.to_bits());
-                assert_eq!(da.to_bits(), db.to_bits());
+        match DesignOptimizer::new(cfg).optimize(&app).unwrap_err() {
+            OptError::Infeasible {
+                best_tm_seconds,
+                deadline_s,
+            } => {
+                assert_eq!(best_tm_seconds.to_bits(), 0x4015_3f88_5358_3dfa);
+                assert_eq!(deadline_s.to_bits(), 0x4007_547a_a94c_ca9e);
             }
-            other => panic!("expected Infeasible on both, got {other:?}"),
+            other => panic!("expected Infeasible, got {other:?}"),
         }
     }
 

@@ -54,9 +54,7 @@
 //! the move draw is `O(N)`. Its decision sequence — RNG draws,
 //! acceptance tests, best tracking — is identical to the original
 //! clone-per-candidate implementation, so it returns the same design for
-//! the same seed, just faster; `SEA_INCREMENTAL=0` routes evaluation
-//! through the reference path (`EvalContext::evaluate`), which never
-//! rejects early, for end-to-end diffing.
+//! the same seed, just faster.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -542,7 +540,7 @@ mod tests {
     use crate::clock::StepClock;
     use crate::initial::initial_sea_mapping;
     use sea_arch::{Architecture, LevelSet};
-    use sea_taskgraph::{fig8, mpeg2};
+    use sea_taskgraph::{fig8, mpeg2, TaskId};
 
     #[test]
     fn search_never_worsens_a_feasible_initial_mapping() {
@@ -651,50 +649,57 @@ mod tests {
 
     #[test]
     fn early_rejection_leaves_the_search_unchanged() {
-        // The disabled (reference) path never rejects early and the delta path
-        // proves most rejections before finishing the schedule, so equal
-        // searches pin early rejection's exactness end to end — across
-        // the deadline penalty's jump too, at the tighter deadline.
+        // Each line was captured from the reference path, which never
+        // rejects early, while the delta path proves most rejections
+        // before finishing the schedule: equal lines pin early
+        // rejection's exactness end to end — across the deadline
+        // penalty's jump too, at the tighter deadlines.
+        const EXPECTED: [&str; 4] = [
+            "mpeg2@1 evals=1932 tm=4019abb81bee78f6 gamma=410323f98b3a8099 power=4016d351604a6087 map=33333002111",
+            "mpeg2@0.45 evals=1923 tm=4019abb81bee78f6 gamma=410323f98b3a8099 power=4016d351604a6088 map=00000112333",
+            "random@1 evals=2000 tm=40205851eb851eb9 gamma=41227c16c98a9712 power=40172ff0cf89d81f map=0100130021222100113133320323211002000033",
+            "random@0.6 evals=2000 tm=4020733333333334 gamma=4122ef1c37cf5a94 power=401744b38e7abd2e map=3230310201022001313211313312021320030333",
+        ];
         let mpeg2 = mpeg2::application();
         let random = sea_taskgraph::generator::RandomGraphConfig::paper(40)
             .generate(3)
             .unwrap();
-        for (app, deadline_scale) in [
-            (&mpeg2, 1.0),
-            (&mpeg2, 0.45),
-            (&random, 1.0),
-            (&random, 0.6),
-        ] {
+        for ((name, app, deadline_scale), expected) in [
+            ("mpeg2", &mpeg2, 1.0),
+            ("mpeg2", &mpeg2, 0.45),
+            ("random", &random, 1.0),
+            ("random", &random, 0.6),
+        ]
+        .into_iter()
+        .zip(EXPECTED)
+        {
             let app = app
                 .with_deadline(app.deadline_s() * deadline_scale)
                 .unwrap();
             let arch = Architecture::homogeneous(4, LevelSet::arm7_three_level());
             let ctx = EvalContext::new(&app, &arch);
             let s = ScalingVector::try_new(vec![2, 2, 3, 2], &arch).unwrap();
-            let run = |enabled: bool| {
-                let mut ev = IncrementalEvaluator::new(ctx.clone()).with_enabled(enabled);
-                let initial = initial_sea_mapping(&ctx, &s).unwrap();
-                let clock = WallClock::start();
-                let out = optimized_mapping_scratch(
-                    &mut ev,
-                    &s,
-                    initial,
-                    SearchBudget::fast(),
-                    11,
-                    &clock,
-                )
-                .unwrap();
-                (out, ev.stats())
-            };
-            let (delta, stats) = run(true);
-            let (full, _) = run(false);
-            assert_eq!(delta.mapping, full.mapping);
-            assert_eq!(delta.evaluations, full.evaluations);
-            assert!(sea_sched::summaries_bitwise_eq(
-                &delta.evaluation.summary(),
-                &full.evaluation.summary()
-            ));
-            assert_eq!(delta.evaluation, full.evaluation);
+            let mut ev = IncrementalEvaluator::new(ctx.clone());
+            let initial = initial_sea_mapping(&ctx, &s).unwrap();
+            let clock = WallClock::start();
+            let out =
+                optimized_mapping_scratch(&mut ev, &s, initial, SearchBudget::fast(), 11, &clock)
+                    .unwrap();
+            let map: String = (0..out.mapping.n_tasks())
+                .map(|t| out.mapping.core_of(TaskId::new(t)).index().to_string())
+                .collect();
+            let e = &out.evaluation;
+            assert_eq!(
+                format!(
+                    "{name}@{deadline_scale} evals={} tm={:016x} gamma={:016x} power={:016x} map={map}",
+                    out.evaluations,
+                    e.tm_seconds.to_bits(),
+                    e.gamma.to_bits(),
+                    e.power_mw.to_bits(),
+                ),
+                expected
+            );
+            let stats = ev.stats();
             assert!(
                 stats.rejected_before_replay + stats.rejected_during_replay > 0,
                 "no early rejection at deadline scale {deadline_scale}: {stats:?}"

@@ -28,19 +28,6 @@ pub fn run(units: &[Unit]) -> Result<Vec<UnitResult>, CampaignError> {
     run_units(units, sea_opt::default_jobs(), &mut NullSink)
 }
 
-/// Runs a unit list with an explicit worker count and sink.
-///
-/// # Errors
-///
-/// Propagates hard unit errors.
-pub fn run_with(
-    units: &[Unit],
-    jobs: usize,
-    sink: &mut dyn Sink,
-) -> Result<Vec<UnitResult>, CampaignError> {
-    run_units(units, jobs, sink)
-}
-
 /// Execution counters of a configured (cache/journal-aware) run.
 #[derive(Debug, Clone, Copy)]
 pub struct RunStats {

@@ -33,7 +33,9 @@
 //! comparison, so rounding in either direction cannot promote the bound
 //! above a makespan the scheduler would actually produce. The property
 //! test in `tests/properties.rs` pins `tm_lower_bound ≤ tm_seconds`
-//! across randomized graphs, mappings and scalings.
+//! across randomized graphs, mappings and scalings, and
+//! `tests/small_scope.rs` checks it against the smallest `TM` over every
+//! mapping of every 4-task graph on 2 and 3 cores at every scaling.
 
 use sea_arch::{Architecture, ScalingVector};
 use sea_taskgraph::{ExecutionMode, TaskGraphSoa};
@@ -96,15 +98,6 @@ pub fn tm_lower_bound(
         }
     };
     raw * BOUND_SLACK
-}
-
-/// The process-wide default for bound-based scaling pruning: enabled
-/// unless the `SEA_PRUNE` environment variable is set to `0` (the
-/// verification mode — doomed chunks are searched anyway and asserted
-/// infeasible, mirroring `SEA_INCREMENTAL=0`).
-#[must_use]
-pub fn prune_default() -> bool {
-    std::env::var("SEA_PRUNE").map_or(true, |v| v.trim() != "0")
 }
 
 #[cfg(test)]

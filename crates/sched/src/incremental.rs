@@ -76,8 +76,7 @@
 //! never what it concludes. A rejected candidate is never committed:
 //! follow it with [`IncrementalEvaluator::reject`]. The
 //! [`ExposurePolicy::BusyOnly`] policy never rejects early (its `Γ` does
-//! not factor through `TM`), and neither does the disabled (reference)
-//! path.
+//! not factor through `TM`).
 //!
 //! # Determinism cross-check
 //!
@@ -86,10 +85,10 @@
 //! schedule-then-score, on the evaluator's shared graph view) and
 //! `debug_assert!` bitwise equality of the summaries, or, for an early
 //! rejection, that the rule rejects the reference summary too, so any
-//! drift between the paths fails the test suite immediately. The
-//! `SEA_INCREMENTAL=0` environment escape hatch ([`incremental_default`])
-//! routes every call through the reference path in release builds too,
-//! which CI uses to diff end-to-end reports.
+//! drift between the paths fails the test suite immediately. Release
+//! builds compile the cross-check out; there, `tests/small_scope.rs`
+//! checks every move of every small instance (all 4-task graphs on 2 and
+//! 3 cores) against the reference exhaustively.
 
 use std::sync::Arc;
 
@@ -116,13 +115,6 @@ const FALLBACK_DEN: usize = 8;
 #[must_use]
 pub fn fallback_cutoff(n: usize) -> usize {
     n - n * FALLBACK_NUM / FALLBACK_DEN
-}
-
-/// The process-wide default for incremental evaluation: enabled unless
-/// the `SEA_INCREMENTAL` environment variable is set to `0`.
-#[must_use]
-pub fn incremental_default() -> bool {
-    std::env::var("SEA_INCREMENTAL").map_or(true, |v| v.trim() != "0")
 }
 
 /// True when every field of two summaries is bit-for-bit identical
@@ -176,9 +168,6 @@ pub struct IncrementalStats {
     /// Moves recomputed from position 0 (blast radius over the
     /// threshold, or no committed cache for the active scaling).
     pub fallback: u64,
-    /// Calls delegated verbatim to the reference path because
-    /// incremental evaluation is disabled.
-    pub bypassed: u64,
     /// Tasks actually re-placed across all suffix replays (the cone of
     /// influence), versus `replay_window`: suffix tasks *visited*. Their
     /// ratio is the fraction of the replay window the cone covers.
@@ -238,19 +227,12 @@ impl ScheduleCache {
 /// 3. [`IncrementalEvaluator::accept`] promotes the candidate to the new
 ///    base (two buffer swaps); [`IncrementalEvaluator::reject`] simply
 ///    discards it, and is the only valid follow-up to a rejection.
-///
-/// When disabled (`SEA_INCREMENTAL=0` or
-/// [`IncrementalEvaluator::with_enabled`]), every call delegates to the
-/// reference path ([`IncrementalEvaluator::evaluate_full`]), rejection
-/// tests are ignored and `accept`/`reject` are no-ops, so callers keep a
-/// single code path.
 #[derive(Debug, Clone)]
 pub struct IncrementalEvaluator<'a> {
     ctx: EvalContext<'a>,
     /// Structure-of-arrays graph view (static schedule order, CSR
     /// adjacency, costs), fixed for the application.
     soa: Arc<TaskGraphSoa>,
-    enabled: bool,
     /// True when `committed` holds the schedule of the last accepted
     /// mapping under the cached scaling constants.
     primed: bool,
@@ -340,8 +322,7 @@ pub struct IncrementalEvaluator<'a> {
 
 impl<'a> IncrementalEvaluator<'a> {
     /// Creates an incremental evaluator around a context, building the
-    /// graph view and pre-sizing every buffer. Enabled per
-    /// [`incremental_default`].
+    /// graph view and pre-sizing every buffer.
     #[must_use]
     pub fn new(ctx: EvalContext<'a>) -> Self {
         let soa = Arc::new(TaskGraphSoa::new(ctx.app()));
@@ -361,7 +342,6 @@ impl<'a> IncrementalEvaluator<'a> {
         IncrementalEvaluator {
             ctx,
             soa,
-            enabled: incremental_default(),
             primed: false,
             candidate_valid: false,
             scaling: Vec::with_capacity(n_cores),
@@ -392,22 +372,6 @@ impl<'a> IncrementalEvaluator<'a> {
         }
     }
 
-    /// Overrides whether moves are evaluated incrementally; disabling
-    /// routes every call through the reference path.
-    #[must_use]
-    pub fn with_enabled(mut self, enabled: bool) -> Self {
-        self.enabled = enabled;
-        self.primed = false;
-        self.candidate_valid = false;
-        self
-    }
-
-    /// Whether moves are evaluated incrementally.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// The evaluation context.
     #[must_use]
     pub fn ctx(&self) -> &EvalContext<'a> {
@@ -429,8 +393,8 @@ impl<'a> IncrementalEvaluator<'a> {
     /// The reference evaluation, with the per-core breakdown:
     /// [`EvalContext::evaluate`] scheduled on the shared graph view. It
     /// allocates and leaves the committed cache alone, so it serves off
-    /// the hot loop (warm-start comparisons, the returned best design),
-    /// the debug cross-check and the disabled mode.
+    /// the hot loop (warm-start comparisons, the returned best design)
+    /// and the debug cross-check.
     ///
     /// # Errors
     ///
@@ -458,10 +422,6 @@ impl<'a> IncrementalEvaluator<'a> {
         mapping: &Mapping,
         scaling: &ScalingVector,
     ) -> Result<EvalSummary, SchedError> {
-        if !self.enabled {
-            self.stats.bypassed += 1;
-            return Ok(self.evaluate_full(mapping, scaling)?.summary());
-        }
         check_shapes(self.ctx.app(), self.ctx.arch(), mapping, scaling)?;
         self.load_scaling(scaling);
         let summary = self
@@ -504,10 +464,6 @@ impl<'a> IncrementalEvaluator<'a> {
         test: Option<&dyn RejectionTest>,
     ) -> Result<Option<EvalSummary>, SchedError> {
         self.rejected = false;
-        if !self.enabled {
-            self.stats.bypassed += 1;
-            return Ok(Some(self.evaluate_full(mapping, scaling)?.summary()));
-        }
         let outcome = if self.primed && self.scaling == scaling.coefficients() {
             debug_assert_eq!(mapping.n_tasks(), self.soa().len());
             let n = self.soa().len();
@@ -550,8 +506,8 @@ impl<'a> IncrementalEvaluator<'a> {
     }
 
     /// Promotes the last evaluated candidate to the committed base (the
-    /// caller accepted the move). No-op when disabled or when nothing
-    /// was evaluated since the last accept/reject.
+    /// caller accepted the move). No-op when nothing was evaluated since
+    /// the last accept/reject.
     ///
     /// # Panics
     ///
@@ -562,7 +518,7 @@ impl<'a> IncrementalEvaluator<'a> {
             !self.rejected,
             "accept() after evaluate_move proved the candidate rejected"
         );
-        if self.enabled && self.candidate_valid {
+        if self.candidate_valid {
             // The candidate's block shift (if any) now describes the
             // committed mapping — keep it.
             self.pending_shift = None;
@@ -1249,7 +1205,7 @@ mod tests {
     fn walk_neighbourhood(app: &Application, cores: usize) {
         let (arch, mut current) = setup(app, cores);
         let ctx = EvalContext::new(app, &arch);
-        let mut ev = IncrementalEvaluator::new(ctx.clone()).with_enabled(true);
+        let mut ev = IncrementalEvaluator::new(ctx.clone());
         for s in [
             ScalingVector::all_nominal(&arch),
             ScalingVector::uniform(2, &arch).unwrap(),
@@ -1300,7 +1256,6 @@ mod tests {
             stats.rejected_before_replay > 0 && stats.rejected_during_replay > 0,
             "both early-rejection points must fire: {stats:?}"
         );
-        assert_eq!(stats.bypassed, 0);
     }
 
     #[test]
@@ -1318,7 +1273,7 @@ mod tests {
         let app = mpeg2::application();
         let (arch, mut current) = setup(&app, 4);
         let ctx = EvalContext::new(&app, &arch);
-        let mut ev = IncrementalEvaluator::new(ctx).with_enabled(true);
+        let mut ev = IncrementalEvaluator::new(ctx);
         let s = ScalingVector::all_nominal(&arch);
         ev.prime(&current, &s).unwrap();
         let n = ev.soa().len();
@@ -1356,39 +1311,13 @@ mod tests {
     }
 
     #[test]
-    fn disabled_mode_delegates_to_full_path() {
-        let app = mpeg2::application();
-        let (arch, mut current) = setup(&app, 4);
-        let ctx = EvalContext::new(&app, &arch);
-        let mut ev = IncrementalEvaluator::new(ctx.clone()).with_enabled(false);
-        let s = ScalingVector::all_nominal(&arch);
-        let primed = ev.prime(&current, &s).unwrap();
-        assert!(summaries_bitwise_eq(
-            &primed,
-            &ctx.evaluate(&current, &s).unwrap().summary()
-        ));
-        let mv = current.nth_neighbourhood_move(0).unwrap();
-        current.apply(mv);
-        let fast = ev.evaluate_move(&current, &s, mv, None).unwrap().unwrap();
-        assert!(summaries_bitwise_eq(
-            &fast,
-            &ctx.evaluate(&current, &s).unwrap().summary()
-        ));
-        ev.accept();
-        ev.reject();
-        let stats = ev.stats();
-        assert_eq!(stats.bypassed, 2);
-        assert_eq!(stats.incremental + stats.fallback + stats.primes, 0);
-    }
-
-    #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "accept() after evaluate_move proved the candidate rejected")]
     fn accept_after_a_rejection_panics_in_debug_builds() {
         let app = mpeg2::application();
         let (arch, mut current) = setup(&app, 4);
         let ctx = EvalContext::new(&app, &arch);
-        let mut ev = IncrementalEvaluator::new(ctx).with_enabled(true);
+        let mut ev = IncrementalEvaluator::new(ctx);
         let s = ScalingVector::all_nominal(&arch);
         ev.prime(&current, &s).unwrap();
         let mv = current.nth_neighbourhood_move(0).unwrap();
@@ -1405,7 +1334,7 @@ mod tests {
         let app = fig8::application();
         let (arch, mut current) = setup(&app, 3);
         let ctx = EvalContext::new(&app, &arch);
-        let mut ev = IncrementalEvaluator::new(ctx.clone()).with_enabled(true);
+        let mut ev = IncrementalEvaluator::new(ctx.clone());
         let s = ScalingVector::all_nominal(&arch);
         // No prime: the first move computes fully and can be accepted.
         let mv = current.nth_neighbourhood_move(1).unwrap();
@@ -1433,15 +1362,19 @@ mod tests {
         let arch = Architecture::homogeneous(4, LevelSet::arm7_three_level());
         let bad = Mapping::all_on_one_core(app.graph().len(), 3);
         let s = ScalingVector::all_nominal(&arch);
-        // Both the delta path and the disabled (reference) path refuse it.
-        for enabled in [true, false] {
-            let mut ev =
-                IncrementalEvaluator::new(EvalContext::new(&app, &arch)).with_enabled(enabled);
-            assert!(matches!(
-                ev.prime(&bad, &s).unwrap_err(),
-                SchedError::ShapeMismatch { .. }
-            ));
-        }
+        let mut ev = IncrementalEvaluator::new(EvalContext::new(&app, &arch));
+        assert!(matches!(
+            ev.prime(&bad, &s).unwrap_err(),
+            SchedError::ShapeMismatch { .. }
+        ));
+        let mv = Move::Relocate {
+            task: TaskId::new(0),
+            to: CoreId::new(1),
+        };
+        assert!(matches!(
+            ev.evaluate_move(&bad, &s, mv, None).unwrap_err(),
+            SchedError::ShapeMismatch { .. }
+        ));
     }
 
     #[test]

@@ -55,10 +55,9 @@ pub mod metrics;
 pub mod recovery;
 pub mod schedule;
 
-pub use bounds::{prune_default, tm_lower_bound};
+pub use bounds::tm_lower_bound;
 pub use incremental::{
-    fallback_cutoff, incremental_default, summaries_bitwise_eq, IncrementalEvaluator,
-    IncrementalStats, RejectionTest,
+    fallback_cutoff, summaries_bitwise_eq, IncrementalEvaluator, IncrementalStats, RejectionTest,
 };
 pub use mapping::{Mapping, Move};
 pub use metrics::{CoreEval, EvalContext, EvalSummary, ExposurePolicy, MappingEvaluation};

@@ -28,7 +28,7 @@
 //! through the shared [`sea_taskgraph::spec`] grammar, so the CLI and
 //! campaign files accept exactly the same strings. Every flag may be
 //! given at most once — duplicates are rejected rather than silently
-//! last-wins.
+//! last-wins — and every command refuses a flag it does not take.
 
 use std::fmt;
 
@@ -477,18 +477,18 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     };
     match cmd.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
-        "optimize" => Ok(Command::Optimize(parse_optimize(rest)?)),
+        "optimize" => Ok(Command::Optimize(parse_optimize(rest, &[])?)),
         "baseline" => {
             let objective = match get_flag(rest, "--objective")? {
                 Some(o) => Objective::from_keyword(&o).map_err(CliError)?,
                 None => return Err(CliError("baseline requires --objective r|tm|tmr".into())),
             };
             Ok(Command::Baseline(BaselineArgs {
-                common: parse_optimize(rest)?,
+                common: parse_optimize(rest, &["--objective"])?,
                 objective,
             }))
         }
-        "simulate" => Ok(Command::Simulate(parse_design(rest)?)),
+        "simulate" => Ok(Command::Simulate(parse_design(rest, &[])?)),
         "sweep" => Ok(Command::Sweep(parse_sweep(rest)?)),
         "generate" => Ok(Command::Generate(parse_generate(rest)?)),
         "campaign" => Ok(Command::Campaign(parse_campaign_cmd(rest)?)),
@@ -507,7 +507,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 None => PolicySpec::None,
             };
             Ok(Command::Recovery(RecoveryArgs {
-                design: parse_design(rest)?,
+                design: parse_design(rest, &["--policy"])?,
                 policy,
             }))
         }
@@ -581,7 +581,28 @@ fn parse_cores(args: &[String]) -> Result<usize, CliError> {
     Ok(cores)
 }
 
-fn parse_optimize(args: &[String]) -> Result<OptimizeArgs, CliError> {
+/// Parses the flags `optimize` shares with `baseline`, which also
+/// accepts the value flags in `extra`.
+fn parse_optimize(args: &[String], extra: &[&str]) -> Result<OptimizeArgs, CliError> {
+    let flags = [
+        &[
+            "--app",
+            "--cores",
+            "--levels",
+            "--budget",
+            "--seed",
+            "--selection",
+            "--jobs",
+        ],
+        extra,
+    ]
+    .concat();
+    reject_unknown_flags(
+        args,
+        &flags,
+        &["--csv"],
+        &format!("{}|--csv", flags.join("|")),
+    )?;
     let levels = match get_flag(args, "--levels")? {
         Some(l) => {
             let l: usize = parse_num(&l, "level count")?;
@@ -602,16 +623,7 @@ fn parse_optimize(args: &[String]) -> Result<OptimizeArgs, CliError> {
         None => SelectionPolicy::default(),
         Some(s) => SelectionPolicy::from_keyword(&s).map_err(CliError)?,
     };
-    let jobs = match get_flag(args, "--jobs")? {
-        None => None,
-        Some(j) => {
-            let j: usize = parse_num(&j, "job count")?;
-            if j == 0 {
-                return Err(CliError("--jobs must be at least 1".into()));
-            }
-            Some(j)
-        }
-    };
+    let jobs = parse_jobs(args)?;
     Ok(OptimizeArgs {
         app: parse_app(args)?,
         cores: parse_cores(args)?,
@@ -653,7 +665,22 @@ fn parse_scaling(s: &str) -> Result<Vec<u8>, CliError> {
         .collect()
 }
 
-fn parse_design(args: &[String]) -> Result<DesignArgs, CliError> {
+/// Parses the design flags `simulate` shares with `recovery`, which
+/// also accepts the value flags in `extra`.
+fn parse_design(args: &[String], extra: &[&str]) -> Result<DesignArgs, CliError> {
+    let flags = [
+        &[
+            "--app",
+            "--cores",
+            "--scaling",
+            "--groups",
+            "--ser",
+            "--seed",
+        ],
+        extra,
+    ]
+    .concat();
+    reject_unknown_flags(args, &flags, &[], &flags.join("|"))?;
     let Some(scaling) = get_flag(args, "--scaling")? else {
         return Err(CliError("missing --scaling (e.g. 2,2,3,2)".into()));
     };
@@ -685,6 +712,12 @@ fn parse_design(args: &[String]) -> Result<DesignArgs, CliError> {
 }
 
 fn parse_sweep(args: &[String]) -> Result<SweepArgs, CliError> {
+    reject_unknown_flags(
+        args,
+        &["--app", "--cores", "--count", "--scale", "--seed"],
+        &["--csv"],
+        "--app|--cores|--count|--scale|--seed|--csv",
+    )?;
     Ok(SweepArgs {
         app: parse_app(args)?,
         cores: parse_cores(args)?,
@@ -713,6 +746,12 @@ fn parse_sweep(args: &[String]) -> Result<SweepArgs, CliError> {
 }
 
 fn parse_generate(args: &[String]) -> Result<GenerateArgs, CliError> {
+    reject_unknown_flags(
+        args,
+        &["--tasks", "--seed"],
+        &["--dot"],
+        "--tasks|--seed|--dot",
+    )?;
     let Some(tasks) = get_flag(args, "--tasks")? else {
         return Err(CliError("missing --tasks".into()));
     };
@@ -755,16 +794,7 @@ fn parse_campaign_cmd(args: &[String]) -> Result<CampaignArgs, CliError> {
             "campaign needs exactly one of --spec <file>, --builtin <name>, --list-builtin".into(),
         ));
     }
-    let jobs = match get_flag(args, "--jobs")? {
-        None => None,
-        Some(j) => {
-            let j: usize = parse_num(&j, "job count")?;
-            if j == 0 {
-                return Err(CliError("--jobs must be at least 1".into()));
-            }
-            Some(j)
-        }
-    };
+    let jobs = parse_jobs(args)?;
     let format = parse_format(args)?;
     let budget = parse_budget_flag(args)?;
     let resume = get_flag(args, "--resume")?;
@@ -859,21 +889,7 @@ fn parse_serve_cmd(args: &[String]) -> Result<ServeArgs, CliError> {
     };
     let format = parse_format(args)?;
     let budget = parse_budget_flag(args)?;
-    let timeout_s = match get_flag(args, "--timeout")? {
-        Some(t) => {
-            let t: u64 = parse_num(&t, "timeout seconds")?;
-            // Workers heartbeat every 2 s while evaluating; a timeout at
-            // or below that would kill every healthy worker on its first
-            // unit and live-lock the campaign.
-            if t < 5 {
-                return Err(CliError(
-                    "--timeout must be at least 5 seconds (workers heartbeat every 2 s)".into(),
-                ));
-            }
-            t
-        }
-        None => 30,
-    };
+    let timeout_s = parse_timeout(args)?;
     Ok(ServeArgs {
         spec_path,
         builtin,
@@ -896,16 +912,7 @@ fn parse_worker_cmd(args: &[String]) -> Result<WorkerArgs, CliError> {
     let Some(connect) = get_flag(args, "--connect")? else {
         return Err(CliError("worker needs --connect <addr:port>".into()));
     };
-    let jobs = match get_flag(args, "--jobs")? {
-        None => None,
-        Some(j) => {
-            let j: usize = parse_num(&j, "job count")?;
-            if j == 0 {
-                return Err(CliError("--jobs must be at least 1".into()));
-            }
-            Some(j)
-        }
-    };
+    let jobs = parse_jobs(args)?;
     let retry_s = match get_flag(args, "--retry")? {
         Some(r) => parse_num(&r, "retry seconds")?,
         None => 10,
@@ -930,19 +937,7 @@ fn parse_daemon_cmd(args: &[String]) -> Result<DaemonArgs, CliError> {
             "daemon needs --listen <addr:port> (e.g. 127.0.0.1:7411; port 0 = ephemeral)".into(),
         ));
     };
-    let timeout_s = match get_flag(args, "--timeout")? {
-        Some(t) => {
-            let t: u64 = parse_num(&t, "timeout seconds")?;
-            // Same floor as `serve`: workers heartbeat every 2 s.
-            if t < 5 {
-                return Err(CliError(
-                    "--timeout must be at least 5 seconds (workers heartbeat every 2 s)".into(),
-                ));
-            }
-            t
-        }
-        None => 30,
-    };
+    let timeout_s = parse_timeout(args)?;
     Ok(DaemonArgs {
         listen,
         cache_dir: get_flag(args, "--cache")?,
@@ -1070,6 +1065,34 @@ fn action_keyword(action: CacheAction) -> &'static str {
         CacheAction::Verify => "verify",
         CacheAction::Prune => "prune",
     }
+}
+
+/// Parses an optional `--jobs <N>`, which must be at least 1.
+fn parse_jobs(args: &[String]) -> Result<Option<usize>, CliError> {
+    let Some(j) = get_flag(args, "--jobs")? else {
+        return Ok(None);
+    };
+    let j: usize = parse_num(&j, "job count")?;
+    if j == 0 {
+        return Err(CliError("--jobs must be at least 1".into()));
+    }
+    Ok(Some(j))
+}
+
+/// Parses the coordinator's `--timeout <secs>` (default 30). Workers
+/// heartbeat every 2 s while evaluating; a timeout at or below that would
+/// kill every healthy worker on its first unit and live-lock the campaign.
+fn parse_timeout(args: &[String]) -> Result<u64, CliError> {
+    let Some(t) = get_flag(args, "--timeout")? else {
+        return Ok(30);
+    };
+    let t: u64 = parse_num(&t, "timeout seconds")?;
+    if t < 5 {
+        return Err(CliError(
+            "--timeout must be at least 5 seconds (workers heartbeat every 2 s)".into(),
+        ));
+    }
+    Ok(t)
 }
 
 fn parse_format(args: &[String]) -> Result<OutputFormat, CliError> {
@@ -1631,6 +1654,67 @@ mod tests {
         assert!(parse(&argv("cache verify --max-size-mib 1")).is_err());
         assert!(parse(&argv("cache stats --delete-corrupt")).is_err());
         assert!(parse(&argv("cache stats --frobnicate")).is_err());
+    }
+
+    /// `verb`'s command line with `extra` appended must fail, naming the
+    /// first unknown argument.
+    fn assert_refused(verb: &str, extra: &str, unknown: &str) {
+        let err = parse(&argv(&format!("{verb} {extra}"))).unwrap_err();
+        assert!(
+            err.0.contains(&format!("unknown flag `{unknown}`")),
+            "{err}"
+        );
+    }
+
+    const DESIGN: &str = "--app mpeg2 --cores 4 --scaling 2,2,3,2 --groups 0,1,2,3,4,5|6,7|8|9,10";
+
+    #[test]
+    fn optimize_rejects_unknown_flags() {
+        let ok = "optimize --app mpeg2 --cores 4 --seed 3 --csv";
+        assert!(parse(&argv(ok)).is_ok());
+        assert_refused(ok, "--sede 3", "--sede");
+        assert_refused(ok, "--objective r", "--objective");
+        assert_refused(ok, "extra", "extra");
+    }
+
+    #[test]
+    fn baseline_rejects_unknown_flags() {
+        let ok = "baseline --objective tm --app mpeg2 --cores 4 --jobs 2 --csv";
+        assert!(parse(&argv(ok)).is_ok());
+        assert_refused(ok, "--policy none", "--policy");
+        assert_refused(ok, "--dot", "--dot");
+    }
+
+    #[test]
+    fn simulate_rejects_unknown_flags() {
+        let ok = format!("simulate {DESIGN} --ser 1e-9 --seed 1");
+        assert!(parse(&argv(&ok)).is_ok());
+        assert_refused(&ok, "--policy none", "--policy");
+        assert_refused(&ok, "--csv", "--csv");
+    }
+
+    #[test]
+    fn sweep_rejects_unknown_flags() {
+        let ok = "sweep --app mpeg2 --cores 4 --count 10 --scale 2 --seed 1 --csv";
+        assert!(parse(&argv(ok)).is_ok());
+        assert_refused(ok, "--jobs 2", "--jobs");
+        assert_refused(ok, "--dot", "--dot");
+    }
+
+    #[test]
+    fn generate_rejects_unknown_flags() {
+        let ok = "generate --tasks 4 --seed 3 --dot";
+        assert!(parse(&argv(ok)).is_ok());
+        assert_refused("generate --tasks 4", "--sede 3", "--sede");
+        assert_refused(ok, "--csv", "--csv");
+    }
+
+    #[test]
+    fn recovery_rejects_unknown_flags() {
+        let ok = format!("recovery {DESIGN} --policy reexec:0.9 --seed 1");
+        assert!(parse(&argv(&ok)).is_ok());
+        assert_refused(&ok, "--objective r", "--objective");
+        assert_refused(&ok, "--polcy none", "--polcy");
     }
 
     #[test]

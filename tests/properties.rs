@@ -225,7 +225,7 @@ proptest! {
         ).unwrap();
         let scaling = ScalingVector::uniform(s, &arch).unwrap();
         let ctx = EvalContext::new(&app, &arch);
-        let mut inc = IncrementalEvaluator::new(ctx.clone()).with_enabled(true);
+        let mut inc = IncrementalEvaluator::new(ctx.clone());
 
         let primed = inc.prime(&current, &scaling).unwrap();
         prop_assert!(summaries_bitwise_eq(
@@ -323,8 +323,8 @@ proptest! {
 
         let ctx = EvalContext::new(&app, &arch);
         let busy_ctx = ctx.clone().with_exposure(ExposurePolicy::BusyOnly);
-        let mut inc = IncrementalEvaluator::new(ctx.clone()).with_enabled(true);
-        let mut busy = IncrementalEvaluator::new(busy_ctx.clone()).with_enabled(true);
+        let mut inc = IncrementalEvaluator::new(ctx.clone());
+        let mut busy = IncrementalEvaluator::new(busy_ctx.clone());
         inc.prime(&current, &scaling).unwrap();
         busy.prime(&current, &scaling).unwrap();
 
