@@ -68,8 +68,8 @@ pub use sink::{
 };
 pub use spec::{parse_campaign, Campaign, Scenario, ScenarioKind};
 pub use unit::{
-    decode_unit, encode_unit, level_set, run_unit, run_unit_cancellable, run_unit_with_jobs,
-    AppRef, BudgetSpec, Unit, UnitKind, UnitPayload, UnitRecord, UnitResult,
+    decode_unit, encode_unit, level_set, run_unit, run_unit_cancellable, AppRef, BudgetSpec, Unit,
+    UnitKind, UnitPayload, UnitRecord, UnitResult,
 };
 
 use std::error::Error;

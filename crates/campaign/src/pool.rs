@@ -53,7 +53,7 @@ use crate::cache::Cache;
 use crate::hash::{unit_hash, ContentHash};
 use crate::journal::JournalWriter;
 use crate::sink::Sink;
-use crate::unit::{run_unit_cancellable, Unit, UnitRecord, UnitResult};
+use crate::unit::{run_unit_cancellable, CostMemo, Unit, UnitRecord, UnitResult};
 use crate::CampaignError;
 
 /// How one unit of a configured run completed.
@@ -192,17 +192,18 @@ pub struct Completion {
 }
 
 /// The order a backend should hand `pending` units to workers: most
-/// expensive first ([`Unit::cost_estimate`]), enumeration index as the
-/// tiebreak. Starting the straggler early shrinks the tail a
-/// work-stealing pool (or a fleet of network workers) idles through —
-/// and because completions slot by enumeration index, dispatch order can
-/// only change wall-clock and progress-line interleaving, never a
-/// report.
+/// expensive first ([`Unit::cost_estimate`], counting each distinct
+/// configuration once), enumeration index as the tiebreak. Starting the
+/// straggler early shrinks the tail a work-stealing pool (or a fleet of
+/// network workers) idles through — and because completions slot by
+/// enumeration index, dispatch order can only change wall-clock and
+/// progress-line interleaving, never a report.
 #[must_use]
 pub fn dispatch_order(units: &[Unit], pending: &[usize]) -> Vec<usize> {
+    let mut memo = CostMemo::default();
     let mut order: Vec<(u64, usize)> = pending
         .iter()
-        .map(|&i| (units[i].cost_estimate(), i))
+        .map(|&i| (units[i].cost_estimate(&mut memo), i))
         .collect();
     order.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
     order.into_iter().map(|(_, i)| i).collect()
@@ -761,21 +762,28 @@ count = 15
         assert_eq!(sink.finished, (0..units.len()).collect::<Vec<_>>());
     }
 
+    /// Asserts that `order` is `pending` sorted by descending cost, index
+    /// ascending within ties, each unit's cost counted on its own.
+    fn assert_cost_order(units: &[Unit], pending: &[usize], order: &[usize]) {
+        // A permutation of the pending list...
+        let mut sorted = order.to_vec();
+        sorted.sort_unstable();
+        assert_eq!(sorted, pending);
+        // ...in non-increasing cost order, index-ascending within ties.
+        let cost = |i: usize| units[i].cost_estimate(&mut CostMemo::default());
+        for w in order.windows(2) {
+            let (a, b) = (w[0], w[1]);
+            let (ca, cb) = (cost(a), cost(b));
+            assert!(ca > cb || (ca == cb && a < b), "order violated at {a},{b}");
+        }
+    }
+
     #[test]
     fn dispatch_order_is_cost_descending_with_index_tiebreak() {
         let units = parse_campaign(SMALL).unwrap().expand();
         let pending: Vec<usize> = (0..units.len()).collect();
         let order = dispatch_order(&units, &pending);
-        // A permutation of the pending list...
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, pending);
-        // ...in non-increasing cost order, index-ascending within ties.
-        for w in order.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            let (ca, cb) = (units[a].cost_estimate(), units[b].cost_estimate());
-            assert!(ca > cb || (ca == cb && a < b), "order violated at {a},{b}");
-        }
+        assert_cost_order(&units, &pending, &order);
         // The front of the queue is a surviving-scalings × budget
         // optimize unit, not the 15-mapping sweep (fig8's tight deadline
         // may prune its optimize units below the sweep — that's the cost
@@ -783,6 +791,34 @@ count = 15
         let first = &units[order[0]];
         assert!(matches!(first.kind, crate::unit::UnitKind::Optimize));
         assert_eq!(first.app.label(), "mpeg2");
+
+        // A many-seed grid repeats each (application, cores, levels)
+        // configuration across seeds, selections and kinds, with plain
+        // and deadline-scaled (pruned) applications: the order, which
+        // counts each configuration once, is the one each unit's own
+        // cost gives, over every unit and over a shuffled subset.
+        let seeds: Vec<String> = (1..=30).map(|s| s.to_string()).collect();
+        let grid = format!(
+            "name = \"many-seeds\"\nbudget = \"fast\"\n\
+             [scenario]\nkind = \"optimize\"\napps = \"mpeg2, fig8, random:12\"\n\
+             cores = \"2-4\"\nlevels = \"2,3,4\"\nselections = \"product,gamma\"\n\
+             seeds = \"{0}\"\n\
+             [scenario]\nkind = \"optimize\"\napps = \"mpeg2, random:30:3\"\n\
+             cores = \"3,4\"\ndeadline_scale = \"0.4\"\nseeds = \"{0}\"\n\
+             [scenario]\nkind = \"baseline\"\napps = \"mpeg2\"\ncores = \"4\"\n\
+             objectives = \"r,tm\"\nseeds = \"{0}\"\n",
+            seeds.join(",")
+        );
+        let units = parse_campaign(&grid).unwrap().expand();
+        assert_eq!(units.len(), 1620 + 120 + 60);
+        let every: Vec<usize> = (0..units.len()).collect();
+        let subset: Vec<usize> = (0..units.len()).rev().step_by(3).collect();
+        for pending in [every, subset] {
+            let order = dispatch_order(&units, &pending);
+            let mut ascending = pending.clone();
+            ascending.sort_unstable();
+            assert_cost_order(&units, &ascending, &order);
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! [`decode_unit`]): the text a coordinator dispatches to workers, and
 //! the bytes the unit's content hash ([`crate::unit_hash`]) covers.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -241,6 +242,16 @@ impl UnitKind {
     }
 }
 
+/// Surviving-scaling counts for [`Unit::cost_estimate`], one per
+/// distinct (built application, core count, level count). Counting
+/// enumerates and bounds every scaling vector of the configuration
+/// (47,905 at 64 cores and 4 levels), so a dispatch order over many
+/// units of one configuration counts once. An entry holds its
+/// application, so the address in its key is not reused while the memo
+/// lives.
+#[derive(Debug, Default)]
+pub struct CostMemo(HashMap<(usize, usize, usize), (Arc<Application>, usize)>);
+
 /// One executable grid point of a campaign.
 #[derive(Debug, Clone)]
 pub struct Unit {
@@ -296,12 +307,12 @@ impl Unit {
     /// Optimize units dominate real campaigns, and their work is the
     /// number of scalings the bound-and-prune driver will actually
     /// search times the per-scaling budget
-    /// ([`DesignOptimizer::surviving_scalings`]). Baselines run one
-    /// budget-bounded SA chain plus one cheap evaluation per scaling;
-    /// sweeps evaluate `count` mappings; fault injection replays one
-    /// schedule.
+    /// ([`DesignOptimizer::surviving_scalings`], looked up in `memo`
+    /// first). Baselines run one budget-bounded SA chain plus one cheap
+    /// evaluation per scaling; sweeps evaluate `count` mappings; fault
+    /// injection replays one schedule.
     #[must_use]
-    pub fn cost_estimate(&self) -> u64 {
+    pub fn cost_estimate(&self, memo: &mut CostMemo) -> u64 {
         let budget = self.budget.to_budget().max_evaluations as u64;
         match &self.kind {
             UnitKind::Optimize => {
@@ -309,9 +320,17 @@ impl Unit {
                     // The build error resurfaces when the unit runs.
                     return budget;
                 };
-                let soa = TaskGraphSoa::shared(&app);
-                let optimizer = DesignOptimizer::new(self.optimizer_config());
-                (optimizer.surviving_scalings(&app, &soa) as u64).saturating_mul(budget)
+                let key = (Arc::as_ptr(&app) as usize, self.cores, self.levels);
+                let surviving = match memo.0.entry(key) {
+                    Entry::Occupied(entry) => entry.get().1,
+                    Entry::Vacant(entry) => {
+                        let soa = TaskGraphSoa::shared(&app);
+                        let optimizer = DesignOptimizer::new(self.optimizer_config());
+                        let surviving = optimizer.surviving_scalings(&app, &soa);
+                        entry.insert((app, surviving)).1
+                    }
+                };
+                (surviving as u64).saturating_mul(budget)
             }
             UnitKind::Baseline(_) => budget,
             UnitKind::Sweep { count, .. } => *count as u64,
@@ -919,24 +938,15 @@ fn design_record(unit: &Unit, out: &OptimizationOutcome) -> UnitRecord {
 /// and record so a campaign over a grid with infeasible corners still
 /// completes.
 pub fn run_unit(unit: &Unit) -> Result<UnitResult, CampaignError> {
-    run_unit_with_jobs(unit, 1)
+    run_unit_cancellable(unit, 1, None)
 }
 
 /// [`run_unit`] with `inner_jobs` worker threads handed down to the
-/// unit's own scaling enumeration. The pool uses this when a campaign
-/// has fewer units than workers (leftover capacity would otherwise
-/// idle); the outcome is identical for every value — `sea_opt`'s engine
-/// is job-count-invariant — so this only trades wall-clock.
-///
-/// # Errors
-///
-/// As [`run_unit`].
-pub fn run_unit_with_jobs(unit: &Unit, inner_jobs: usize) -> Result<UnitResult, CampaignError> {
-    run_unit_cancellable(unit, inner_jobs, None)
-}
-
-/// [`run_unit_with_jobs`] with a cooperative cancellation flag threaded
-/// into the unit's optimizer ([`OptimizerConfig::with_cancel`]). Setting
+/// unit's own scaling enumeration, and a cooperative cancellation flag
+/// threaded into the unit's optimizer ([`OptimizerConfig::with_cancel`]).
+/// The pool hands down leftover threads when a campaign has fewer units
+/// than workers; the outcome is identical for every value — `sea_opt`'s
+/// engine is job-count-invariant — so they only trade wall-clock. Setting
 /// the flag makes in-progress optimize/baseline units abort at the next
 /// scaling-chunk boundary with [`CampaignError::Opt`]`(`[`OptError::Cancelled`]`)`
 /// instead of finishing — how the daemon's `Cancel` frames and a worker's
@@ -960,17 +970,11 @@ pub fn run_unit_cancellable(
         UnitKind::Optimize => {
             let optimizer =
                 DesignOptimizer::new(with_cancel(unit.optimizer_config().with_jobs(inner_jobs)));
-            let result = if inner_jobs <= 1 {
-                // Sequential units share the graph's structure-of-arrays
-                // view across the whole campaign (memoized per
-                // `Arc<Application>` identity, which `AppRef::build` keeps
-                // stable per workload).
-                let soa = TaskGraphSoa::shared(&app);
-                optimizer.optimize_unit_with(&app, &soa)
-            } else {
-                optimizer.optimize(&app)
-            };
-            design_payload(unit, result)?
+            // Units share the graph's structure-of-arrays view across the
+            // whole campaign (memoized per `Arc<Application>` identity,
+            // which `AppRef::build` keeps stable per workload).
+            let soa = TaskGraphSoa::shared(&app);
+            design_payload(unit, optimizer.optimize_with(&app, &soa))?
         }
         UnitKind::Baseline(objective) => {
             let optimizer =
@@ -1073,7 +1077,7 @@ fn design_payload(
 mod tests {
     use super::*;
 
-    fn optimize_unit(app: AppSpec, cores: usize) -> Unit {
+    fn optimize_of(app: AppSpec, cores: usize) -> Unit {
         Unit {
             index: 0,
             scenario: "test".into(),
@@ -1088,8 +1092,8 @@ mod tests {
     }
 
     #[test]
-    fn optimize_unit_matches_direct_driver_call() {
-        let unit = optimize_unit(AppSpec::Mpeg2, 4);
+    fn run_unit_matches_a_direct_driver_call() {
+        let unit = optimize_of(AppSpec::Mpeg2, 4);
         let via_unit = run_unit(&unit).unwrap();
         let direct = DesignOptimizer::new(unit.optimizer_config())
             .optimize(&AppSpec::Mpeg2.build().unwrap())
@@ -1104,7 +1108,7 @@ mod tests {
 
     #[test]
     fn infeasible_units_become_records_not_errors() {
-        let mut unit = optimize_unit(AppSpec::Fig8, 3);
+        let mut unit = optimize_of(AppSpec::Fig8, 3);
         // fig8's 75 ms deadline is tight; force infeasibility via an
         // impossible allocation instead: 8 cores for 6 tasks.
         unit.cores = 8;
@@ -1115,7 +1119,7 @@ mod tests {
 
     #[test]
     fn sweep_and_simulate_units_run() {
-        let mut unit = optimize_unit(AppSpec::Mpeg2, 4);
+        let mut unit = optimize_of(AppSpec::Mpeg2, 4);
         unit.kind = UnitKind::Sweep {
             count: 10,
             scale: 1,

@@ -331,57 +331,25 @@ impl DesignOptimizer {
     /// every core and [`OptError::Infeasible`] when no explored design meets
     /// the real-time constraint.
     pub fn optimize(&self, app: &Application) -> Result<OptimizationOutcome, OptError> {
-        self.optimize_with_jobs(app, self.config.jobs)
+        self.optimize_with(app, &Arc::new(TaskGraphSoa::new(app)))
     }
 
-    /// Per-unit entry point for external schedulers (the `sea-campaign`
-    /// cross-scenario pool): runs the whole flow sequentially on the
-    /// calling thread, spawning nothing, regardless of
-    /// [`OptimizerConfig::jobs`]. Because the engine's outcome is
-    /// job-count-invariant, this returns exactly what [`Self::optimize`]
-    /// would — an outer scheduler can fan units out without paying for,
-    /// or reasoning about, nested pools.
+    /// As [`Self::optimize`], but schedules from a caller-supplied
+    /// structure-of-arrays view of `app` instead of building one. Every
+    /// chunk, on every worker, schedules from this shared read-only view;
+    /// campaign runners that optimize the same [`Application`] under many
+    /// configurations obtain it once via [`TaskGraphSoa::shared`] and
+    /// amortize the graph traversals (bottom levels, static schedule
+    /// order) across units. At one job the whole flow runs on the calling
+    /// thread, spawning nothing.
     ///
     /// # Errors
     ///
     /// As [`Self::optimize`].
-    pub fn optimize_unit(&self, app: &Application) -> Result<OptimizationOutcome, OptError> {
-        self.optimize_with_jobs(app, 1)
-    }
-
-    /// As [`Self::optimize_unit`], but schedules from a caller-supplied
-    /// structure-of-arrays view instead of rebuilding one. Campaign runners
-    /// that optimize the same [`Application`] under many configurations
-    /// obtain the view once via [`TaskGraphSoa::shared`] and amortize the
-    /// graph traversals (bottom levels, static schedule order) across units.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::optimize`].
-    pub fn optimize_unit_with(
+    pub fn optimize_with(
         &self,
         app: &Application,
         soa: &Arc<TaskGraphSoa>,
-    ) -> Result<OptimizationOutcome, OptError> {
-        self.optimize_shared(app, soa, 1)
-    }
-
-    fn optimize_with_jobs(
-        &self,
-        app: &Application,
-        jobs: usize,
-    ) -> Result<OptimizationOutcome, OptError> {
-        // Built once per run; every chunk (on every worker) schedules from
-        // this shared read-only view.
-        let soa = Arc::new(TaskGraphSoa::new(app));
-        self.optimize_shared(app, &soa, jobs)
-    }
-
-    fn optimize_shared(
-        &self,
-        app: &Application,
-        soa: &Arc<TaskGraphSoa>,
-        jobs: usize,
     ) -> Result<OptimizationOutcome, OptError> {
         let arch = &self.config.arch;
         let scalings = ScalingIter::for_architecture(arch)
@@ -401,14 +369,14 @@ impl DesignOptimizer {
         let live: Vec<usize> = (0..n_chunks).filter(|&k| !doomed[k]).collect();
         let dead: Vec<usize> = (0..n_chunks).filter(|&k| doomed[k]).collect();
 
-        let live_results = self.explore_chunks(app, soa, &scalings, &live, jobs);
+        let live_results = self.explore_chunks(app, soa, &scalings, &live);
 
         // Debug builds search the doomed chunks anyway and let the merge
         // below assert that none of them holds a feasible design.
         let verify = cfg!(debug_assertions);
         let mut dead_results: Option<Vec<Result<ChunkOutcome, OptError>>> =
             if verify && !dead.is_empty() {
-                Some(self.explore_chunks(app, soa, &scalings, &dead, jobs))
+                Some(self.explore_chunks(app, soa, &scalings, &dead))
             } else {
                 None
             };
@@ -481,7 +449,7 @@ impl DesignOptimizer {
                 // chunk-local and globally seeded, so the reported TM is
                 // byte-exact across builds.
                 if doomed_designs.is_empty() && !dead.is_empty() {
-                    for result in self.explore_chunks(app, soa, &scalings, &dead, jobs) {
+                    for result in self.explore_chunks(app, soa, &scalings, &dead) {
                         let chunk = result?;
                         check_doomed_chunk(&chunk, deadline);
                         doomed_designs.extend(chunk.outcomes.into_iter().filter_map(|o| o.best));
@@ -498,22 +466,21 @@ impl DesignOptimizer {
         }
     }
 
-    /// Runs `chunks` (a list of chunk indices) on up to `jobs` threads
-    /// and returns one result per entry, in list order whatever the
-    /// completion order.
+    /// Runs `chunks` (a list of chunk indices) on up to
+    /// [`OptimizerConfig::jobs`] threads and returns one result per entry,
+    /// in list order whatever the completion order.
     fn explore_chunks(
         &self,
         app: &Application,
         soa: &Arc<TaskGraphSoa>,
         scalings: &[ScalingVector],
         chunks: &[usize],
-        jobs: usize,
     ) -> Vec<Result<ChunkOutcome, OptError>> {
         let mut slots: Vec<Option<Result<ChunkOutcome, OptError>>> =
             chunks.iter().map(|_| None).collect();
         let order: Vec<usize> = (0..chunks.len()).collect();
         par(
-            jobs,
+            self.config.jobs,
             &order,
             |slot| self.explore_chunk(app, soa, scalings, chunks[slot]),
             |slot, result| {

@@ -16,7 +16,7 @@
 //! entries to its right are 1 by construction; decrement it and reset every
 //! entry to its right to the decremented value.
 
-use sea_arch::{Architecture, ScalingVector};
+use sea_arch::Architecture;
 
 /// Iterator over the paper's non-repetitive voltage-scaling combinations.
 ///
@@ -96,19 +96,6 @@ impl Iterator for ScalingIter {
     }
 }
 
-/// Validates a raw coefficient vector against an architecture, converting
-/// it into a [`ScalingVector`].
-///
-/// # Errors
-///
-/// Propagates [`sea_arch::ArchError`] for invalid coefficients.
-pub fn to_scaling_vector(
-    raw: &[u8],
-    arch: &Architecture,
-) -> Result<ScalingVector, sea_arch::ArchError> {
-    ScalingVector::try_new(raw.to_vec(), arch)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,8 +173,5 @@ mod tests {
         let arch = Architecture::homogeneous(4, LevelSet::arm7_three_level());
         let combos: Vec<Vec<u8>> = ScalingIter::for_architecture(&arch).collect();
         assert_eq!(combos.len(), 15);
-        for raw in &combos {
-            assert!(to_scaling_vector(raw, &arch).is_ok());
-        }
     }
 }

@@ -36,14 +36,13 @@
 //! the scaling, which is fixed across one anneal, and are cached at
 //! [`IncrementalEvaluator::prime`].
 //!
-//! # Fallback rule
+//! # One replay
 //!
-//! When `p` falls in the first `1/8` of the order ([`fallback_cutoff`]),
-//! the suffix replay covers nearly the whole schedule and the bookkeeping
-//! stops paying; the evaluator recomputes from position 0 instead (still
-//! reusing cached `λ` and unaffected register unions). Both paths execute
-//! identical float operations on identical inputs, so the fallback is a
-//! pure performance decision — results are bitwise identical either way.
+//! Every evaluation runs that one replay. Without a move to replay —
+//! [`IncrementalEvaluator::prime`], or a move with no committed base for
+//! the active scaling — it starts at position 0 with every core marked
+//! dirty, so every task is re-placed on a lane rebuilt from empty: the
+//! full list schedule, through the same loop.
 //!
 //! # Early rejection
 //!
@@ -57,7 +56,7 @@
 //! below, before any placement, by the largest of
 //!
 //! * the unchanged prefix makespan `fill_at[p]` at the move's first order
-//!   position `p` (also when the fallback replays from position 0),
+//!   position `p`,
 //! * the scaling's mapping-independent [`tm_lower_bound`], and
 //! * the busiest core's busy time under the new mapping. Durations depend
 //!   on the mapping only, so the committed busy times are patched in
@@ -103,20 +102,6 @@ use crate::metrics::{core_scalars, EvalContext, EvalSummary, ExposurePolicy, Map
 use crate::schedule::{check_shapes, list_schedule_on, place_task, task_duration, ScheduledTask};
 use crate::SchedError;
 
-/// Numerator of the largest suffix fraction worth replaying.
-const FALLBACK_NUM: usize = 7;
-/// Denominator of the largest suffix fraction worth replaying.
-const FALLBACK_DEN: usize = 8;
-
-/// The smallest order position for which a move is evaluated
-/// incrementally: positions below the cutoff would replay more than
-/// `7/8` of the schedule, so the evaluator recomputes from position 0
-/// instead. Exposed so tests can target the boundary exactly.
-#[must_use]
-pub fn fallback_cutoff(n: usize) -> usize {
-    n - n * FALLBACK_NUM / FALLBACK_DEN
-}
-
 /// True when every field of two summaries is bit-for-bit identical
 /// (`f64` fields compared through `to_bits`, so `-0.0 != 0.0` and NaNs
 /// compare by payload — stricter than `PartialEq`).
@@ -158,22 +143,23 @@ pub trait RejectionTest {
 }
 
 /// Counters describing how candidates were evaluated (observability for
-/// benches and the fallback-boundary tests).
+/// benches and tests).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IncrementalStats {
     /// Full evaluations that (re)established the committed cache.
     pub primes: u64,
-    /// Moves evaluated by suffix replay.
+    /// Moves evaluated against a committed base: every move once the
+    /// active scaling is primed, replayed from its first order position.
     pub incremental: u64,
-    /// Moves recomputed from position 0 (blast radius over the
-    /// threshold, or no committed cache for the active scaling).
+    /// Moves evaluated without a committed base for the active scaling,
+    /// replayed from position 0.
     pub fallback: u64,
-    /// Tasks actually re-placed across all suffix replays (the cone of
-    /// influence), versus `replay_window`: suffix tasks *visited*. Their
-    /// ratio is the fraction of the replay window the cone covers.
+    /// Tasks actually re-placed across all replays (the cone of
+    /// influence), versus `replay_window`: tasks *visited*. Their ratio
+    /// is the fraction of the replay window the cone covers.
     pub replayed_tasks: u64,
-    /// Total suffix lengths (visit-order positions from the first moved
-    /// task to the end) across all suffix replays.
+    /// Total replay lengths (visit-order positions from the replay's
+    /// start to the end) across all replays, primes included.
     pub replay_window: u64,
     /// Moves whose rejection was proven before any task was placed.
     pub rejected_before_replay: u64,
@@ -425,7 +411,7 @@ impl<'a> IncrementalEvaluator<'a> {
         check_shapes(self.ctx.app(), self.ctx.arch(), mapping, scaling)?;
         self.load_scaling(scaling);
         let summary = self
-            .compute_candidate(mapping, 0, None, None)
+            .compute_candidate(mapping, None, None)
             .expect("no rejection test, no rejection");
         self.candidate.summary_commit_guard();
         std::mem::swap(&mut self.committed, &mut self.candidate);
@@ -438,9 +424,9 @@ impl<'a> IncrementalEvaluator<'a> {
     }
 
     /// Evaluates `mapping` (= the committed mapping with `mv` applied)
-    /// into the candidate buffer: a suffix replay from the moved tasks'
-    /// first order position, or a threshold fallback from position 0.
-    /// Follow with [`IncrementalEvaluator::accept`] or
+    /// into the candidate buffer by replaying the move's cone of
+    /// influence from the moved tasks' first order position. Follow with
+    /// [`IncrementalEvaluator::accept`] or
     /// [`IncrementalEvaluator::reject`].
     ///
     /// With a `test`, returns `Ok(None)` as soon as the test proves the
@@ -449,9 +435,10 @@ impl<'a> IncrementalEvaluator<'a> {
     /// Every summary returned is the complete one, bitwise equal to the
     /// reference path.
     ///
-    /// Without a committed base for the active scaling the candidate is
-    /// computed fully (and may still be accepted); callers need not
-    /// track priming themselves.
+    /// Without a committed base for the active scaling the replay starts
+    /// at position 0, as [`IncrementalEvaluator::prime`]'s does, with no
+    /// rejection test (the candidate may still be accepted); callers need
+    /// not track priming themselves.
     ///
     /// # Errors
     ///
@@ -466,24 +453,17 @@ impl<'a> IncrementalEvaluator<'a> {
         self.rejected = false;
         let outcome = if self.primed && self.scaling == scaling.coefficients() {
             debug_assert_eq!(mapping.n_tasks(), self.soa().len());
-            let n = self.soa().len();
             let p = match mv {
                 Move::Relocate { task, .. } => self.soa().position(task),
                 Move::Swap { a, b } => self.soa().position(a).min(self.soa().position(b)),
             };
-            let from_pos = if p < fallback_cutoff(n) {
-                self.stats.fallback += 1;
-                0
-            } else {
-                self.stats.incremental += 1;
-                p
-            };
-            self.compute_candidate(mapping, from_pos, Some((mv, p)), test)
+            self.stats.incremental += 1;
+            self.compute_candidate(mapping, Some((mv, p)), test)
         } else {
             check_shapes(self.ctx.app(), self.ctx.arch(), mapping, scaling)?;
             self.load_scaling(scaling);
             self.stats.fallback += 1;
-            self.compute_candidate(mapping, 0, None, None)
+            self.compute_candidate(mapping, None, None)
         };
         #[cfg(debug_assertions)]
         {
@@ -630,15 +610,15 @@ impl<'a> IncrementalEvaluator<'a> {
         *primed = false;
     }
 
-    /// Evaluates `mapping` into the candidate buffer, replaying the
-    /// visit order from `from_pos` on prefix state reconstructed from
-    /// the committed cache. `delta` is the move separating `mapping`
-    /// from the committed base, with its first order position; with it,
-    /// the suffix replay is restricted to the move's cone of influence
-    /// (dirty tasks/cores), register unions are updated by
-    /// occupancy-count transitions instead of per-core rescans, and
-    /// `test` may end the evaluation early with `None` (see the module
-    /// docs). `None` recomputes everything from scratch. Shares
+    /// Evaluates `mapping` into the candidate buffer by replaying its
+    /// cone of influence (dirty tasks/cores) on prefix state
+    /// reconstructed from the committed cache. `delta` is the move
+    /// separating `mapping` from the committed base, with its first order
+    /// position `p`; with it, the replay starts at `p`, register unions
+    /// are updated by occupancy-count transitions instead of per-core
+    /// rescans, and `test` may end the evaluation early with `None` (see
+    /// the module docs). Without it the replay starts at position 0 with
+    /// every core dirty, which recomputes everything. Shares
     /// [`place_task`] with the reference scheduler and accumulates in the
     /// same order, so a returned summary is bitwise identical to the
     /// reference evaluation of `mapping`.
@@ -646,7 +626,6 @@ impl<'a> IncrementalEvaluator<'a> {
     fn compute_candidate(
         &mut self,
         mapping: &Mapping,
-        from_pos: usize,
         delta: Option<(Move, usize)>,
         test: Option<&dyn RejectionTest>,
     ) -> Option<EvalSummary> {
@@ -679,6 +658,7 @@ impl<'a> IncrementalEvaluator<'a> {
             ..
         } = self;
         let n_blocks = *n_blocks;
+        let from_pos = delta.map_or(0, |(_, p)| p);
         *cand_from_pos = from_pos;
         let soa: &TaskGraphSoa = soa;
         let app = ctx.app();
@@ -789,21 +769,85 @@ impl<'a> IncrementalEvaluator<'a> {
             })
         };
 
+        // Cone-of-influence replay. A task's placement can differ from
+        // the committed one only if the task moved, its core's timeline
+        // diverged (a moved task left/joined it, or a dirty task was
+        // re-placed on it), or a predecessor's placement changed —
+        // everything else is bitwise unchanged and simply kept. The visit
+        // order is topological, so each task's predecessors are
+        // classified before it.
+        dirty_task.fill(false);
+        lane_done.fill(false);
+        candidate.finish.clear();
+        candidate.dur.clear();
+        candidate.busy.clear();
+        match delta {
+            Some((mv, _)) => {
+                dirty_cores.fill(false);
+                match mv {
+                    Move::Relocate { task, to } => {
+                        dirty_task[task.index()] = true;
+                        dirty_cores[committed.core[task.index()].index()] = true;
+                        dirty_cores[to.index()] = true;
+                    }
+                    Move::Swap { a, b } => {
+                        dirty_task[a.index()] = true;
+                        dirty_task[b.index()] = true;
+                        dirty_cores[committed.core[a.index()].index()] = true;
+                        dirty_cores[committed.core[b.index()].index()] = true;
+                    }
+                }
+                // Prefix placements (and skipped suffix placements) are
+                // the committed ones; replayed tasks overwrite their slots.
+                candidate.finish.extend_from_slice(&committed.finish);
+                candidate.dur.extend_from_slice(&committed.dur);
+                candidate.busy.extend_from_slice(&committed.busy);
+            }
+            // No base to keep: every core is dirty, so every task is
+            // re-placed and every lane is rebuilt from empty (the
+            // committed lanes hold no clean task to filter in).
+            None => {
+                dirty_cores.fill(true);
+                candidate.finish.resize(n, f64::NAN);
+                candidate.dur.resize(n, 0.0);
+                candidate.busy.resize(n_cores, 0.0);
+            }
+        }
         candidate.lanes.resize_with(n_cores, Vec::new);
         let mut fill = fill_at[from_pos];
-        if from_pos == 0 {
-            // Full replay: every task re-placed, every lane rebuilt.
-            lane_done.fill(true);
-            candidate.busy.clear();
-            candidate.busy.resize(n_cores, 0.0f64);
-            candidate.finish.clear();
-            candidate.finish.resize(n, f64::NAN);
-            candidate.dur.clear();
-            candidate.dur.resize(n, 0.0f64);
-            for lane in candidate.lanes.iter_mut() {
-                lane.clear();
+        let row = from_pos * n_cores;
+        clean_busy.copy_from_slice(&busy_at[row..row + n_cores]);
+        stats.replay_window += (n - from_pos) as u64;
+        for (q, &t) in order.iter().enumerate().skip(from_pos) {
+            let ti = t.index();
+            let c = mapping.core_of(t);
+            let ci = c.index();
+            let mut dirty = dirty_task[ti] || dirty_cores[ci];
+            if !dirty {
+                for &(p, _) in soa.predecessors(t) {
+                    if dirty_task[p as usize] {
+                        dirty = true;
+                        break;
+                    }
+                }
             }
-            for &t in order {
+            if dirty {
+                stats.replayed_tasks += 1;
+                dirty_task[ti] = true;
+                dirty_cores[ci] = true;
+                if !lane_done[ci] {
+                    materialize_lane(
+                        soa,
+                        committed,
+                        dirty_task,
+                        q,
+                        ci,
+                        clean_busy[ci],
+                        &mut candidate.lanes[ci],
+                        &mut candidate.busy[ci],
+                    );
+                    lane_done[ci] = true;
+                }
                 let placed = place_task(
                     soa,
                     mapping,
@@ -814,8 +858,11 @@ impl<'a> IncrementalEvaluator<'a> {
                     &mut candidate.busy,
                     &mut candidate.lanes,
                 );
-                candidate.dur[t.index()] = placed.dur_s;
-                fill = fill.max(candidate.finish[t.index()]);
+                candidate.dur[ti] = placed.dur_s;
+                fill = fill.max(candidate.finish[ti]);
+                // Only a re-placement is worth stopping for; a skipped
+                // task that lifts the fill past the checkpoint is seen at
+                // the next one.
                 if fill >= check_fill {
                     if proven_at(fill) {
                         stats.rejected_during_replay += 1;
@@ -823,120 +870,30 @@ impl<'a> IncrementalEvaluator<'a> {
                     }
                     check_fill = f64::INFINITY;
                 }
+            } else {
+                // Skipped: keep accumulating the core's clean busy in
+                // visit order (a dirty core receives no clean tasks, so
+                // its value freezes exactly at materialization).
+                clean_busy[ci] += candidate.dur[ti];
+                fill = fill.max(candidate.finish[ti]);
             }
-        } else {
-            // Cone-of-influence replay. A suffix task's placement can
-            // differ from the committed one only if the task moved, its
-            // core's timeline diverged (a moved task left/joined it, or
-            // a dirty task was re-placed on it), or a predecessor's
-            // placement changed — everything else is bitwise unchanged
-            // and simply kept. The visit order is topological, so each
-            // task's predecessors are classified before it.
-            let (mv, _) = delta.expect("suffix replay requires the separating move");
-            dirty_task.fill(false);
-            dirty_cores.fill(false);
-            lane_done.fill(false);
-            match mv {
-                Move::Relocate { task, to } => {
-                    dirty_task[task.index()] = true;
-                    dirty_cores[committed.core[task.index()].index()] = true;
-                    dirty_cores[to.index()] = true;
-                }
-                Move::Swap { a, b } => {
-                    dirty_task[a.index()] = true;
-                    dirty_task[b.index()] = true;
-                    dirty_cores[committed.core[a.index()].index()] = true;
-                    dirty_cores[committed.core[b.index()].index()] = true;
-                }
-            }
-            // Prefix placements (and skipped suffix placements) are the
-            // committed ones; replayed tasks overwrite their slots.
-            candidate.finish.clear();
-            candidate.finish.extend_from_slice(&committed.finish);
-            candidate.dur.clear();
-            candidate.dur.extend_from_slice(&committed.dur);
-            candidate.busy.clear();
-            candidate.busy.extend_from_slice(&committed.busy);
-            let row = from_pos * n_cores;
-            clean_busy.copy_from_slice(&busy_at[row..row + n_cores]);
-            stats.replay_window += (n - from_pos) as u64;
-            for (q, &t) in order.iter().enumerate().skip(from_pos) {
-                let ti = t.index();
-                let c = mapping.core_of(t);
-                let ci = c.index();
-                let mut dirty = dirty_task[ti] || dirty_cores[ci];
-                if !dirty {
-                    for &(p, _) in soa.predecessors(t) {
-                        if dirty_task[p as usize] {
-                            dirty = true;
-                            break;
-                        }
-                    }
-                }
-                if dirty {
-                    stats.replayed_tasks += 1;
-                    dirty_task[ti] = true;
-                    dirty_cores[ci] = true;
-                    if !lane_done[ci] {
-                        materialize_lane(
-                            soa,
-                            committed,
-                            dirty_task,
-                            q,
-                            ci,
-                            clean_busy[ci],
-                            &mut candidate.lanes[ci],
-                            &mut candidate.busy[ci],
-                        );
-                        lane_done[ci] = true;
-                    }
-                    let placed = place_task(
-                        soa,
-                        mapping,
-                        freq,
-                        *scale,
-                        t,
-                        &mut candidate.finish,
-                        &mut candidate.busy,
-                        &mut candidate.lanes,
-                    );
-                    candidate.dur[ti] = placed.dur_s;
-                    fill = fill.max(candidate.finish[ti]);
-                    // Only a re-placement is worth stopping for; a skipped
-                    // task that lifts the fill past the checkpoint is
-                    // seen at the next one.
-                    if fill >= check_fill {
-                        if proven_at(fill) {
-                            stats.rejected_during_replay += 1;
-                            return None;
-                        }
-                        check_fill = f64::INFINITY;
-                    }
-                } else {
-                    // Skipped: keep accumulating the core's clean busy in
-                    // visit order (a dirty core receives no clean tasks,
-                    // so its value freezes exactly at materialization).
-                    clean_busy[ci] += candidate.dur[ti];
-                    fill = fill.max(candidate.finish[ti]);
-                }
-            }
-            // A dirty core that received no placement (e.g. the move's
-            // source core emptied of suffix tasks) still needs its lane
-            // and busy reconstructed without the departed tasks.
-            for ci in 0..n_cores {
-                if dirty_cores[ci] && !lane_done[ci] {
-                    materialize_lane(
-                        soa,
-                        committed,
-                        dirty_task,
-                        n,
-                        ci,
-                        clean_busy[ci],
-                        &mut candidate.lanes[ci],
-                        &mut candidate.busy[ci],
-                    );
-                    lane_done[ci] = true;
-                }
+        }
+        // A dirty core that received no placement (e.g. the move's source
+        // core emptied of suffix tasks) still needs its lane and busy
+        // reconstructed without the departed tasks.
+        for ci in 0..n_cores {
+            if dirty_cores[ci] && !lane_done[ci] {
+                materialize_lane(
+                    soa,
+                    committed,
+                    dirty_task,
+                    n,
+                    ci,
+                    clean_busy[ci],
+                    &mut candidate.lanes[ci],
+                    &mut candidate.busy[ci],
+                );
+                lane_done[ci] = true;
             }
         }
         // The core array is the committed one patched by the move (exact:
@@ -1269,48 +1226,6 @@ mod tests {
     }
 
     #[test]
-    fn fallback_and_incremental_branches_both_taken() {
-        let app = mpeg2::application();
-        let (arch, mut current) = setup(&app, 4);
-        let ctx = EvalContext::new(&app, &arch);
-        let mut ev = IncrementalEvaluator::new(ctx);
-        let s = ScalingVector::all_nominal(&arch);
-        ev.prime(&current, &s).unwrap();
-        let n = ev.soa().len();
-        let cutoff = fallback_cutoff(n);
-        assert!(cutoff > 0, "mpeg2 order must have a fallback region");
-
-        // A move on the first-visited task replays everything: fallback.
-        let early = ev.soa().schedule_order()[0];
-        let to = CoreId::new((current.core_of(early).index() + 1) % 4);
-        let mv = Move::Relocate { task: early, to };
-        let inverse = current.apply(mv);
-        ev.evaluate_move(&current, &s, mv, None).unwrap();
-        ev.reject();
-        current.apply(inverse);
-        assert_eq!(ev.stats().fallback, 1);
-        assert_eq!(ev.stats().incremental, 0);
-
-        // A move exactly at the cutoff position goes incremental.
-        let boundary = ev.soa().schedule_order()[cutoff];
-        let to = CoreId::new((current.core_of(boundary).index() + 1) % 4);
-        let mv = Move::Relocate { task: boundary, to };
-        current.apply(mv);
-        ev.evaluate_move(&current, &s, mv, None).unwrap();
-        ev.accept();
-        assert_eq!(ev.stats().incremental, 1);
-
-        // One position before the cutoff falls back again.
-        let below = ev.soa().schedule_order()[cutoff - 1];
-        let to = CoreId::new((current.core_of(below).index() + 1) % 4);
-        let mv = Move::Relocate { task: below, to };
-        current.apply(mv);
-        ev.evaluate_move(&current, &s, mv, None).unwrap();
-        ev.accept();
-        assert_eq!(ev.stats().fallback, 2);
-    }
-
-    #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "accept() after evaluate_move proved the candidate rejected")]
     fn accept_after_a_rejection_panics_in_debug_builds() {
@@ -1375,19 +1290,5 @@ mod tests {
             ev.evaluate_move(&bad, &s, mv, None).unwrap_err(),
             SchedError::ShapeMismatch { .. }
         ));
-    }
-
-    #[test]
-    fn fallback_cutoff_boundaries() {
-        assert_eq!(fallback_cutoff(0), 0);
-        assert_eq!(fallback_cutoff(8), 1);
-        assert_eq!(fallback_cutoff(11), 2);
-        for n in 1..200 {
-            let c = fallback_cutoff(n);
-            // The suffix replayed from the cutoff is the largest one
-            // inside the 7/8 budget, and the cutoff stays in range.
-            assert_eq!(n - c, n * FALLBACK_NUM / FALLBACK_DEN);
-            assert!(c <= n);
-        }
     }
 }

@@ -57,7 +57,7 @@ pub mod schedule;
 
 pub use bounds::tm_lower_bound;
 pub use incremental::{
-    fallback_cutoff, summaries_bitwise_eq, IncrementalEvaluator, IncrementalStats, RejectionTest,
+    summaries_bitwise_eq, IncrementalEvaluator, IncrementalStats, RejectionTest,
 };
 pub use mapping::{Mapping, Move};
 pub use metrics::{CoreEval, EvalContext, EvalSummary, ExposurePolicy, MappingEvaluation};

@@ -42,7 +42,6 @@
 //! ```
 
 pub mod engine;
-pub mod export;
 pub mod fault;
 pub mod kernel;
 pub mod rng;

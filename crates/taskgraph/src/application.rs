@@ -5,7 +5,6 @@ use serde::{Deserialize, Serialize};
 use crate::error::GraphError;
 use crate::graph::TaskGraph;
 use crate::registers::RegisterModel;
-use crate::units::Cycles;
 
 /// How the application executes on the MPSoC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -128,14 +127,6 @@ impl Application {
             deadline_s,
         )
     }
-
-    /// Per-iteration computation cost of a task (total / iterations,
-    /// in exact rational cycles as f64 to avoid rounding drift in pipelined
-    /// throughput computations).
-    #[must_use]
-    pub fn per_iteration_cycles(&self, total: Cycles) -> f64 {
-        total.as_f64() / f64::from(self.mode.iterations())
-    }
 }
 
 #[cfg(test)]
@@ -144,6 +135,7 @@ mod tests {
     use crate::graph::TaskGraphBuilder;
     use crate::registers::RegisterModelBuilder;
     use crate::units::Bits;
+    use crate::units::Cycles;
 
     fn app(mode: ExecutionMode, deadline: f64) -> Result<Application, GraphError> {
         let mut b = TaskGraphBuilder::new("g");
@@ -189,12 +181,6 @@ mod tests {
             Application::new("x", g, rm, ExecutionMode::Batch, 1.0).unwrap_err(),
             GraphError::RegisterModelMismatch { .. }
         ));
-    }
-
-    #[test]
-    fn per_iteration_cycles_divides() {
-        let a = app(ExecutionMode::Pipelined { iterations: 4 }, 1.0).unwrap();
-        assert_eq!(a.per_iteration_cycles(Cycles::new(100)), 25.0);
     }
 
     #[test]

@@ -154,12 +154,6 @@ impl TaskGraph {
         self.tasks.iter().map(Task::computation).sum()
     }
 
-    /// Total communication cost `Σ_ij d_ij` over all edges.
-    #[must_use]
-    pub fn total_communication(&self) -> Cycles {
-        self.edges.iter().map(|e| e.comm).sum()
-    }
-
     /// Length (cycles) of the longest computation+communication path.
     ///
     /// This is a lower bound on one-shot makespan at uniform unit frequency
@@ -456,7 +450,6 @@ mod tests {
     fn totals() {
         let g = chain(4);
         assert_eq!(g.total_computation(), Cycles::new(40));
-        assert_eq!(g.total_communication(), Cycles::new(6));
     }
 
     #[test]

@@ -62,9 +62,6 @@ pub struct TaskGraphSoa {
     succ_off: Vec<u32>,
     /// Flat `(successor index, comm cycles as f64)` pairs.
     succ_adj: Vec<(u32, f64)>,
-    /// Number of predecessors per task (the list scheduler's initial
-    /// pending counts).
-    pred_count: Vec<u32>,
     /// Downstream critical path per task (the scheduling priority).
     bottom_levels: Vec<Cycles>,
     /// The static visit sequence of bottom-level list scheduling; a
@@ -156,7 +153,6 @@ impl TaskGraphSoa {
             pred_adj,
             succ_off,
             succ_adj,
-            pred_count,
             bottom_levels,
             order,
             pos,
@@ -225,12 +221,6 @@ impl TaskGraphSoa {
     pub fn successors(&self, t: TaskId) -> &[(u32, f64)] {
         let i = t.index();
         &self.succ_adj[self.succ_off[i] as usize..self.succ_off[i + 1] as usize]
-    }
-
-    /// Number of predecessors of each task, indexed by task id.
-    #[must_use]
-    pub fn pred_counts(&self) -> &[u32] {
-        &self.pred_count
     }
 
     /// Downstream critical path (bottom level) per task.
@@ -344,10 +334,6 @@ mod tests {
                 .map(|&(s, c)| (s.index() as u32, c.as_f64()))
                 .collect();
             assert_eq!(soa.successors(t), succs.as_slice());
-            assert_eq!(
-                soa.pred_counts()[t.index()] as usize,
-                g.predecessors(t).len()
-            );
         }
         assert_eq!(soa.bottom_levels(), g.bottom_levels().as_slice());
         assert_eq!(soa.deadline_s(), app.deadline_s());

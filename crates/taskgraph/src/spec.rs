@@ -4,8 +4,8 @@
 //!
 //! * `mpeg2` — the MPEG-2 decoder of Fig. 2,
 //! * `fig8` — the Fig. 8 tutorial graph,
-//! * `random:<tasks>[:<seed>]` — a §V random workload (seed defaults to
-//!   [`DEFAULT_RANDOM_SEED`]).
+//! * `random:<tasks>[:<seed>]` — a §V random workload of 1 to
+//!   [`MAX_RANDOM_TASKS`] tasks (seed defaults to [`DEFAULT_RANDOM_SEED`]).
 //!
 //! The grammar lives here — not in any one binary — so the `sea-dse` CLI
 //! and the `sea-campaign` spec parser accept exactly the same strings.
@@ -20,6 +20,28 @@ use crate::{fig8, mpeg2, Application};
 
 /// Generator seed used when a `random:<tasks>` spec omits one.
 pub const DEFAULT_RANDOM_SEED: u64 = 7;
+
+/// The largest task count a random workload may ask for: 100 times the
+/// largest graph any builtin, example or experiment uses. The generator's
+/// time grows with the square of the task count, and a daemon builds a
+/// submitted campaign's applications on its event loop, so a much larger
+/// count would stall every campaign.
+pub const MAX_RANDOM_TASKS: usize = 10_000;
+
+/// Checks a random workload's task count against `1..=`[`MAX_RANDOM_TASKS`].
+///
+/// # Errors
+///
+/// Returns [`SpecError`] naming the count when it is out of range.
+pub fn check_random_tasks(tasks: usize) -> Result<usize, SpecError> {
+    if (1..=MAX_RANDOM_TASKS).contains(&tasks) {
+        Ok(tasks)
+    } else {
+        Err(SpecError(format!(
+            "a random workload needs 1 to {MAX_RANDOM_TASKS} tasks, got {tasks}"
+        )))
+    }
+}
 
 /// A parsed application selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -97,6 +119,7 @@ impl FromStr for AppSpec {
                 let tasks: usize = tasks
                     .parse()
                     .map_err(|_| SpecError(format!("cannot parse task count from `{tasks}`")))?;
+                let tasks = check_random_tasks(tasks)?;
                 let seed = match parts.next() {
                     Some(s) => s
                         .parse()
@@ -141,6 +164,11 @@ mod tests {
         assert!("random".parse::<AppSpec>().is_err());
         assert!("random:x".parse::<AppSpec>().is_err());
         assert!("random:10:1:2".parse::<AppSpec>().is_err());
+        assert!("random:0".parse::<AppSpec>().is_err());
+        assert!("random:10001".parse::<AppSpec>().is_err());
+        assert!("random:1000000:3".parse::<AppSpec>().is_err());
+        assert!("random:1".parse::<AppSpec>().is_ok());
+        assert!("random:10000".parse::<AppSpec>().is_ok());
         assert!("h264".parse::<AppSpec>().is_err());
         assert!("".parse::<AppSpec>().is_err());
     }

@@ -35,6 +35,7 @@ use std::fmt;
 use crate::arch::LevelSet;
 use crate::baselines::Objective;
 use crate::opt::SelectionPolicy;
+use crate::taskgraph::spec::check_random_tasks;
 use sea_campaign::spec::MAX_SWEEP_COUNT;
 use sea_campaign::BudgetSpec;
 
@@ -407,7 +408,7 @@ USAGE:
                     [--max-size-mib <M>] [--delete-corrupt]
   sea-dse help
 
-APP SPECS: mpeg2 | fig8 | random:<tasks>[:<seed>]
+APP SPECS: mpeg2 | fig8 | random:<tasks>[:<seed>], 1 to 10000 tasks (as generate --tasks)
 GROUPS:    0-based task ids, comma-separated within a core, cores separated by '|'
            e.g. --groups \"0,1,2,3,4,5|6,7|8|9,10\"
 JOBS:      worker threads for `optimize`'s scaling enumeration; results are
@@ -756,7 +757,8 @@ fn parse_generate(args: &[String]) -> Result<GenerateArgs, CliError> {
         return Err(CliError("missing --tasks".into()));
     };
     Ok(GenerateArgs {
-        tasks: parse_num(&tasks, "task count")?,
+        tasks: check_random_tasks(parse_num(&tasks, "task count")?)
+            .map_err(|e| CliError(e.to_string()))?,
         seed: match get_flag(args, "--seed")? {
             Some(s) => parse_num(&s, "seed")?,
             None => 7,
@@ -1010,9 +1012,9 @@ fn parse_cache_cmd(args: &[String]) -> Result<CacheArgs, CliError> {
         }
     };
     reject_unknown_flags(
-        args,
+        rest,
         &["--dir", "--max-age-days", "--max-size-mib"],
-        &["--delete-corrupt", action_keyword(action)],
+        &["--delete-corrupt"],
         "--dir|--max-age-days|--max-size-mib|--delete-corrupt",
     )?;
     let max_age_days = match get_flag(rest, "--max-age-days")? {
@@ -1057,14 +1059,6 @@ fn parse_cache_cmd(args: &[String]) -> Result<CacheArgs, CliError> {
         max_size_mib,
         delete_corrupt,
     })
-}
-
-fn action_keyword(action: CacheAction) -> &'static str {
-    match action {
-        CacheAction::Stats => "stats",
-        CacheAction::Verify => "verify",
-        CacheAction::Prune => "prune",
-    }
 }
 
 /// Parses an optional `--jobs <N>`, which must be at least 1.
@@ -1233,6 +1227,8 @@ mod tests {
         assert!(parse_app_spec("random:x").is_err());
         assert!(parse_app_spec("random:10:1:2").is_err());
         assert!(parse_app_spec("h264").is_err());
+        assert!(parse_app_spec("random:10001").is_err());
+        assert!(parse(&argv("optimize --app random:10001 --cores 4")).is_err());
     }
 
     #[test]
@@ -1368,6 +1364,12 @@ mod tests {
         };
         assert_eq!(g.tasks, 25);
         assert!(g.dot);
+        // The task count shares the `random:<tasks>` range.
+        assert!(parse(&argv("generate --tasks 10000")).is_ok());
+        for tasks in ["0", "10001", "1000000"] {
+            let err = parse(&argv(&format!("generate --tasks {tasks}"))).unwrap_err();
+            assert!(err.0.contains("1 to 10000 tasks"), "{err}");
+        }
     }
 
     #[test]
@@ -1654,6 +1656,10 @@ mod tests {
         assert!(parse(&argv("cache verify --max-size-mib 1")).is_err());
         assert!(parse(&argv("cache stats --delete-corrupt")).is_err());
         assert!(parse(&argv("cache stats --frobnicate")).is_err());
+        // The action word is taken once, before the flags.
+        assert_refused("cache stats --dir d", "stats", "stats");
+        assert_refused("cache verify", "verify --dir d", "verify");
+        assert_refused("cache prune --max-age-days 3", "prune", "prune");
     }
 
     /// `verb`'s command line with `extra` appended must fail, naming the

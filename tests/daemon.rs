@@ -201,8 +201,10 @@ fn an_oversized_range_is_refused_and_the_daemon_keeps_serving() {
     // before it was checked: one Submit frame aborted the process on an
     // 8 TB allocation. The sweep `count` and the simulate `ser` were
     // accepted and killed every worker that took one of their units, so
-    // the campaign never finished. The last two expanded to 57.6 M units
-    // and to 100,032 core counts, aborting the daemon on allocation.
+    // the campaign never finished. The next two expanded to 57.6 M units
+    // and to 100,032 core counts, aborting the daemon on allocation. The
+    // last one built a million-task graph on the event loop, in time
+    // quadratic in the task count, stalling every campaign.
     let seeds: Vec<String> = (1..=1000).map(|s| s.to_string()).collect();
     let grid = format!(
         "apps = \"{}\"\nkind = \"optimize\"\ncores = \"1-64\"\nlevels = \"2-4\"\n\
@@ -242,6 +244,10 @@ fn an_oversized_range_is_refused_and_the_daemon_keeps_serving() {
             "line 2: the campaign expands to more than 100000 units",
         ),
         (&cores, "line 5: `cores` lists more than 100000 values"),
+        (
+            "apps = \"random:1000000\"\nkind = \"optimize\"\ncores = \"4\"\n",
+            "line 3: a random workload needs 1 to 10000 tasks, got 1000000",
+        ),
     ];
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();

@@ -201,8 +201,8 @@ proptest! {
 
     /// A random accept/reject walk through the delta evaluator yields
     /// summaries bitwise identical to a fresh full evaluation at every
-    /// step, and moves straddling the fallback threshold take the
-    /// expected replay path while staying exact.
+    /// step, and so does relocating the first-visited task after it: the
+    /// widest replay, from position 0.
     #[test]
     fn incremental_evaluator_is_bitwise_exact_on_random_walks(
         app in arb_application(),
@@ -213,9 +213,7 @@ proptest! {
             1..16,
         ),
     ) {
-        use sea_dse::sched::{
-            fallback_cutoff, summaries_bitwise_eq, IncrementalEvaluator, Move,
-        };
+        use sea_dse::sched::{summaries_bitwise_eq, IncrementalEvaluator, Move};
 
         let arch = Architecture::homogeneous(3, LevelSet::arm7_three_level());
         let n = app.graph().len();
@@ -255,31 +253,21 @@ proptest! {
             }
         }
 
-        // Fallback-threshold boundary: relocating the task visited at the
-        // cutoff order position replays the suffix (incremental); one
-        // position earlier replays everything (fallback). Both exact.
-        let cutoff = fallback_cutoff(n);
-        prop_assume!(cutoff > 0);
-        for (pos, expect_incremental) in [(cutoff, true), (cutoff - 1, false)] {
-            let task = inc.soa().schedule_order()[pos];
-            let to = CoreId::new((current.core_of(task).index() + 1) % 3);
-            let mv = Move::Relocate { task, to };
-            let before = inc.stats();
-            current.apply(mv);
-            let got = inc.evaluate_move(&current, &scaling, mv, None).unwrap().unwrap();
-            let want = ctx.evaluate(&current, &scaling).unwrap().summary();
-            prop_assert!(summaries_bitwise_eq(&got, &want));
-            inc.accept();
-            let after = inc.stats();
-            prop_assert_eq!(
-                after.incremental - before.incremental,
-                u64::from(expect_incremental)
-            );
-            prop_assert_eq!(
-                after.fallback - before.fallback,
-                u64::from(!expect_incremental)
-            );
-        }
+        // The widest replay: relocating the first-visited task replays
+        // the move's cone from position 0 against the committed base.
+        let task = inc.soa().schedule_order()[0];
+        let to = CoreId::new((current.core_of(task).index() + 1) % 3);
+        let mv = Move::Relocate { task, to };
+        let before = inc.stats();
+        current.apply(mv);
+        let got = inc.evaluate_move(&current, &scaling, mv, None).unwrap().unwrap();
+        let want = ctx.evaluate(&current, &scaling).unwrap().summary();
+        prop_assert!(
+            summaries_bitwise_eq(&got, &want),
+            "first-task relocation diverged on {}: {:?} vs {:?}",
+            mv, got, want
+        );
+        prop_assert_eq!(inc.stats().incremental - before.incremental, 1);
     }
 
     /// Early rejection is exact. On random batch graphs and the pipelined
