@@ -55,9 +55,8 @@ fn bench_kernels(c: &mut Criterion) {
 
     // The prune test itself: one bound per (scaling, chunk-member); must
     // stay trivial next to even a single schedule call.
-    let soa6 = sea_taskgraph::TaskGraphSoa::new(&big);
     c.bench_function("kernels/tm_lower_bound_random100_6cores", |b| {
-        b.iter(|| sea_sched::tm_lower_bound(&soa6, big.mode(), &arch6, &scaling6));
+        b.iter(|| sea_sched::tm_lower_bound(&big, &arch6, &scaling6));
     });
 
     c.bench_function("kernels/poisson_large_mean", |b| {

@@ -27,7 +27,7 @@ use sea_sched::Mapping;
 use sea_sim::{simulate_design, SimConfig, SimSummary};
 use sea_taskgraph::{
     AppSpec, Application, Bits, Cycles, ExecutionMode, RegisterModelBuilder, SpecError,
-    TaskGraphBuilder, TaskGraphSoa, TaskId,
+    TaskGraphBuilder, TaskId,
 };
 
 use crate::hash::ContentHasher;
@@ -158,11 +158,8 @@ impl AppRef {
     ///
     /// Spec-built applications are memoized process-wide by spec string, so
     /// every unit of a campaign grid sharing a workload receives the *same*
-    /// `Arc<Application>`. Beyond skipping rebuilds, the stable pointer is
-    /// what makes [`TaskGraphSoa::shared`]'s pointer-keyed cache effective
-    /// across units: graph-derived arrays (bottom levels, static schedule
-    /// order, CSR adjacency) are computed once per workload per process,
-    /// not once per unit.
+    /// `Arc<Application>`, and with it one graph view
+    /// ([`Application::soa`]).
     ///
     /// # Errors
     ///
@@ -324,9 +321,8 @@ impl Unit {
                 let surviving = match memo.0.entry(key) {
                     Entry::Occupied(entry) => entry.get().1,
                     Entry::Vacant(entry) => {
-                        let soa = TaskGraphSoa::shared(&app);
                         let optimizer = DesignOptimizer::new(self.optimizer_config());
-                        let surviving = optimizer.surviving_scalings(&app, &soa);
+                        let surviving = optimizer.surviving_scalings(&app);
                         entry.insert((app, surviving)).1
                     }
                 };
@@ -970,11 +966,7 @@ pub fn run_unit_cancellable(
         UnitKind::Optimize => {
             let optimizer =
                 DesignOptimizer::new(with_cancel(unit.optimizer_config().with_jobs(inner_jobs)));
-            // Units share the graph's structure-of-arrays view across the
-            // whole campaign (memoized per `Arc<Application>` identity,
-            // which `AppRef::build` keeps stable per workload).
-            let soa = TaskGraphSoa::shared(&app);
-            design_payload(unit, optimizer.optimize_with(&app, &soa))?
+            design_payload(unit, optimizer.optimize(&app))?
         }
         UnitKind::Baseline(objective) => {
             let optimizer =
@@ -1209,10 +1201,17 @@ mod tests {
     #[test]
     fn inline_applications_rebuild_exactly() {
         let app = Arc::new(AppSpec::Mpeg2.build().unwrap());
-        let mut out = String::new();
-        write_application(&mut out, &app);
-        let back = next_application(&mut Tokens::new(&out)).unwrap();
-        assert_eq!(*app, back);
+        for view_built in [false, true] {
+            // The graph view is derived data: the decoded application has
+            // not built one, and still equals an original that has.
+            if view_built {
+                let _ = app.soa();
+            }
+            let mut out = String::new();
+            write_application(&mut out, &app);
+            let back = next_application(&mut Tokens::new(&out)).unwrap();
+            assert_eq!(*app, back);
+        }
     }
 
     #[test]

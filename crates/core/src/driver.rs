@@ -54,7 +54,7 @@ use sea_arch::{Architecture, LevelSet, ScalingVector, SerModel};
 use sea_sched::metrics::{EvalContext, ExposurePolicy, MappingEvaluation};
 use sea_sched::{tm_lower_bound, IncrementalEvaluator, Mapping};
 use sea_taskgraph::par::par;
-use sea_taskgraph::{Application, TaskGraphSoa};
+use sea_taskgraph::Application;
 
 use crate::clock::WallClock;
 use crate::initial::initial_sea_mapping;
@@ -324,6 +324,11 @@ impl DesignOptimizer {
     /// over [`OptimizerConfig::jobs`] worker threads. The outcome is
     /// bitwise identical for every `jobs` value (see the
     /// [module docs](self) for the chunking scheme behind the guarantee).
+    /// Every chunk, on every worker, schedules from the application's one
+    /// graph view ([`Application::soa`]), so units that share an
+    /// `Arc<Application>` share its graph traversals (bottom levels, static
+    /// schedule order). At one job the whole flow runs on the calling
+    /// thread, spawning nothing.
     ///
     /// # Errors
     ///
@@ -331,26 +336,6 @@ impl DesignOptimizer {
     /// every core and [`OptError::Infeasible`] when no explored design meets
     /// the real-time constraint.
     pub fn optimize(&self, app: &Application) -> Result<OptimizationOutcome, OptError> {
-        self.optimize_with(app, &Arc::new(TaskGraphSoa::new(app)))
-    }
-
-    /// As [`Self::optimize`], but schedules from a caller-supplied
-    /// structure-of-arrays view of `app` instead of building one. Every
-    /// chunk, on every worker, schedules from this shared read-only view;
-    /// campaign runners that optimize the same [`Application`] under many
-    /// configurations obtain it once via [`TaskGraphSoa::shared`] and
-    /// amortize the graph traversals (bottom levels, static schedule
-    /// order) across units. At one job the whole flow runs on the calling
-    /// thread, spawning nothing.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::optimize`].
-    pub fn optimize_with(
-        &self,
-        app: &Application,
-        soa: &Arc<TaskGraphSoa>,
-    ) -> Result<OptimizationOutcome, OptError> {
         let arch = &self.config.arch;
         let scalings = ScalingIter::for_architecture(arch)
             .map(|raw| ScalingVector::try_new(raw, arch))
@@ -365,18 +350,18 @@ impl DesignOptimizer {
         // (never on the job count or the build), so debug and release
         // runs stay bitwise identical.
         let deadline = app.deadline_s();
-        let doomed = chunk_doomed(soa, app, arch, &scalings);
+        let doomed = chunk_doomed(app, arch, &scalings);
         let live: Vec<usize> = (0..n_chunks).filter(|&k| !doomed[k]).collect();
         let dead: Vec<usize> = (0..n_chunks).filter(|&k| doomed[k]).collect();
 
-        let live_results = self.explore_chunks(app, soa, &scalings, &live);
+        let live_results = self.explore_chunks(app, &scalings, &live);
 
         // Debug builds search the doomed chunks anyway and let the merge
         // below assert that none of them holds a feasible design.
         let verify = cfg!(debug_assertions);
         let mut dead_results: Option<Vec<Result<ChunkOutcome, OptError>>> =
             if verify && !dead.is_empty() {
-                Some(self.explore_chunks(app, soa, &scalings, &dead))
+                Some(self.explore_chunks(app, &scalings, &dead))
             } else {
                 None
             };
@@ -449,7 +434,7 @@ impl DesignOptimizer {
                 // chunk-local and globally seeded, so the reported TM is
                 // byte-exact across builds.
                 if doomed_designs.is_empty() && !dead.is_empty() {
-                    for result in self.explore_chunks(app, soa, &scalings, &dead) {
+                    for result in self.explore_chunks(app, &scalings, &dead) {
                         let chunk = result?;
                         check_doomed_chunk(&chunk, deadline);
                         doomed_designs.extend(chunk.outcomes.into_iter().filter_map(|o| o.best));
@@ -472,7 +457,6 @@ impl DesignOptimizer {
     fn explore_chunks(
         &self,
         app: &Application,
-        soa: &Arc<TaskGraphSoa>,
         scalings: &[ScalingVector],
         chunks: &[usize],
     ) -> Vec<Result<ChunkOutcome, OptError>> {
@@ -482,7 +466,7 @@ impl DesignOptimizer {
         par(
             self.config.jobs,
             &order,
-            |slot| self.explore_chunk(app, soa, scalings, chunks[slot]),
+            |slot| self.explore_chunk(app, scalings, chunks[slot]),
             |slot, result| {
                 slots[slot] = Some(result);
                 ControlFlow::Continue(())
@@ -505,7 +489,6 @@ impl DesignOptimizer {
     fn explore_chunk(
         &self,
         app: &Application,
-        soa: &Arc<TaskGraphSoa>,
         scalings: &[ScalingVector],
         chunk_index: usize,
     ) -> Result<ChunkOutcome, OptError> {
@@ -520,7 +503,7 @@ impl DesignOptimizer {
         let ctx = EvalContext::new(app, &self.config.arch)
             .with_ser(self.config.ser)
             .with_exposure(self.config.exposure);
-        let mut ev = IncrementalEvaluator::with_soa(ctx, Arc::clone(soa));
+        let mut ev = IncrementalEvaluator::new(ctx);
         let mut warm: Option<Mapping> = None;
         let mut outcomes = Vec::with_capacity(SCALING_CHUNK);
         let mut extra_evaluations = 0usize;
@@ -533,8 +516,8 @@ impl DesignOptimizer {
         {
             let mut start = initial_sea_mapping(ev.ctx(), scaling)?;
             if let Some(w) = warm.take() {
-                let warm_summary = ev.evaluate_full(&w, scaling)?.summary();
-                let init_summary = ev.evaluate_full(&start, scaling)?.summary();
+                let warm_summary = ev.ctx().evaluate(&w, scaling)?.summary();
+                let init_summary = ev.ctx().evaluate(&start, scaling)?.summary();
                 // The losing start's evaluation is charged here; the
                 // winner's is charged inside the search.
                 extra_evaluations += 1;
@@ -578,7 +561,7 @@ impl DesignOptimizer {
     /// scheduling built on it never changes any report, so an estimate
     /// is all that is needed.
     #[must_use]
-    pub fn surviving_scalings(&self, app: &Application, soa: &TaskGraphSoa) -> usize {
+    pub fn surviving_scalings(&self, app: &Application) -> usize {
         let arch = &self.config.arch;
         let Ok(scalings) = ScalingIter::for_architecture(arch)
             .map(|raw| ScalingVector::try_new(raw, arch))
@@ -586,7 +569,7 @@ impl DesignOptimizer {
         else {
             return 0;
         };
-        let doomed = chunk_doomed(soa, app, arch, &scalings);
+        let doomed = chunk_doomed(app, arch, &scalings);
         scalings
             .iter()
             .enumerate()
@@ -629,20 +612,14 @@ impl DesignOptimizer {
 /// it has a [`tm_lower_bound`] beyond the deadline, i.e. provably no
 /// mapping at any of its scalings meets the constraint. A pure function
 /// of the problem, so debug and release builds skip the same chunks.
-fn chunk_doomed(
-    soa: &TaskGraphSoa,
-    app: &Application,
-    arch: &Architecture,
-    scalings: &[ScalingVector],
-) -> Vec<bool> {
+fn chunk_doomed(app: &Application, arch: &Architecture, scalings: &[ScalingVector]) -> Vec<bool> {
     let deadline = app.deadline_s();
-    let mode = app.mode();
     scalings
         .chunks(SCALING_CHUNK)
         .map(|chunk| {
             chunk
                 .iter()
-                .all(|s| tm_lower_bound(soa, mode, arch, s) > deadline)
+                .all(|s| tm_lower_bound(app, arch, s) > deadline)
         })
         .collect()
 }
@@ -909,19 +886,12 @@ mod tests {
     fn surviving_scalings_matches_exploration() {
         let (app, cfg) = tight_config();
         let optimizer = DesignOptimizer::new(cfg);
-        let soa = TaskGraphSoa::new(&app);
         let out = optimizer.optimize(&app).unwrap();
-        assert_eq!(
-            optimizer.surviving_scalings(&app, &soa),
-            out.scalings_searched()
-        );
+        assert_eq!(optimizer.surviving_scalings(&app), out.scalings_searched());
         // Loose deadlines: nothing survives pruning's scrutiny... i.e.
         // everything survives — the bound cannot fire.
         let loose = mpeg2::application();
-        assert_eq!(
-            optimizer.surviving_scalings(&loose, &TaskGraphSoa::new(&loose)),
-            15
-        );
+        assert_eq!(optimizer.surviving_scalings(&loose), 15);
     }
 
     #[test]

@@ -313,7 +313,7 @@ where
 
     // One off-budget reference evaluation of the (already-evaluated) best
     // design materializes the per-core breakdown for the caller.
-    let evaluation = ev.evaluate_full(&best, scaling)?;
+    let evaluation = ev.ctx().evaluate(&best, scaling)?;
     let feasible = evaluation.meets_deadline;
     Ok(SearchOutcome {
         mapping: best,

@@ -15,7 +15,8 @@
 use std::ops::Range;
 
 use sea_campaign::{
-    run_units, run_units_configured, CampaignError, NullSink, RunConfig, Sink, Unit, UnitResult,
+    run_units, run_units_configured, CampaignError, NullSink, RunConfig, RunOutcome, Sink, Unit,
+    UnitResult,
 };
 
 /// Runs a unit list on the engine's default worker count (`SEA_JOBS`, else
@@ -59,16 +60,7 @@ pub fn run_configured(
 ) -> Result<(Vec<UnitResult>, RunStats), CampaignError> {
     config.need_payloads = true;
     let outcome = run_units_configured(units, config, sink)?;
-    let stats = RunStats {
-        executed: outcome.executed,
-        cache_hits: outcome.cache_hits,
-        deduped: outcome.deduped,
-        resumed: outcome.resumed,
-    };
-    let results = outcome
-        .into_results()
-        .expect("need_payloads guarantees full results");
-    Ok((results, stats))
+    Ok(results_and_stats(outcome))
 }
 
 /// [`run_configured`] through a localhost coordinator plus `workers`
@@ -89,6 +81,12 @@ pub fn run_configured_distributed(
 ) -> Result<(Vec<UnitResult>, RunStats), CampaignError> {
     config.need_payloads = true;
     let outcome = sea_dist::run_distributed_local(units, config, workers, sink)?;
+    Ok(results_and_stats(outcome))
+}
+
+/// Splits the outcome of a run with [`RunConfig::need_payloads`] set into
+/// its full results and its counters.
+fn results_and_stats(outcome: RunOutcome) -> (Vec<UnitResult>, RunStats) {
     let stats = RunStats {
         executed: outcome.executed,
         cache_hits: outcome.cache_hits,
@@ -98,7 +96,7 @@ pub fn run_configured_distributed(
     let results = outcome
         .into_results()
         .expect("need_payloads guarantees full results");
-    Ok((results, stats))
+    (results, stats)
 }
 
 /// Concatenates per-driver unit lists into one flat, reindexed list,

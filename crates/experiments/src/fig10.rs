@@ -20,7 +20,6 @@ use std::sync::Arc;
 use sea_baselines::Objective;
 use sea_campaign::{AppRef, CampaignError, Unit, UnitKind, UnitResult, WinTally};
 use sea_opt::SelectionPolicy;
-use sea_taskgraph::generator::RandomGraphConfig;
 use sea_taskgraph::Application;
 
 use crate::report::{sci, Column, Table};
@@ -137,18 +136,6 @@ pub fn run_on(
     Ok(from_results(core_counts, &results))
 }
 
-/// Runs the published configuration: 60-task graph, 2–6 cores.
-///
-/// # Errors
-///
-/// See [`run_on`].
-pub fn run(profile: EffortProfile) -> Result<Fig10, CampaignError> {
-    let app = RandomGraphConfig::paper(60)
-        .generate(profile.seed())
-        .expect("paper generator parameters are valid");
-    run_on(&app, &[2, 3, 4, 5, 6], profile)
-}
-
 impl Fig10 {
     /// Renders the comparison series.
     #[must_use]
@@ -209,6 +196,7 @@ impl Fig10 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sea_taskgraph::generator::RandomGraphConfig;
 
     #[test]
     fn proposed_wins_on_gamma_mostly() {

@@ -20,7 +20,6 @@ use sea_arch::LevelSet;
 use sea_campaign::{AppRef, CampaignError, Unit, UnitKind, UnitResult};
 use sea_opt::{DesignOptimizer, DesignPoint, OptError, OptimizerConfig, SelectionPolicy};
 use sea_sched::metrics::{EvalContext, ExposurePolicy};
-use sea_taskgraph::generator::RandomGraphConfig;
 use sea_taskgraph::Application;
 
 use crate::report::{sci, Column, Table};
@@ -195,18 +194,6 @@ pub fn level_isolation_from(
     Ok(out)
 }
 
-/// Runs the published configuration: 60-task graph, six cores.
-///
-/// # Errors
-///
-/// See [`run_on`].
-pub fn run(profile: EffortProfile) -> Result<Fig11, CampaignError> {
-    let app = RandomGraphConfig::paper(60)
-        .generate(profile.seed())
-        .expect("paper generator parameters are valid");
-    run_on(&app, 6, profile)
-}
-
 impl Fig11 {
     /// Renders the series.
     #[must_use]
@@ -244,6 +231,7 @@ impl Fig11 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sea_taskgraph::generator::RandomGraphConfig;
 
     #[test]
     fn fewer_levels_cost_power_in_full_study() {

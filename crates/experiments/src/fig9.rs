@@ -14,7 +14,6 @@ use sea_taskgraph::mpeg2;
 
 use crate::report::{Column, Table};
 use crate::table2::Table2;
-use crate::EffortProfile;
 
 /// One comparison bar of Fig. 9.
 #[derive(Debug, Clone)]
@@ -34,17 +33,6 @@ pub struct Fig9 {
     pub bars: Vec<Fig9Bar>,
     /// The matched scaling used for the comparison.
     pub scaling: Vec<u8>,
-}
-
-/// Runs the comparison: the Table II campaign re-evaluated at the fixed
-/// scaling (2, 2, 3, 2) as in the paper.
-///
-/// # Errors
-///
-/// Propagates unit/evaluation errors.
-pub fn run(profile: EffortProfile) -> Result<Fig9, sea_campaign::CampaignError> {
-    let table2 = crate::table2::run(profile, 4)?;
-    Ok(from_table2(&table2)?)
 }
 
 /// Builds Fig. 9 from an existing Table II run (avoids re-optimizing).
@@ -112,10 +100,15 @@ impl Fig9 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EffortProfile;
+
+    fn smoke() -> Fig9 {
+        from_table2(&crate::table2::run(EffortProfile::Smoke, 4).unwrap()).unwrap()
+    }
 
     #[test]
     fn fig9_shape_matches_paper() {
-        let fig = run(EffortProfile::Smoke).unwrap();
+        let fig = smoke();
         assert_eq!(fig.bars.len(), 3);
         // At matched scaling the single-objective baselines experience more
         // SEUs than the proposed design: the paper reports +28 % (Exp:1)
@@ -141,7 +134,7 @@ mod tests {
 
     #[test]
     fn rendering() {
-        let fig = run(EffortProfile::Smoke).unwrap();
+        let fig = smoke();
         let ascii = fig.to_table().to_ascii();
         assert!(ascii.contains("Exp:1"));
         assert!(ascii.contains("dGamma"));

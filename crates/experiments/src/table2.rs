@@ -128,21 +128,7 @@ pub fn from_results(results: &[UnitResult]) -> Result<Table2, CampaignError> {
 /// Propagates unit errors; infeasibility should not occur for the
 /// published 4-core setup.
 pub fn run(profile: EffortProfile, cores: usize) -> Result<Table2, CampaignError> {
-    run_on(&mpeg2::application(), profile, cores)
-}
-
-/// Runs the four experiments on an arbitrary application (used by Fig. 10
-/// and Table III with random graphs) through the campaign engine.
-///
-/// # Errors
-///
-/// Propagates unit errors.
-pub fn run_on(
-    app: &Application,
-    profile: EffortProfile,
-    cores: usize,
-) -> Result<Table2, CampaignError> {
-    let app = Arc::new(app.clone());
+    let app = Arc::new(mpeg2::application());
     let results = crate::campaigns::run(&units_on(&app, profile, cores))?;
     from_results(&results)
 }

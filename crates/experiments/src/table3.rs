@@ -142,15 +142,6 @@ pub fn run_on(
     Ok(from_results(workloads, core_counts, &results))
 }
 
-/// Runs the published Table III (six workloads, 2–6 cores).
-///
-/// # Errors
-///
-/// See [`run_on`].
-pub fn run(profile: EffortProfile) -> Result<Table3, CampaignError> {
-    run_on(&paper_workloads(profile.seed()), &[2, 3, 4, 5, 6], profile)
-}
-
 impl Table3 {
     /// Renders the table in the paper's layout (P and Γ per core count).
     #[must_use]

@@ -38,7 +38,7 @@
 //! mapping of every 4-task graph on 2 and 3 cores at every scaling.
 
 use sea_arch::{Architecture, ScalingVector};
-use sea_taskgraph::{ExecutionMode, TaskGraphSoa};
+use sea_taskgraph::{Application, ExecutionMode};
 
 /// Relative slack multiplied into the raw bound before it is compared
 /// against anything: the analytic bound and the scheduler accumulate
@@ -49,8 +49,9 @@ use sea_taskgraph::{ExecutionMode, TaskGraphSoa};
 pub const BOUND_SLACK: f64 = 1.0 - 1e-9;
 
 /// A provable lower bound (in seconds) on `TM` over **all** mappings of
-/// the application behind `soa` onto `arch` under `scaling`, already
-/// multiplied by [`BOUND_SLACK`].
+/// `app` onto `arch` under `scaling`, already multiplied by
+/// [`BOUND_SLACK`]. It reads the application's graph view and execution
+/// mode.
 ///
 /// Comparing `tm_lower_bound(..) > deadline` is therefore a sound
 /// infeasibility test: when it holds, *no* mapping meets the deadline
@@ -61,12 +62,7 @@ pub const BOUND_SLACK: f64 = 1.0 - 1e-9;
 /// Panics if `scaling` does not cover `arch`'s cores (callers obtain
 /// both from the same architecture).
 #[must_use]
-pub fn tm_lower_bound(
-    soa: &TaskGraphSoa,
-    mode: ExecutionMode,
-    arch: &Architecture,
-    scaling: &ScalingVector,
-) -> f64 {
+pub fn tm_lower_bound(app: &Application, arch: &Architecture, scaling: &ScalingVector) -> f64 {
     assert_eq!(
         scaling.len(),
         arch.n_cores(),
@@ -79,11 +75,12 @@ pub fn tm_lower_bound(
         f_max = f_max.max(f);
         f_sum += f;
     }
+    let soa = app.soa();
     if f_max <= 0.0 || soa.is_empty() {
         return 0.0;
     }
 
-    let raw = match mode {
+    let raw = match app.mode() {
         ExecutionMode::Batch => (soa.comp_critical_path() / f_max).max(soa.total_wcec() / f_sum),
         ExecutionMode::Pipelined { iterations } => {
             let scale = 1.0 / f64::from(iterations);
@@ -104,7 +101,7 @@ pub fn tm_lower_bound(
 mod tests {
     use super::*;
     use sea_arch::LevelSet;
-    use sea_taskgraph::{fig8, mpeg2, Application};
+    use sea_taskgraph::{fig8, mpeg2};
 
     use crate::mapping::Mapping;
     use crate::metrics::EvalContext;
@@ -122,10 +119,9 @@ mod tests {
     }
 
     fn check_bound_under(app: &Application, arch: &Architecture, mappings: &[Mapping]) {
-        let soa = TaskGraphSoa::new(app);
         let ctx = EvalContext::new(app, arch);
         for s in some_scalings(arch) {
-            let lb = tm_lower_bound(&soa, app.mode(), arch, &s);
+            let lb = tm_lower_bound(app, arch, &s);
             for m in mappings {
                 let tm = ctx.evaluate(m, &s).unwrap().tm_seconds;
                 assert!(
@@ -179,12 +175,11 @@ mod tests {
         // Scaling every core deeper slows every frequency, so the bound
         // cannot shrink.
         let app = mpeg2::application();
-        let soa = TaskGraphSoa::new(&app);
         let arch = Architecture::homogeneous(4, LevelSet::arm7_three_level());
         let mut last = 0.0f64;
         for s in 1..=3u8 {
             let sv = ScalingVector::uniform(s, &arch).unwrap();
-            let lb = tm_lower_bound(&soa, app.mode(), &arch, &sv);
+            let lb = tm_lower_bound(&app, &arch, &sv);
             assert!(lb > 0.0);
             assert!(lb >= last, "bound fell from {last} to {lb} at s={s}");
             last = lb;

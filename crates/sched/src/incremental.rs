@@ -80,16 +80,13 @@
 //! # Determinism cross-check
 //!
 //! Debug builds re-evaluate every candidate through the reference path
-//! ([`IncrementalEvaluator::evaluate_full`]: [`EvalContext::evaluate`]'s
-//! schedule-then-score, on the evaluator's shared graph view) and
-//! `debug_assert!` bitwise equality of the summaries, or, for an early
-//! rejection, that the rule rejects the reference summary too, so any
-//! drift between the paths fails the test suite immediately. Release
-//! builds compile the cross-check out; there, `tests/small_scope.rs`
-//! checks every move of every small instance (all 4-task graphs on 2 and
-//! 3 cores) against the reference exhaustively.
-
-use std::sync::Arc;
+//! ([`EvalContext::evaluate`]'s schedule-then-score, on the application's
+//! one graph view) and `debug_assert!` bitwise equality of the summaries,
+//! or, for an early rejection, that the rule rejects the reference
+//! summary too, so any drift between the paths fails the test suite
+//! immediately. Release builds compile the cross-check out; there,
+//! `tests/small_scope.rs` checks every move of every small instance (all
+//! 4-task graphs on 2 and 3 cores) against the reference exhaustively.
 
 use sea_arch::power::watts_to_mw;
 use sea_arch::{CoreId, ScalingVector, VoltageLevel};
@@ -98,8 +95,8 @@ use sea_taskgraph::{ExecutionMode, RegisterModel, TaskGraphSoa, TaskId};
 
 use crate::bounds::{tm_lower_bound, BOUND_SLACK};
 use crate::mapping::{Mapping, Move};
-use crate::metrics::{core_scalars, EvalContext, EvalSummary, ExposurePolicy, MappingEvaluation};
-use crate::schedule::{check_shapes, list_schedule_on, place_task, task_duration, ScheduledTask};
+use crate::metrics::{core_scalars, EvalContext, EvalSummary, ExposurePolicy};
+use crate::schedule::{check_shapes, place_task, task_duration, ScheduledTask};
 use crate::SchedError;
 
 /// True when every field of two summaries is bit-for-bit identical
@@ -198,7 +195,7 @@ impl ScheduleCache {
 }
 
 /// The hot-path evaluator for one `(application, architecture)` pair: an
-/// evaluation context and its shared graph view, plus the
+/// evaluation context and the application's graph view, plus the
 /// committed-schedule cache that makes single-move candidates cheap.
 /// Construction sizes every buffer from the two shapes, so not even the
 /// first call allocates; each thread of a parallel search owns one.
@@ -216,9 +213,9 @@ impl ScheduleCache {
 #[derive(Debug, Clone)]
 pub struct IncrementalEvaluator<'a> {
     ctx: EvalContext<'a>,
-    /// Structure-of-arrays graph view (static schedule order, CSR
-    /// adjacency, costs), fixed for the application.
-    soa: Arc<TaskGraphSoa>,
+    /// The application's structure-of-arrays graph view (static schedule
+    /// order, CSR adjacency, costs).
+    soa: &'a TaskGraphSoa,
     /// True when `committed` holds the schedule of the last accepted
     /// mapping under the cached scaling constants.
     primed: bool,
@@ -307,20 +304,12 @@ pub struct IncrementalEvaluator<'a> {
 }
 
 impl<'a> IncrementalEvaluator<'a> {
-    /// Creates an incremental evaluator around a context, building the
-    /// graph view and pre-sizing every buffer.
+    /// Creates an incremental evaluator around a context, reading the
+    /// application's graph view and pre-sizing every buffer.
     #[must_use]
     pub fn new(ctx: EvalContext<'a>) -> Self {
-        let soa = Arc::new(TaskGraphSoa::new(ctx.app()));
-        Self::with_soa(ctx, soa)
-    }
-
-    /// Creates an incremental evaluator around a pre-built (typically
-    /// [`TaskGraphSoa::shared`]-memoized) graph view.
-    #[must_use]
-    pub fn with_soa(ctx: EvalContext<'a>, soa: Arc<TaskGraphSoa>) -> Self {
+        let soa = ctx.app().soa();
         let n = soa.len();
-        debug_assert_eq!(n, ctx.app().graph().len(), "SoA/application mismatch");
         let n_cores = ctx.arch().n_cores();
         let n_blocks = ctx.app().registers().blocks().len();
         let nominal_f = ctx.arch().levels().level(1).f_hz;
@@ -364,35 +353,16 @@ impl<'a> IncrementalEvaluator<'a> {
         &self.ctx
     }
 
-    /// The structure-of-arrays graph view.
+    /// The application's structure-of-arrays graph view.
     #[must_use]
-    pub fn soa(&self) -> &Arc<TaskGraphSoa> {
-        &self.soa
+    pub fn soa(&self) -> &'a TaskGraphSoa {
+        self.soa
     }
 
     /// How candidates have been evaluated so far.
     #[must_use]
     pub fn stats(&self) -> IncrementalStats {
         self.stats
-    }
-
-    /// The reference evaluation, with the per-core breakdown:
-    /// [`EvalContext::evaluate`] scheduled on the shared graph view. It
-    /// allocates and leaves the committed cache alone, so it serves off
-    /// the hot loop (warm-start comparisons, the returned best design)
-    /// and the debug cross-check.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SchedError::ShapeMismatch`] for inconsistent shapes.
-    pub fn evaluate_full(
-        &self,
-        mapping: &Mapping,
-        scaling: &ScalingVector,
-    ) -> Result<MappingEvaluation, SchedError> {
-        let (app, arch) = (self.ctx.app(), self.ctx.arch());
-        let schedule = list_schedule_on(&self.soa, app, arch, mapping, scaling)?;
-        Ok(self.ctx.evaluate_scheduled(mapping, scaling, &schedule))
     }
 
     /// Fully evaluates `mapping` under `scaling`, commits the schedule
@@ -452,10 +422,10 @@ impl<'a> IncrementalEvaluator<'a> {
     ) -> Result<Option<EvalSummary>, SchedError> {
         self.rejected = false;
         let outcome = if self.primed && self.scaling == scaling.coefficients() {
-            debug_assert_eq!(mapping.n_tasks(), self.soa().len());
+            debug_assert_eq!(mapping.n_tasks(), self.soa.len());
             let p = match mv {
-                Move::Relocate { task, .. } => self.soa().position(task),
-                Move::Swap { a, b } => self.soa().position(a).min(self.soa().position(b)),
+                Move::Relocate { task, .. } => self.soa.position(task),
+                Move::Swap { a, b } => self.soa.position(a).min(self.soa.position(b)),
             };
             self.stats.incremental += 1;
             self.compute_candidate(mapping, Some((mv, p)), test)
@@ -467,7 +437,7 @@ impl<'a> IncrementalEvaluator<'a> {
         };
         #[cfg(debug_assertions)]
         {
-            let reference = self.evaluate_full(mapping, scaling)?.summary();
+            let reference = self.ctx.evaluate(mapping, scaling)?.summary();
             match (&outcome, test) {
                 (Some(summary), _) => debug_assert!(
                     summaries_bitwise_eq(summary, &reference),
@@ -582,7 +552,6 @@ impl<'a> IncrementalEvaluator<'a> {
     fn load_scaling(&mut self, scaling: &ScalingVector) {
         let Self {
             ctx,
-            soa,
             scaling: cached,
             freq,
             levels,
@@ -606,7 +575,7 @@ impl<'a> IncrementalEvaluator<'a> {
             lambdas.push(ser.lambda(level.vdd));
         }
         *scale = 1.0 / f64::from(ctx.app().mode().iterations());
-        *tm_lb = tm_lower_bound(soa, ctx.app().mode(), arch, scaling);
+        *tm_lb = tm_lower_bound(ctx.app(), arch, scaling);
         *primed = false;
     }
 
@@ -629,9 +598,9 @@ impl<'a> IncrementalEvaluator<'a> {
         delta: Option<(Move, usize)>,
         test: Option<&dyn RejectionTest>,
     ) -> Option<EvalSummary> {
+        let soa = self.soa;
         let Self {
             ctx,
-            soa,
             committed,
             candidate,
             freq,
@@ -660,7 +629,6 @@ impl<'a> IncrementalEvaluator<'a> {
         let n_blocks = *n_blocks;
         let from_pos = delta.map_or(0, |(_, p)| p);
         *cand_from_pos = from_pos;
-        let soa: &TaskGraphSoa = soa;
         let app = ctx.app();
         let arch = ctx.arch();
         let registers = app.registers();
@@ -1269,6 +1237,32 @@ mod tests {
             &ctx.evaluate(&current, &s).unwrap().summary()
         ));
         assert_eq!(ev.stats().fallback, 1);
+    }
+
+    /// `list_schedule`, `IncrementalEvaluator::new` and `tm_lower_bound`
+    /// take the application alone, so no caller can pair it with another
+    /// view: the first reader builds the application's view and every
+    /// later one reads that same view.
+    #[test]
+    fn readers_share_the_application_view() {
+        let app = mpeg2::application();
+        let (arch, mapping) = setup(&app, 4);
+        let s = ScalingVector::all_nominal(&arch);
+        let schedule = crate::schedule::list_schedule(&app, &arch, &mapping, &s).unwrap();
+        let view = app.soa();
+        let ev = IncrementalEvaluator::new(EvalContext::new(&app, &arch));
+        assert!(std::ptr::eq(ev.soa(), view));
+        let bound = tm_lower_bound(&app, &arch, &s);
+        assert!(std::ptr::eq(app.soa(), view));
+        // An equal application whose view is built by the bound instead
+        // reads the same arrays.
+        let fresh = mpeg2::application();
+        assert_eq!(tm_lower_bound(&fresh, &arch, &s).to_bits(), bound.to_bits());
+        assert_eq!(
+            crate::schedule::list_schedule(&fresh, &arch, &mapping, &s).unwrap(),
+            schedule
+        );
+        assert_eq!(fresh.soa().schedule_order(), view.schedule_order());
     }
 
     #[test]

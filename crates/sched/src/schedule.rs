@@ -126,7 +126,14 @@ impl Schedule {
     }
 }
 
-/// List-schedules `app` under `mapping` and `scaling` on `arch`.
+/// List-schedules `app` under `mapping` and `scaling` on `arch`: the one
+/// reference scheduler.
+///
+/// The visit sequence is the application view's precomputed static order
+/// ([`Application::soa`]) — highest bottom level first, ties to the
+/// smaller task id — which depends only on the graph (see
+/// [`TaskGraphSoa::schedule_order`]), so the per-step ready list and
+/// priority scan of classic list scheduling disappear entirely.
 ///
 /// # Errors
 ///
@@ -138,26 +145,8 @@ pub fn list_schedule(
     mapping: &Mapping,
     scaling: &ScalingVector,
 ) -> Result<Schedule, SchedError> {
-    list_schedule_on(&TaskGraphSoa::new(app), app, arch, mapping, scaling)
-}
-
-/// [`list_schedule`] on a pre-built graph view `soa` of `app`: the one
-/// reference scheduler. The incremental evaluator schedules its
-/// cross-checks, its disabled mode and its full evaluations here, on the
-/// view it shares, instead of rebuilding the view per call.
-///
-/// The visit sequence is the SoA's precomputed static order — highest
-/// bottom level first, ties to the smaller task id — which depends only on
-/// the graph (see [`TaskGraphSoa::schedule_order`]), so the per-step ready
-/// list and priority scan of classic list scheduling disappear entirely.
-pub(crate) fn list_schedule_on(
-    soa: &TaskGraphSoa,
-    app: &Application,
-    arch: &Architecture,
-    mapping: &Mapping,
-    scaling: &ScalingVector,
-) -> Result<Schedule, SchedError> {
     check_shapes(app, arch, mapping, scaling)?;
+    let soa = app.soa();
     let iterations = app.mode().iterations();
     let scale = 1.0 / f64::from(iterations);
 

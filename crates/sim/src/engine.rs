@@ -101,7 +101,7 @@ pub fn simulate_execution(
     let n = g.len();
     let iterations = app.mode().iterations();
     let scale = 1.0 / f64::from(iterations);
-    let bl = g.bottom_levels();
+    let bl = app.soa().bottom_levels();
     // Effective throughput; matches the list scheduler's timing model.
     let freq: Vec<f64> = arch
         .cores()
@@ -170,7 +170,7 @@ pub fn simulate_execution(
             if !core_idle[c] {
                 continue;
             }
-            if let Some(inst) = pick(&mut ready[c], &bl) {
+            if let Some(inst) = pick(&mut ready[c], bl) {
                 let t = TaskId::new(inst.task);
                 // Inbound cross-core communication occupies the consumer
                 // core (eq. 7 counts d_jk in T_i).

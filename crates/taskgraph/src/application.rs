@@ -1,10 +1,13 @@
 //! An application = task graph + register model + execution profile.
 
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 
 use crate::error::GraphError;
 use crate::graph::TaskGraph;
 use crate::registers::RegisterModel;
+use crate::soa::TaskGraphSoa;
 
 /// How the application executes on the MPSoC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -37,13 +40,29 @@ impl ExecutionMode {
 }
 
 /// A complete application workload for the design-optimization flow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The application also owns the scheduler's view of its graph
+/// ([`Application::soa`]), built on first use and derived data only:
+/// equality compares the five workload fields and ignores it.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Application {
     name: String,
     graph: TaskGraph,
     registers: RegisterModel,
     mode: ExecutionMode,
     deadline_s: f64,
+    #[serde(skip)]
+    soa: OnceLock<TaskGraphSoa>,
+}
+
+impl PartialEq for Application {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.graph == other.graph
+            && self.registers == other.registers
+            && self.mode == other.mode
+            && self.deadline_s == other.deadline_s
+    }
 }
 
 impl Application {
@@ -80,6 +99,7 @@ impl Application {
             registers,
             mode,
             deadline_s,
+            soa: OnceLock::new(),
         })
     }
 
@@ -111,6 +131,15 @@ impl Application {
     #[must_use]
     pub fn deadline_s(&self) -> f64 {
         self.deadline_s
+    }
+
+    /// The list scheduler's structure-of-arrays view of the task graph,
+    /// built on the first call and shared by every later reader (and by
+    /// every thread reading this application).
+    #[must_use]
+    pub fn soa(&self) -> &TaskGraphSoa {
+        self.soa
+            .get_or_init(|| TaskGraphSoa::from_graph(&self.graph))
     }
 
     /// Returns a copy with a different deadline (for sweeps).

@@ -29,12 +29,10 @@
 //! single-task move can replay only the suffix at and after the moved
 //! task's position ([`TaskGraphSoa::position`]).
 //!
-//! [`TaskGraphSoa::shared`] memoizes the view per `Arc<Application>` so
-//! campaign units that share an application (and the per-scaling workers
-//! inside one unit) reuse one build instead of re-deriving bottom levels
-//! per unit.
-
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+//! The view belongs to its application: [`Application::soa`] builds it on
+//! first use and every reader takes it from there, so campaign units that
+//! share an `Arc<Application>` (and the per-scaling workers inside one
+//! unit) read one build.
 
 use crate::application::Application;
 use crate::graph::TaskGraph;
@@ -44,8 +42,7 @@ use crate::units::Cycles;
 /// Immutable, cache-friendly arrays describing one application's task
 /// graph, in exactly the layout the list scheduler consumes.
 ///
-/// Built by [`TaskGraphSoa::new`] (or memoized via
-/// [`TaskGraphSoa::shared`]); all accessors are O(1) slices into
+/// Obtained from [`Application::soa`]; all accessors are O(1) slices into
 /// contiguous storage.
 #[derive(Debug, Clone)]
 pub struct TaskGraphSoa {
@@ -70,8 +67,6 @@ pub struct TaskGraphSoa {
     /// Inverse of `order`: `pos[t.index()]` is the step at which task
     /// `t` is scheduled.
     pos: Vec<u32>,
-    /// The application's deadline in seconds.
-    deadline_s: f64,
     /// Sum of all per-task computation costs, in cycles.
     total_wcec: f64,
     /// Largest single-task computation cost, in cycles.
@@ -87,20 +82,13 @@ pub struct TaskGraphSoa {
 }
 
 impl TaskGraphSoa {
-    /// Builds the structure-of-arrays view for an application.
-    #[must_use]
-    pub fn new(app: &Application) -> Self {
-        Self::from_graph(app.graph(), app.deadline_s())
-    }
-
-    /// Builds the view from a bare graph and deadline.
+    /// Builds the view of a graph; [`Application::soa`] is its one caller.
     ///
     /// # Panics
     ///
     /// Panics if the graph has more than `u32::MAX` tasks (far beyond
     /// the paper's design spaces).
-    #[must_use]
-    pub fn from_graph(g: &TaskGraph, deadline_s: f64) -> Self {
+    pub(crate) fn from_graph(g: &TaskGraph) -> Self {
         let n = g.len();
         assert!(u32::try_from(n).is_ok(), "task count exceeds u32 range");
         let wcec: Vec<f64> = g
@@ -156,37 +144,17 @@ impl TaskGraphSoa {
             bottom_levels,
             order,
             pos,
-            deadline_s,
             total_wcec,
             max_wcec,
             comp_critical_path,
         }
     }
 
-    /// Memoized view for a shared application: repeated calls with the
-    /// *same* `Arc<Application>` (pointer identity) return the same
-    /// `Arc<TaskGraphSoa>` without rebuilding. Entries are dropped once
-    /// the application itself is dropped, so the registry cannot grow
-    /// beyond the set of live applications.
+    /// The application's view: an alias of [`Application::soa`], kept
+    /// for the `seabench` harness, which calls it.
     #[must_use]
-    pub fn shared(app: &Arc<Application>) -> Arc<TaskGraphSoa> {
-        type Registry = Mutex<Vec<(Weak<Application>, Arc<TaskGraphSoa>)>>;
-        static REGISTRY: OnceLock<Registry> = OnceLock::new();
-        let registry = REGISTRY.get_or_init(|| Mutex::new(Vec::new()));
-        let mut entries = registry
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        entries.retain(|(weak, _)| weak.strong_count() > 0);
-        for (weak, soa) in entries.iter() {
-            if let Some(live) = weak.upgrade() {
-                if Arc::ptr_eq(&live, app) {
-                    return Arc::clone(soa);
-                }
-            }
-        }
-        let soa = Arc::new(TaskGraphSoa::new(app));
-        entries.push((Arc::downgrade(app), Arc::clone(&soa)));
-        soa
+    pub fn shared(app: &Application) -> &TaskGraphSoa {
+        app.soa()
     }
 
     /// Number of tasks.
@@ -241,12 +209,6 @@ impl TaskGraphSoa {
     #[must_use]
     pub fn position(&self, t: TaskId) -> usize {
         self.pos[t.index()] as usize
-    }
-
-    /// The application deadline in seconds.
-    #[must_use]
-    pub fn deadline_s(&self) -> f64 {
-        self.deadline_s
     }
 
     /// Total computation cost of all tasks, in cycles.
@@ -318,7 +280,7 @@ mod tests {
     fn csr_matches_graph_adjacency() {
         let app = mpeg2::application();
         let g = app.graph();
-        let soa = TaskGraphSoa::new(&app);
+        let soa = app.soa();
         assert_eq!(soa.len(), g.len());
         for t in g.task_ids() {
             assert_eq!(soa.wcec(t), g.task(t).computation().as_f64());
@@ -336,13 +298,12 @@ mod tests {
             assert_eq!(soa.successors(t), succs.as_slice());
         }
         assert_eq!(soa.bottom_levels(), g.bottom_levels().as_slice());
-        assert_eq!(soa.deadline_s(), app.deadline_s());
     }
 
     #[test]
     fn schedule_order_is_topological_and_complete() {
         let app = mpeg2::application();
-        let soa = TaskGraphSoa::new(&app);
+        let soa = app.soa();
         let n = soa.len();
         assert_eq!(soa.schedule_order().len(), n);
         let mut seen = vec![false; n];
@@ -367,7 +328,7 @@ mod tests {
         let solo = b.add_task("solo", Cycles::new(100));
         b.add_edge(head, tail, Cycles::ZERO).unwrap();
         let g = b.build().unwrap();
-        let soa = TaskGraphSoa::from_graph(&g, 1.0);
+        let soa = TaskGraphSoa::from_graph(&g);
         assert_eq!(soa.schedule_order()[0], head);
         assert_eq!(soa.schedule_order()[2], solo);
     }
@@ -376,7 +337,7 @@ mod tests {
     fn work_aggregates_match_graph() {
         let app = mpeg2::application();
         let g = app.graph();
-        let soa = TaskGraphSoa::new(&app);
+        let soa = app.soa();
         let total: f64 = g.task_ids().map(|t| g.task(t).computation().as_f64()).sum();
         let max = g
             .task_ids()
@@ -407,22 +368,9 @@ mod tests {
         let _solo = b.add_task("solo", Cycles::new(450));
         b.add_edge(head, tail, Cycles::new(10_000)).unwrap();
         let g = b.build().unwrap();
-        let soa = TaskGraphSoa::from_graph(&g, 1.0);
+        let soa = TaskGraphSoa::from_graph(&g);
         assert_eq!(soa.comp_critical_path(), 500.0);
         assert_eq!(soa.max_wcec(), 450.0);
         assert_eq!(soa.total_wcec(), 950.0);
-    }
-
-    #[test]
-    fn shared_memoizes_per_application_pointer() {
-        let app = Arc::new(mpeg2::application());
-        let a = TaskGraphSoa::shared(&app);
-        let b = TaskGraphSoa::shared(&app);
-        assert!(Arc::ptr_eq(&a, &b));
-        // A distinct Arc with equal contents gets its own entry.
-        let clone = Arc::new(mpeg2::application());
-        let c = TaskGraphSoa::shared(&clone);
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(c.len(), a.len());
     }
 }

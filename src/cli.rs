@@ -32,7 +32,6 @@
 
 use std::fmt;
 
-use crate::arch::LevelSet;
 use crate::baselines::Objective;
 use crate::opt::SelectionPolicy;
 use crate::taskgraph::spec::check_random_tasks;
@@ -1112,57 +1111,46 @@ fn parse_budget_flag(args: &[String]) -> Result<Option<BudgetSpec>, CliError> {
 }
 
 fn parse_policy(s: &str) -> Result<PolicySpec, CliError> {
+    const FORMS: &str = "none|reexec:<cov>|ckpt:<cov>:<interval>:<save>";
     let mut parts = s.split(':');
-    match parts.next() {
-        Some("none") => Ok(PolicySpec::None),
-        Some("reexec") => {
-            let cov: f64 = parse_num(
-                parts
-                    .next()
-                    .ok_or_else(|| CliError("reexec needs a coverage".into()))?,
-                "coverage",
-            )?;
-            Ok(PolicySpec::ReExec { coverage: cov })
+    let kind = parts.next().unwrap_or_default();
+    // The next field: present, a number, and inside its domain.
+    let mut field = |what: &str, domain: &str, valid: fn(f64) -> bool| {
+        let raw = parts
+            .next()
+            .ok_or_else(|| CliError(format!("{kind} needs its {what}")))?;
+        let value: f64 = parse_num(raw, what)?;
+        if valid(value) {
+            Ok(value)
+        } else {
+            Err(CliError(format!(
+                "policy {what} must be {domain}, got `{raw}`"
+            )))
         }
-        Some("ckpt") => {
-            let cov: f64 = parse_num(
-                parts
-                    .next()
-                    .ok_or_else(|| CliError("ckpt needs a coverage".into()))?,
-                "coverage",
-            )?;
-            let interval: f64 = parse_num(
-                parts
-                    .next()
-                    .ok_or_else(|| CliError("ckpt needs an interval".into()))?,
-                "interval",
-            )?;
-            let save: f64 = parse_num(
-                parts
-                    .next()
-                    .ok_or_else(|| CliError("ckpt needs a save cost".into()))?,
-                "save cost",
-            )?;
-            Ok(PolicySpec::Checkpoint {
-                coverage: cov,
-                interval_s: interval,
-                save_s: save,
-            })
-        }
-        _ => Err(CliError(format!(
-            "unknown policy `{s}` (none|reexec:<cov>|ckpt:<cov>:<interval>:<save>)"
-        ))),
+    };
+    let coverage = |v: f64| (0.0..=1.0).contains(&v);
+    let policy = match kind {
+        "none" => PolicySpec::None,
+        "reexec" => PolicySpec::ReExec {
+            coverage: field("coverage", "in [0, 1]", coverage)?,
+        },
+        "ckpt" => PolicySpec::Checkpoint {
+            coverage: field("coverage", "in [0, 1]", coverage)?,
+            interval_s: field("interval", "finite and positive", |v| {
+                v.is_finite() && v > 0.0
+            })?,
+            save_s: field("save cost", "finite and non-negative", |v| {
+                v.is_finite() && v >= 0.0
+            })?,
+        },
+        _ => return Err(CliError(format!("unknown policy `{s}` ({FORMS})"))),
+    };
+    if parts.next().is_some() {
+        return Err(CliError(format!(
+            "policy `{s}` has too many fields ({FORMS})"
+        )));
     }
-}
-
-/// Builds the `LevelSet` for a CLI level count.
-///
-/// # Panics
-///
-/// Panics if `levels` was not validated to 2..=4.
-#[must_use]
-pub fn level_set(levels: usize) -> LevelSet {
-    sea_campaign::level_set(levels)
+    Ok(policy)
 }
 
 #[cfg(test)]
@@ -1307,9 +1295,36 @@ mod tests {
                 save_s: 0.0001
             }
         );
+        assert_eq!(
+            parse_policy("ckpt:1:1e-3:0").unwrap(),
+            PolicySpec::Checkpoint {
+                coverage: 1.0,
+                interval_s: 1e-3,
+                save_s: 0.0
+            }
+        );
         assert!(parse_policy("reexec").is_err());
         assert!(parse_policy("ckpt:0.9").is_err());
         assert!(parse_policy("retry:1").is_err());
+        // Out of domain (the first three panicked in `analyze`), then
+        // trailing fields.
+        for bad in [
+            "ckpt:0.5:0:0",
+            "ckpt:0.5:-1:0.1",
+            "ckpt:0.5:nan:0",
+            "ckpt:0.5:inf:0",
+            "ckpt:0.5:1:-5",
+            "ckpt:0.5:1:nan",
+            "ckpt:1.5:1:0.1",
+            "reexec:2",
+            "reexec:-0.1",
+            "reexec:nan",
+            "none:x",
+            "reexec:0.5:junk",
+            "ckpt:0.5:1:0.1:9",
+        ] {
+            assert!(parse_policy(bad).is_err(), "`{bad}` was accepted");
+        }
     }
 
     #[test]

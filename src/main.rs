@@ -6,8 +6,8 @@ use std::process::ExitCode;
 use sea_dse::arch::{Architecture, ScalingVector, SerModel};
 use sea_dse::baselines::BaselineOptimizer;
 use sea_dse::campaign::{
-    open_journal, read_journal_records, run_units_configured, Cache, CsvSink, EntryHealth,
-    HumanSink, JsonlSink, RunConfig, Sink,
+    level_set, open_journal, read_journal_records, run_units_configured, Cache, CsvSink,
+    EntryHealth, HumanSink, JournalPlan, JsonlSink, RunConfig, Sink, Unit,
 };
 use sea_dse::cli::{
     self, CacheAction, CacheArgs, CampaignArgs, Command, DaemonArgs, DesignArgs, OptimizeArgs,
@@ -101,7 +101,7 @@ fn run(cmd: Command) -> Result<(), String> {
         }
         Command::Sweep(s) => {
             let app = s.app.build().map_err(|e| e.to_string())?;
-            let arch = Architecture::arm7_calibrated(s.cores, cli::level_set(3));
+            let arch = Architecture::arm7_calibrated(s.cores, level_set(3));
             let ctx = EvalContext::new(&app, &arch);
             let scaling = ScalingVector::uniform(s.scale, &arch).map_err(|e| e.to_string())?;
             let points =
@@ -296,6 +296,57 @@ fn make_sink(format: OutputFormat) -> Box<dyn Sink> {
     }
 }
 
+/// The persistence layers `campaign` and `serve` open before a run: the
+/// content-addressed result cache (opt-in via --cache or SEA_CACHE; zero
+/// filesystem writes otherwise) and the write-ahead journal behind
+/// --resume.
+struct Persistence {
+    cache: Option<Cache>,
+    journal: Option<JournalPlan>,
+}
+
+impl Persistence {
+    /// Resolves the cache and opens the journal, printing the `resume:`
+    /// line when the journal restores units.
+    fn open(
+        cache_dir: Option<&str>,
+        resume: Option<&str>,
+        name: &str,
+        units: &[Unit],
+    ) -> Result<Self, String> {
+        let cache =
+            Cache::resolve(cache_dir).map_err(|e| format!("cannot open the result cache: {e}"))?;
+        let journal = match resume {
+            Some(path) => {
+                let plan = open_journal(std::path::Path::new(path), name, units)
+                    .map_err(|e| e.to_string())?;
+                if plan.resumed > 0 {
+                    eprintln!(
+                        "resume: {} of {} units restored from `{path}`",
+                        plan.resumed,
+                        units.len()
+                    );
+                }
+                Some(plan)
+            }
+            None => None,
+        };
+        Ok(Persistence { cache, journal })
+    }
+
+    /// The run's configuration on `jobs` workers: the cache, plus the
+    /// journal's restored records and appender.
+    fn config(&mut self, jobs: usize) -> RunConfig<'_> {
+        let mut config = RunConfig::new(jobs);
+        config.cache = self.cache.as_ref();
+        if let Some(plan) = self.journal.take() {
+            config.prefilled = plan.prefilled;
+            config.journal = Some(plan.writer);
+        }
+        config
+    }
+}
+
 fn run_campaign(c: &CampaignArgs) -> Result<(), String> {
     if c.list_builtin {
         println!("built-in campaigns (sea-dse campaign --builtin <name>):");
@@ -313,44 +364,26 @@ fn run_campaign(c: &CampaignArgs) -> Result<(), String> {
         units.len(),
         jobs
     );
-    // Persistence layers: the content-addressed result cache (opt-in via
-    // --cache or SEA_CACHE; zero filesystem writes otherwise) and the
-    // write-ahead journal behind --resume.
-    let cache = Cache::resolve(c.cache_dir.as_deref())
-        .map_err(|e| format!("cannot open the result cache: {e}"))?;
-    let mut plan = match &c.resume {
-        Some(path) => {
-            let plan = open_journal(std::path::Path::new(path), &campaign.name, &units)
-                .map_err(|e| e.to_string())?;
-            if plan.resumed > 0 {
-                eprintln!(
-                    "resume: {} of {} units restored from `{path}`",
-                    plan.resumed,
-                    units.len()
-                );
-            }
-            Some(plan)
-        }
-        None => None,
-    };
+    let mut persistence = Persistence::open(
+        c.cache_dir.as_deref(),
+        c.resume.as_deref(),
+        &campaign.name,
+        &units,
+    )?;
     // Progress streams to stderr in completion order; the final report
     // goes to stdout in enumeration order (byte-identical for any --jobs,
     // any cache state and any resume point).
     let mut sink = make_sink(c.format);
-    let mut config = RunConfig::new(jobs);
-    config.cache = cache.as_ref();
-    if let Some(mut plan) = plan.take() {
-        config.prefilled = std::mem::take(&mut plan.prefilled);
-        config.journal = Some(plan.writer);
-    }
-    let outcome = run_units_configured(&units, config, sink.as_mut()).map_err(|e| e.to_string())?;
-    if cache.is_some() {
+    let outcome = run_units_configured(&units, persistence.config(jobs), sink.as_mut())
+        .map_err(|e| e.to_string())?;
+    let cached = persistence.cache.is_some();
+    if cached {
         eprintln!(
             "cache: {} hit(s), {} evaluated",
             outcome.cache_hits, outcome.executed
         );
     }
-    if cache.is_some() || c.resume.is_some() || outcome.deduped > 0 {
+    if cached || c.resume.is_some() || outcome.deduped > 0 {
         eprintln!(
             "units: {} evaluated, {} cache hit(s), {} deduped, {} journaled",
             outcome.executed, outcome.cache_hits, outcome.deduped, outcome.resumed
@@ -452,35 +485,18 @@ fn run_serve(s: &ServeArgs) -> Result<(), String> {
         campaign.name,
         units.len()
     );
-    let cache = Cache::resolve(s.cache_dir.as_deref())
-        .map_err(|e| format!("cannot open the result cache: {e}"))?;
-    let mut plan = match &s.resume {
-        Some(path) => {
-            let plan = open_journal(std::path::Path::new(path), &campaign.name, &units)
-                .map_err(|e| e.to_string())?;
-            if plan.resumed > 0 {
-                eprintln!(
-                    "resume: {} of {} units restored from `{path}`",
-                    plan.resumed,
-                    units.len()
-                );
-            }
-            Some(plan)
-        }
-        None => None,
-    };
+    let mut persistence = Persistence::open(
+        s.cache_dir.as_deref(),
+        s.resume.as_deref(),
+        &campaign.name,
+        &units,
+    )?;
     let mut sink = make_sink(s.format);
-    let mut config = RunConfig::new(1);
-    config.cache = cache.as_ref();
-    if let Some(mut plan) = plan.take() {
-        config.prefilled = std::mem::take(&mut plan.prefilled);
-        config.journal = Some(plan.writer);
-    }
-    let mut serve_config = sea_dse::dist::ServeConfig::new(config);
+    let mut serve_config = sea_dse::dist::ServeConfig::new(persistence.config(1));
     serve_config.heartbeat_timeout = std::time::Duration::from_secs(s.timeout_s);
     let outcome = sea_dse::dist::serve_units(&listener, &units, serve_config, sink.as_mut())
         .map_err(|e| e.to_string())?;
-    if cache.is_some() {
+    if persistence.cache.is_some() {
         eprintln!(
             "cache: {} hit(s), {} dispatched",
             outcome.cache_hits, outcome.executed
@@ -673,7 +689,7 @@ fn run_cache_cmd(c: &CacheArgs) -> Result<(), String> {
 }
 
 fn config_of(a: &OptimizeArgs) -> OptimizerConfig {
-    let mut cfg = OptimizerConfig::paper(a.cores).with_levels(cli::level_set(a.levels));
+    let mut cfg = OptimizerConfig::paper(a.cores).with_levels(level_set(a.levels));
     cfg.budget = if a.paper_budget {
         SearchBudget::thorough()
     } else {
@@ -699,7 +715,7 @@ fn build_design(
     String,
 > {
     let app = d.app.build().map_err(|e| e.to_string())?;
-    let arch = Architecture::arm7_calibrated(d.cores, cli::level_set(3));
+    let arch = Architecture::arm7_calibrated(d.cores, level_set(3));
     let groups: Vec<&[usize]> = d.groups.iter().map(Vec::as_slice).collect();
     let mapping = Mapping::from_groups(&groups, d.cores).map_err(|e| e.to_string())?;
     if mapping.n_tasks() != app.graph().len() {

@@ -145,7 +145,6 @@ proptest! {
         iterations in 1u32..6,
     ) {
         use sea_dse::sched::tm_lower_bound;
-        use sea_dse::taskgraph::TaskGraphSoa;
 
         let arch = Architecture::homogeneous(3, LevelSet::arm7_three_level());
         let n = app.graph().len();
@@ -162,11 +161,10 @@ proptest! {
             app.deadline_s(),
         ).unwrap();
         for app in [&app, &pipelined] {
-            let soa = TaskGraphSoa::new(app);
             let ctx = EvalContext::new(app, &arch);
             for raw in ScalingIter::new(3, 3) {
                 let scaling = ScalingVector::try_new(raw, &arch).unwrap();
-                let lb = tm_lower_bound(&soa, app.mode(), &arch, &scaling);
+                let lb = tm_lower_bound(app, &arch, &scaling);
                 let tm = ctx.evaluate(&mapping, &scaling).unwrap().tm_seconds;
                 prop_assert!(
                     lb <= tm,

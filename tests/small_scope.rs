@@ -41,7 +41,6 @@
 
 use std::cell::Cell;
 use std::ops::ControlFlow;
-use std::sync::Arc;
 use std::time::Instant;
 
 use sea_dse::arch::{Architecture, CoreId, LevelSet, ScalingVector};
@@ -56,7 +55,7 @@ use sea_dse::taskgraph::graph::TaskGraphBuilder;
 use sea_dse::taskgraph::par::par;
 use sea_dse::taskgraph::registers::RegisterModelBuilder;
 use sea_dse::taskgraph::units::{Bits, Cycles};
-use sea_dse::taskgraph::{Application, ExecutionMode, TaskGraphSoa, TaskId};
+use sea_dse::taskgraph::{Application, ExecutionMode, TaskId};
 
 /// Tasks per graph.
 const TASKS: usize = 4;
@@ -298,13 +297,12 @@ impl Tally {
 /// of the scope, panicking with the failing case.
 fn check_graph(v: Variant) -> Tally {
     let app = application(v);
-    let soa = Arc::new(TaskGraphSoa::new(&app));
     let mut tally = Tally::default();
     for cores in [2, 3] {
         for levels in [LevelSet::arm7_two_level(), LevelSet::arm7_three_level()] {
             let arch = Architecture::arm7_calibrated(cores, levels);
             let ctx = EvalContext::new(&app, &arch);
-            let mut ev = IncrementalEvaluator::with_soa(ctx.clone(), Arc::clone(&soa));
+            let mut ev = IncrementalEvaluator::new(ctx.clone());
             let n_mappings = cores.pow(TASKS as u32);
             for scaling in scalings(&arch) {
                 let case = format!("{v:?} on {cores} cores at {scaling}");
@@ -323,7 +321,7 @@ fn check_graph(v: Variant) -> Tally {
                     .iter()
                     .map(|s| s.tm_seconds)
                     .fold(f64::INFINITY, f64::min);
-                let bound = tm_lower_bound(&soa, app.mode(), &arch, &scaling);
+                let bound = tm_lower_bound(&app, &arch, &scaling);
                 assert!(
                     bound <= min_tm,
                     "{case}: tm_lower_bound {bound} exceeds the smallest TM {min_tm}"
