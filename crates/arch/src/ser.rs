@@ -25,13 +25,6 @@ use crate::ArchError;
 /// 10 ms for a 1 kbit register bank").
 pub const PAPER_SER: f64 = 1e-9;
 
-/// Whether `ser` can be a raw soft error rate: a rate per bit per cycle
-/// in (0, 1]. NaN and the infinities are not.
-#[must_use]
-pub fn is_valid_ser(ser: f64) -> bool {
-    ser > 0.0 && ser <= 1.0
-}
-
 /// Exponential SER-vs-voltage model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SerModel {

@@ -584,8 +584,9 @@ pub struct JournalPlan {
 }
 
 /// Opens `path` as the journal for `units`: creates it (with a durable
-/// header) when absent or empty, otherwise validates it against the
-/// expansion and returns the completed records.
+/// header) when absent or when its bytes are a strict prefix of that
+/// header (empty, or torn while it was created), otherwise validates it
+/// against the expansion and returns the completed records.
 ///
 /// # Errors
 ///
@@ -595,17 +596,15 @@ pub struct JournalPlan {
 /// * Filesystem errors, wrapped in [`CampaignError::Journal`].
 pub fn open_journal(path: &Path, name: &str, units: &[Unit]) -> Result<JournalPlan, CampaignError> {
     let spec_hash = units_hash(units);
-    let fresh = match std::fs::metadata(path) {
-        Ok(m) => m.len() == 0,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => true,
-        Err(e) => {
-            return Err(jerr(format!(
-                "cannot stat journal `{}`: {e}",
-                path.display()
-            )))
-        }
+    let cannot_read =
+        |e: &dyn std::fmt::Display| jerr(format!("cannot read journal `{}`: {e}", path.display()));
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(cannot_read(&e)),
     };
-    if fresh {
+    let header = format!("{}\n", header_line(name, spec_hash, units.len()));
+    if bytes.len() < header.len() && header.as_bytes().starts_with(&bytes) {
         let writer = JournalWriter::create(path, name, spec_hash, units.len())
             .map_err(|e| jerr(format!("cannot create journal `{}`: {e}", path.display())))?;
         return Ok(JournalPlan {
@@ -614,8 +613,7 @@ pub fn open_journal(path: &Path, name: &str, units: &[Unit]) -> Result<JournalPl
             resumed: 0,
         });
     }
-    let source = std::fs::read_to_string(path)
-        .map_err(|e| jerr(format!("cannot read journal `{}`: {e}", path.display())))?;
+    let source = String::from_utf8(bytes).map_err(|e| cannot_read(&e))?;
     let journal = parse_journal(&source)?;
     if journal.header.spec_hash != spec_hash {
         return Err(jerr(format!(

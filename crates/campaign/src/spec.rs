@@ -39,8 +39,6 @@
 //! the *enumeration* — never of the worker count — so a campaign's
 //! results are bitwise identical for every `--jobs` value.
 
-use std::ops::RangeInclusive;
-
 use sea_baselines::Objective;
 use sea_opt::SelectionPolicy;
 use sea_taskgraph::AppSpec;
@@ -67,6 +65,74 @@ pub const MAX_SWEEP_COUNT: usize = 10_000;
 /// The daemon expands submitted specs on its event loop, so one oversized
 /// spec must be refused, not allocated.
 pub const MAX_UNITS: usize = 100_000;
+
+// The input domains. Spec keys and `sea-dse` flags both check their
+// values here, so each bound is written once. A check returns the value,
+// or as its error the predicate the value fails, which the caller
+// prefixes with the key or flag name ("must be 2, 3 or 4").
+
+/// Checks a core count against `1..=`[`MAX_CORES`].
+pub fn check_cores(cores: usize) -> Result<usize, String> {
+    if (1..=MAX_CORES).contains(&cores) {
+        Ok(cores)
+    } else {
+        Err(format!("must be between 1 and {MAX_CORES}"))
+    }
+}
+
+/// Checks a DVS level count: 2, 3 or 4.
+pub fn check_levels(levels: usize) -> Result<usize, String> {
+    if (2..=4).contains(&levels) {
+        Ok(levels)
+    } else {
+        Err("must be 2, 3 or 4".into())
+    }
+}
+
+/// Checks a sweep's mapping count against [`MAX_SWEEP_COUNT`].
+pub fn check_sweep_count(count: usize) -> Result<usize, String> {
+    if count <= MAX_SWEEP_COUNT {
+        Ok(count)
+    } else {
+        Err(format!("must be at most {MAX_SWEEP_COUNT}"))
+    }
+}
+
+/// Checks a raw soft error rate: a rate per bit per cycle in (0, 1]. NaN
+/// and the infinities are not.
+pub fn check_ser(ser: f64) -> Result<f64, String> {
+    if ser > 0.0 && ser <= 1.0 {
+        Ok(ser)
+    } else {
+        Err("must be a rate per bit per cycle in (0, 1]".into())
+    }
+}
+
+/// Parses a `|`-separated group list like `0,1,2|3|4,5`: the 0-based
+/// task indices on each core. An empty group is an idle core.
+///
+/// # Errors
+///
+/// Names the task index that is not a number.
+pub fn parse_groups(value: &str) -> Result<Vec<Vec<usize>>, String> {
+    value
+        .split('|')
+        .map(|group| {
+            let group = group.trim();
+            if group.is_empty() {
+                return Ok(Vec::new());
+            }
+            group
+                .split(',')
+                .map(|t| {
+                    t.trim()
+                        .parse()
+                        .map_err(|_| format!("cannot parse task index `{t}`"))
+                })
+                .collect()
+        })
+        .collect()
+}
 
 /// A parsed campaign: header + scenarios, expandable to units.
 #[derive(Debug, Clone)]
@@ -422,16 +488,10 @@ impl RawSection {
             "sweep" => {
                 let count = match self.take("count") {
                     Some((lineno, v)) => {
-                        let count: usize = v
+                        let count = v
                             .parse()
                             .map_err(|_| err(lineno, &format!("cannot parse count `{v}`")))?;
-                        if count > MAX_SWEEP_COUNT {
-                            return Err(err(
-                                lineno,
-                                &format!("count must be at most {MAX_SWEEP_COUNT}"),
-                            ));
-                        }
-                        count
+                        check_sweep_count(count).map_err(|e| err(lineno, &format!("count {e}")))?
                     }
                     None => 120,
                 };
@@ -454,22 +514,16 @@ impl RawSection {
                 };
                 let ser = match self.take("ser") {
                     Some((lineno, v)) => {
-                        let ser: f64 = v
+                        let ser = v
                             .parse()
                             .map_err(|_| err(lineno, &format!("cannot parse SER `{v}`")))?;
-                        if !sea_arch::ser::is_valid_ser(ser) {
-                            return Err(err(
-                                lineno,
-                                "SER must be a rate per bit per cycle in (0, 1]",
-                            ));
-                        }
-                        ser
+                        check_ser(ser).map_err(|e| err(lineno, &format!("SER {e}")))?
                     }
                     None => sea_arch::ser::PAPER_SER,
                 };
                 ScenarioKind::Simulate {
                     scaling: parse_u8_list(s_line, "scaling", &scaling)?,
-                    groups: parse_groups(g_line, &groups)?,
+                    groups: parse_groups(&groups).map_err(|e| err(g_line, &e))?,
                     ser,
                 }
             }
@@ -499,17 +553,13 @@ impl RawSection {
                 "scenario `{name}` is missing `cores` (e.g. \"2-6\")"
             )));
         };
-        let cores = parse_usize_ranges(
-            c_line,
-            "cores",
-            &cores,
-            1..=MAX_CORES,
-            &format!("core counts must be between 1 and {MAX_CORES}"),
-        )?;
+        let cores = parse_usize_ranges(c_line, "cores", &cores, |c| {
+            check_cores(c).map_err(|e| format!("core counts {e}"))
+        })?;
         let levels = match self.take("levels") {
-            Some((lineno, v)) => {
-                parse_usize_ranges(lineno, "levels", &v, 2..=4, "levels must be 2, 3 or 4")?
-            }
+            Some((lineno, v)) => parse_usize_ranges(lineno, "levels", &v, |l| {
+                check_levels(l).map_err(|e| format!("levels {e}"))
+            })?,
             None => vec![3],
         };
         let selections = match self.take_either("selections", "selection") {
@@ -691,24 +741,17 @@ fn parse_u8_list(lineno: usize, what: &str, value: &str) -> Result<Vec<u8>, Camp
     )
 }
 
-/// Parses `"2,4-6"` into `[2, 4, 5, 6]`, refusing any value outside
-/// `domain` with `out_of_domain` and more than [`MAX_UNITS`] values.
-/// Both are checked on range endpoints before the range expands, so an
-/// oversized range is an error, never an allocation.
+/// Parses `"2,4-6"` into `[2, 4, 5, 6]`, refusing any value that `check`
+/// refuses and more than [`MAX_UNITS`] values. Both are checked on range
+/// endpoints before the range expands, so an oversized range is an error,
+/// never an allocation.
 fn parse_usize_ranges(
     lineno: usize,
     what: &str,
     value: &str,
-    domain: RangeInclusive<usize>,
-    out_of_domain: &str,
+    check: impl Fn(usize) -> Result<usize, String>,
 ) -> Result<Vec<usize>, CampaignError> {
-    let in_domain = |v: usize| {
-        if domain.contains(&v) {
-            Ok(v)
-        } else {
-            Err(err(lineno, out_of_domain))
-        }
-    };
+    let in_domain = |v: usize| check(v).map_err(|e| err(lineno, &e));
     let mut out = Vec::new();
     for item in split_list(value) {
         let (lo, hi) = if let Some((lo, hi)) = item.split_once('-') {
@@ -740,27 +783,6 @@ fn parse_usize_ranges(
         return Err(err(lineno, "empty list"));
     }
     Ok(out)
-}
-
-/// Parses a `|`-separated group list like `0,1,2|3|4,5`.
-fn parse_groups(lineno: usize, value: &str) -> Result<Vec<Vec<usize>>, CampaignError> {
-    value
-        .split('|')
-        .map(|group| {
-            let group = group.trim();
-            if group.is_empty() {
-                return Ok(Vec::new());
-            }
-            group
-                .split(',')
-                .map(|t| {
-                    t.trim()
-                        .parse()
-                        .map_err(|_| err(lineno, &format!("cannot parse task index `{t}`")))
-                })
-                .collect()
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -813,7 +835,7 @@ seeds = "7,8"
 
     #[test]
     fn range_and_list_syntax() {
-        let parse = |v: &str| parse_usize_ranges(1, "values", v, 0..=usize::MAX, "out of domain");
+        let parse = |v: &str| parse_usize_ranges(1, "values", v, Ok);
         assert_eq!(parse("2,4-6").unwrap(), vec![2, 4, 5, 6]);
         assert_eq!(parse("3").unwrap(), vec![3]);
         assert!(parse("6-2").is_err());

@@ -337,6 +337,14 @@ impl DesignOptimizer {
     /// the real-time constraint.
     pub fn optimize(&self, app: &Application) -> Result<OptimizationOutcome, OptError> {
         let arch = &self.config.arch;
+        // Every chunk would report this, after the enumeration below has
+        // built C(L+C-1, C) scaling vectors for C cores and L levels.
+        if app.graph().len() < arch.n_cores() {
+            return Err(OptError::TooFewTasks {
+                tasks: app.graph().len(),
+                cores: arch.n_cores(),
+            });
+        }
         let scalings = ScalingIter::for_architecture(arch)
             .map(|raw| ScalingVector::try_new(raw, arch))
             .collect::<Result<Vec<_>, _>>()?;
@@ -673,6 +681,23 @@ mod tests {
             .expect("nominal scaling explored");
         assert!(out.best.evaluation.power_mw < nominal.evaluation.power_mw);
         assert_ne!(out.best.scaling.coefficients(), [1, 1, 1, 1]);
+    }
+
+    #[test]
+    fn too_few_tasks_is_refused_before_the_scaling_enumeration() {
+        // 1,000 cores at 4 levels have C(1003, 3) = 167,668,501 scaling
+        // vectors; none is built.
+        let config = OptimizerConfig::fast(1000).with_levels(LevelSet::arm7_four_level());
+        let err = DesignOptimizer::new(config)
+            .optimize(&mpeg2::application())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            OptError::TooFewTasks {
+                tasks: 11,
+                cores: 1000
+            }
+        );
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //!   cache publication), and streams results back while heartbeating.
 //!
 //! [`run_distributed_local`] wires a localhost coordinator to N
-//! in-process workers — the path `reproduce --distributed` and the
+//! in-process workers — the path `sea-dse reproduce --distributed` and the
 //! integration tests use.
 //!
 //! [`Unit`]: sea_campaign::Unit

@@ -86,9 +86,10 @@ pub struct WorkerReport {
 }
 
 /// Connects with exponential backoff (100 ms doubling to ~2 s between
-/// attempts) until `retry` elapses.
+/// attempts) until `retry` elapses. A `retry` past what the clock can
+/// represent never elapses.
 fn connect(addr: &str, retry: Duration) -> Result<TcpStream, CampaignError> {
-    let deadline = Instant::now() + retry;
+    let deadline = Instant::now().checked_add(retry);
     let mut delay = Duration::from_millis(100);
     loop {
         match TcpStream::connect(addr) {
@@ -97,7 +98,7 @@ fn connect(addr: &str, retry: Duration) -> Result<TcpStream, CampaignError> {
                     .map_err(|e| terr(format!("cannot configure the dispatch socket: {e}")))?;
                 return Ok(stream);
             }
-            Err(e) if Instant::now() < deadline => {
+            Err(e) if deadline.is_none_or(|d| Instant::now() < d) => {
                 let _ = e;
                 std::thread::sleep(delay);
                 delay = (delay * 2).min(Duration::from_secs(2));
@@ -331,4 +332,16 @@ fn evaluate_with_heartbeats(
             }
         }
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_retry_the_clock_cannot_represent_still_connects() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        assert!(connect(&addr, Duration::MAX).is_ok());
+    }
 }

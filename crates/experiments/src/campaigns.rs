@@ -7,10 +7,11 @@
 //! the plumbing the drivers share plus the named built-in campaigns the
 //! CLI exposes (`sea-dse campaign --list-builtin`).
 //!
-//! [`merge`] is the cross-scenario win: `reproduce` concatenates the unit
-//! lists of *all* tables and figures into one flat list and feeds a single
-//! worker pool, so a multi-core host saturates on dozens of independent
-//! units instead of idling between sequential harness calls.
+//! [`merge`] is the cross-scenario win: [`crate::paper::Paper`] (`sea-dse
+//! reproduce`) concatenates the unit lists of *all* tables and figures
+//! into one flat list and feeds a single worker pool, so a multi-core
+//! host saturates on dozens of independent units instead of idling
+//! between sequential harness calls.
 
 use std::ops::Range;
 
@@ -64,8 +65,8 @@ pub fn run_configured(
 }
 
 /// [`run_configured`] through a localhost coordinator plus `workers`
-/// in-process TCP workers instead of the thread pool — the `reproduce
-/// --distributed` smoke path. Every unit travels the full network path
+/// in-process TCP workers instead of the thread pool — the `sea-dse
+/// reproduce --distributed` smoke path. Every unit travels the full network path
 /// (canonical unit encoding out, verified result bytes back), and the
 /// assembled reports are byte-identical to the in-process run.
 ///

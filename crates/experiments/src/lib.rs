@@ -11,6 +11,9 @@
 //! | Fig. 11        | [`fig11`] | Impact of 2/3/4 voltage-scaling levels |
 //! | (ours)         | [`ablations`] | Exposure policy, SER sensitivity, initial-mapping contribution, MC-vs-analytic validation |
 //!
+//! [`paper::Paper`] merges every table and figure into one campaign and
+//! renders the whole report (`sea-dse reproduce`).
+//!
 //! Every harness is deterministic (seeded) and returns a typed report with
 //! `to_ascii()` / `to_csv()` renderers; where the paper publishes numbers,
 //! the report also carries them for side-by-side comparison (EXPERIMENTS.md
@@ -22,6 +25,7 @@ pub mod fig10;
 pub mod fig11;
 pub mod fig3;
 pub mod fig9;
+pub mod paper;
 pub mod report;
 pub mod table2;
 pub mod table3;

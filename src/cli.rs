@@ -1,41 +1,31 @@
 //! Command-line interface for the `sea-dse` binary.
 //!
-//! The parser is hand-rolled (no external dependency) and fully
-//! unit-tested; `src/main.rs` is a thin wrapper that dispatches a parsed
-//! [`Command`].
-//!
-//! ```text
-//! sea-dse optimize  --app mpeg2 --cores 4 [--levels 2|3|4] [--budget fast|paper]
-//!                   [--seed N] [--selection product|power|gamma] [--csv]
-//! sea-dse baseline  --objective r|tm|tmr --app <spec> --cores N [...]
-//! sea-dse simulate  --app <spec> --cores N --scaling 2,2,3,2
-//!                   --groups "0,1,2|3|4,5" [--ser 1e-9] [--seed N]
-//! sea-dse sweep     --app <spec> --cores N [--count 120] [--scale 1] [--csv]
-//! sea-dse generate  --tasks N [--seed N] [--dot]
-//! sea-dse recovery  --app <spec> --cores N --scaling ... --groups ...
-//!                   --policy none|reexec:<coverage>|ckpt:<coverage>:<interval>:<save>
-//! sea-dse campaign  --spec <file> | --builtin <name> | --list-builtin
-//!                   [--jobs N] [--format human|csv|jsonl] [--budget fast|smoke|paper|thorough]
-//! sea-dse serve     --spec <file> | --builtin <name>  --listen <addr:port>
-//!                   [--format ...] [--budget ...] [--resume <journal>]
-//!                   [--cache <dir>] [--timeout <secs>]
-//! sea-dse worker    --connect <addr:port> [--jobs N] [--cache <dir>] [--retry <secs>]
-//! sea-dse cache     stats|verify|prune [--dir <dir>] [--max-age-days D]
-//!                   [--max-size-mib M] [--delete-corrupt]
-//! ```
+//! Every verb is one entry of a single table: an optional leading
+//! operand, then its flags, each a switch or a value flag with a
+//! placeholder, required or not. [`parse`] scans argv once, left to
+//! right, over that table, so an unknown, repeated, valueless or missing
+//! flag is refused by construction. A value is the token after its flag
+//! and never starts with `--`, and every flag, switches included, may be
+//! given at most once. Each verb's `build` function then turns the scan
+//! into its [`Command`], checking numbers against the domains that
+//! campaign specs check too ([`sea_campaign::spec`]). [`usage`] renders
+//! the verb lines of `sea-dse help` from the same table.
 //!
 //! Application specs (`mpeg2`, `fig8`, `random:<tasks>[:<seed>]`) parse
 //! through the shared [`sea_taskgraph::spec`] grammar, so the CLI and
-//! campaign files accept exactly the same strings. Every flag may be
-//! given at most once — duplicates are rejected rather than silently
-//! last-wins — and every command refuses a flag it does not take.
+//! campaign files accept exactly the same strings.
 
 use std::fmt;
+use std::str::FromStr;
 
 use crate::baselines::Objective;
+use crate::experiments::EffortProfile;
 use crate::opt::SelectionPolicy;
 use crate::taskgraph::spec::check_random_tasks;
-use sea_campaign::spec::MAX_SWEEP_COUNT;
+use sea_campaign::spec::{
+    check_cores, check_levels, check_ser, check_sweep_count, parse_groups, MAX_CORES,
+    MAX_SWEEP_COUNT,
+};
 use sea_campaign::BudgetSpec;
 
 /// Re-exported from the shared spec module ([`sea_taskgraph::spec`]): the
@@ -77,6 +67,8 @@ pub enum Command {
     Stop(ConnectArgs),
     /// Maintain a result-cache directory (stats, verify, prune).
     CacheCmd(CacheArgs),
+    /// Regenerate every table and figure of the paper as one campaign.
+    Reproduce(ReproduceArgs),
     /// Print usage.
     Help,
 }
@@ -241,6 +233,26 @@ pub struct ReportArgs {
     pub format: OutputFormat,
 }
 
+/// `reproduce` command arguments: the whole paper as one campaign.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReproduceArgs {
+    /// Search effort (the leading operand: `smoke`, the default, or
+    /// `paper`).
+    pub profile: EffortProfile,
+    /// Worker threads (`--jobs`; `None` = `SEA_JOBS`, else available
+    /// parallelism). The report is identical for every value.
+    pub jobs: Option<usize>,
+    /// Print no progress (`--quiet`).
+    pub quiet: bool,
+    /// Write-ahead journal path (`--resume`), exactly as on `campaign`.
+    pub resume: Option<String>,
+    /// Result-cache directory (`--cache`/`SEA_CACHE`).
+    pub cache_dir: Option<String>,
+    /// Run over a localhost coordinator and this many TCP workers
+    /// (`--distributed`).
+    pub distributed: Option<usize>,
+}
+
 /// `--format` values for campaign reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OutputFormat {
@@ -372,99 +384,256 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-/// Usage text printed by `sea-dse help`.
-pub const USAGE: &str = "\
-sea-dse - soft error-aware design optimization (DATE 2010 reproduction)
+/// One flag of a verb.
+struct Flag {
+    name: &'static str,
+    /// The value's placeholder in the usage text; `None` for a switch.
+    value: Option<&'static str>,
+    required: bool,
+}
 
-USAGE:
-  sea-dse optimize  --app <spec> --cores <N> [--levels 2|3|4] [--budget fast|paper]
-                    [--seed <N>] [--selection product|power|gamma] [--jobs <N>] [--csv]
-  sea-dse baseline  --objective r|tm|tmr --app <spec> --cores <N> [...optimize flags]
-  sea-dse simulate  --app <spec> --cores <N> --scaling <s1,s2,...>
-                    --groups <g0|g1|...> [--ser <rate>] [--seed <N>]
-  sea-dse sweep     --app <spec> --cores <N> [--count <M>] [--scale <s>] [--seed <N>] [--csv]
-  sea-dse generate  --tasks <N> [--seed <N>] [--dot]
-  sea-dse recovery  --app <spec> --cores <N> --scaling ... --groups ...
-                    --policy none|reexec:<cov>|ckpt:<cov>:<interval_s>:<save_s>
-  sea-dse campaign  --spec <file> | --builtin <name> | --list-builtin
-                    [--jobs <N>] [--format human|csv|jsonl]
-                    [--budget fast|smoke|paper|thorough]
-                    [--resume <journal>] [--cache <dir>] [--report-aggregates]
-  sea-dse report    <journal|cache-dir> [--format human|csv|jsonl]
-  sea-dse serve     --spec <file> | --builtin <name>  --listen <addr:port>
-                    [--format ...] [--budget ...] [--resume <journal>]
-                    [--cache <dir>] [--timeout <secs>]
-  sea-dse worker    --connect <addr:port> [--jobs <N>] [--cache <dir>]
-                    [--retry <secs>]
-  sea-dse daemon    --listen <addr:port> [--cache <dir>] [--journal-dir <dir>]
-                    [--timeout <secs>]
-  sea-dse submit    --connect <addr:port> --spec <file> | --builtin <name>
-                    [--watch]
-  sea-dse status    --connect <addr:port>
-  sea-dse cancel    --connect <addr:port> --id <N>
-  sea-dse stop      --connect <addr:port>
-  sea-dse cache     stats|verify|prune [--dir <dir>] [--max-age-days <D>]
-                    [--max-size-mib <M>] [--delete-corrupt]
-  sea-dse help
+const fn switch(name: &'static str) -> Flag {
+    Flag {
+        name,
+        value: None,
+        required: false,
+    }
+}
 
-APP SPECS: mpeg2 | fig8 | random:<tasks>[:<seed>], 1 to 10000 tasks (as generate --tasks)
-GROUPS:    0-based task ids, comma-separated within a core, cores separated by '|'
-           e.g. --groups \"0,1,2,3,4,5|6,7|8|9,10\"
-JOBS:      worker threads for `optimize`'s scaling enumeration; results are
-           identical for every value (default: SEA_JOBS env, else available
-           parallelism). `baseline` is a single sequential annealing chain
-           plus one evaluation per scaling, so --jobs has no effect there.
-CAMPAIGNS: declarative multi-scenario runs (see README \"Campaigns\"):
-           progress streams to stderr as units complete; the
-           enumeration-order final report prints to stdout and is byte
-           identical for every --jobs value.
-           Campaign budgets name evaluation caps per voltage scaling:
-           fast=2k, smoke=600, paper=20k (the EXPERIMENTS.md harness
-           profile), thorough=60k. NOTE: `campaign --budget paper` is the
-           experiment-harness budget (20k); `optimize --budget paper` is
-           the thorough 60k budget — use `campaign --budget thorough` to
-           match the latter.
-ANALYTICS: `campaign --report-aggregates` appends aggregate sections after
-           the per-unit report: Fig. 10-style win rates (optimize vs each
-           baseline at matched app/cores/levels), Pareto fronts over
-           (P, Gamma) with dominated designs marked, best design per app
-           (min P*Gamma), and cross-seed min/median/max spread. `report`
-           computes the same sections offline from a --resume journal or
-           a --cache directory with zero re-evaluation, byte-identical to
-           the live output. See README \"Campaign analytics\".
-RESUME:    --resume <journal> write-ahead journals every completed unit
-           (fsync'd per record). Re-running with the same spec and journal
-           restores completed units and runs only the missing ones; the
-           final report is byte-identical to an uninterrupted run. A
-           journal written for a different campaign is refused.
-CACHE:     --cache <dir> (or the SEA_CACHE env var) keeps a
-           content-addressed result cache keyed by each unit's stable
-           hash; warm re-runs and overlapping campaigns skip evaluation.
-           Without either, no cache I/O happens at all. `sea-dse cache`
-           maintains such a directory: stats, checksum verification,
-           pruning by age/size.
-DIST:      `serve` expands a campaign and fans units to TCP workers
-           (`worker --connect`); results are verified against each
-           unit's content hash and merged in enumeration order, so the
-           stdout report is byte-identical to a local `campaign` run for
-           any worker count, join/leave order or mid-run worker kill.
-           --resume and --cache work across the network boundary (the
-           cache is probed coordinator-side on the dispatch path, so a
-           warm run sends no work but waits for one worker). See README
-           \"Distributed campaigns\" for the frame-protocol spec.
-SERVICE:   `daemon` is the long-running multi-campaign coordinator: the
-           same workers connect to it, while `submit` registers campaign
-           specs over the wire, `status` reports per-campaign progress
-           plus per-worker fleet stats as JSON, `cancel` withdraws one
-           campaign and `stop` shuts the fleet down. Campaigns share the
-           worker pool fairly (round-robin, cost-model order within each
-           campaign), share one --cache, and deduplicate identical units
-           fleet-wide. `submit --watch` streams records to stderr and
-           the final report to stdout, byte-identical to a local
-           `campaign --format jsonl` run of the same spec. With
-           --journal-dir, re-submitting a spec after a daemon restart
-           resumes from its journal. See README \"Service mode\".
-";
+const fn value(name: &'static str, placeholder: &'static str) -> Flag {
+    let mut flag = switch(name);
+    flag.value = Some(placeholder);
+    flag
+}
+
+const fn required(name: &'static str, placeholder: &'static str) -> Flag {
+    let mut flag = value(name, placeholder);
+    flag.required = true;
+    flag
+}
+
+const APP: Flag = required("--app", "<spec>");
+const CORES: Flag = required("--cores", "<N>");
+const LEVELS: Flag = value("--levels", "2|3|4");
+const OPT_BUDGET: Flag = value("--budget", "fast|paper");
+const SEED: Flag = value("--seed", "<N>");
+const SELECTION: Flag = value("--selection", "product|power|gamma");
+const JOBS: Flag = value("--jobs", "<N>");
+const CSV: Flag = switch("--csv");
+const OBJECTIVE: Flag = required("--objective", "r|tm|tmr");
+const SCALING: Flag = required("--scaling", "<s1,s2,...>");
+const GROUPS: Flag = required("--groups", "<g0|g1|...>");
+const SER: Flag = value("--ser", "<rate>");
+const POLICY: Flag = value(
+    "--policy",
+    "none|reexec:<cov>|ckpt:<cov>:<interval_s>:<save_s>",
+);
+const COUNT: Flag = value("--count", "<M>");
+const SCALE: Flag = value("--scale", "<s>");
+const TASKS: Flag = required("--tasks", "<N>");
+const DOT: Flag = switch("--dot");
+const SPEC: Flag = value("--spec", "<file>");
+const BUILTIN: Flag = value("--builtin", "<name>");
+const LISTING: Flag = switch("--list-builtin");
+const FORMAT: Flag = value("--format", "human|csv|jsonl");
+const BUDGET: Flag = value("--budget", "fast|smoke|paper|thorough");
+const RESUME: Flag = value("--resume", "<journal>");
+const CACHE: Flag = value("--cache", "<dir>");
+const AGGREGATES: Flag = switch("--report-aggregates");
+const LISTEN: Flag = required("--listen", "<addr:port>");
+const TIMEOUT: Flag = value("--timeout", "<secs>");
+const CONNECT: Flag = required("--connect", "<addr:port>");
+const RETRY: Flag = value("--retry", "<secs>");
+const JOURNALS: Flag = value("--journal-dir", "<dir>");
+const WATCH: Flag = switch("--watch");
+const ID: Flag = required("--id", "<N>");
+const DIR: Flag = value("--dir", "<dir>");
+const MAX_AGE: Flag = value("--max-age-days", "<D>");
+const MAX_SIZE: Flag = value("--max-size-mib", "<M>");
+const DELETE_BAD: Flag = switch("--delete-corrupt");
+const QUIET: Flag = switch("--quiet");
+const WORKERS: Flag = value("--distributed", "<N>");
+
+/// The most in-process TCP workers `reproduce --distributed` starts: it
+/// starts one thread per worker.
+const MAX_LOCAL_WORKERS: usize = 64;
+
+/// One `sea-dse` verb: its leading operand (placeholder, required), its
+/// flags and the function that turns a scan into its [`Command`].
+struct Verb {
+    name: &'static str,
+    operand: Option<(&'static str, bool)>,
+    flags: &'static [Flag],
+    build: fn(&Scan<'_>) -> Result<Command, CliError>,
+}
+
+const fn verb(
+    name: &'static str,
+    flags: &'static [Flag],
+    build: fn(&Scan<'_>) -> Result<Command, CliError>,
+) -> Verb {
+    Verb {
+        name,
+        operand: None,
+        flags,
+        build,
+    }
+}
+
+impl Verb {
+    const fn with_operand(mut self, placeholder: &'static str, required: bool) -> Verb {
+        self.operand = Some((placeholder, required));
+        self
+    }
+}
+
+const VERBS: &[Verb] = &[
+    verb(
+        "optimize",
+        &[APP, CORES, LEVELS, OPT_BUDGET, SEED, SELECTION, JOBS, CSV],
+        |s| Ok(Command::Optimize(optimize_args(s)?)),
+    ),
+    verb(
+        "baseline",
+        &[
+            APP, CORES, LEVELS, OPT_BUDGET, SEED, SELECTION, JOBS, OBJECTIVE, CSV,
+        ],
+        |s| {
+            Ok(Command::Baseline(BaselineArgs {
+                objective: Objective::from_keyword(s.required(&OBJECTIVE)).map_err(CliError)?,
+                common: optimize_args(s)?,
+            }))
+        },
+    ),
+    verb("simulate", &[APP, CORES, SCALING, GROUPS, SER, SEED], |s| {
+        Ok(Command::Simulate(design_args(s)?))
+    }),
+    verb("sweep", &[APP, CORES, COUNT, SCALE, SEED, CSV], |s| {
+        Ok(Command::Sweep(SweepArgs {
+            app: parse_app_spec(s.required(&APP))?,
+            cores: check_value(&CORES, s.required(&CORES), check_cores)?,
+            count: s.checked(&COUNT, check_sweep_count)?.unwrap_or(120),
+            scale: s.num(&SCALE)?.unwrap_or(1),
+            seed: s.num(&SEED)?.unwrap_or(42),
+            csv: s.has(&CSV),
+        }))
+    }),
+    verb("generate", &[TASKS, SEED, DOT], |s| {
+        let tasks = parse_num(s.required(&TASKS), TASKS.name)?;
+        Ok(Command::Generate(GenerateArgs {
+            tasks: check_random_tasks(tasks).map_err(|e| CliError(e.to_string()))?,
+            seed: s.num(&SEED)?.unwrap_or(7),
+            dot: s.has(&DOT),
+        }))
+    }),
+    verb(
+        "recovery",
+        &[APP, CORES, SCALING, GROUPS, SER, SEED, POLICY],
+        |s| {
+            Ok(Command::Recovery(RecoveryArgs {
+                policy: s.get(&POLICY).map_or(Ok(PolicySpec::None), parse_policy)?,
+                design: design_args(s)?,
+            }))
+        },
+    ),
+    verb(
+        "campaign",
+        &[
+            SPEC, BUILTIN, LISTING, JOBS, FORMAT, BUDGET, RESUME, CACHE, AGGREGATES,
+        ],
+        campaign_command,
+    ),
+    verb("report", &[FORMAT], |s| {
+        Ok(Command::Report(ReportArgs {
+            source: s.operand.unwrap_or_default().to_string(),
+            format: format(s)?,
+        }))
+    })
+    .with_operand("<journal|cache-dir>", true),
+    verb(
+        "serve",
+        &[
+            SPEC, BUILTIN, LISTEN, FORMAT, BUDGET, RESUME, CACHE, TIMEOUT,
+        ],
+        |s| {
+            let (spec_path, builtin) = one_source(s, "serve")?;
+            Ok(Command::Serve(ServeArgs {
+                spec_path,
+                builtin,
+                listen: s.required(&LISTEN).to_string(),
+                format: format(s)?,
+                budget: budget(s)?,
+                resume: s.string(&RESUME),
+                cache_dir: s.string(&CACHE),
+                timeout_s: timeout(s)?,
+            }))
+        },
+    ),
+    verb("worker", &[CONNECT, JOBS, CACHE, RETRY], |s| {
+        Ok(Command::Worker(WorkerArgs {
+            connect: s.required(&CONNECT).to_string(),
+            jobs: jobs(s)?,
+            cache_dir: s.string(&CACHE),
+            retry_s: s.num(&RETRY)?.unwrap_or(10),
+        }))
+    }),
+    verb("daemon", &[LISTEN, CACHE, JOURNALS, TIMEOUT], |s| {
+        Ok(Command::Daemon(DaemonArgs {
+            listen: s.required(&LISTEN).to_string(),
+            cache_dir: s.string(&CACHE),
+            journal_dir: s.string(&JOURNALS),
+            timeout_s: timeout(s)?,
+        }))
+    }),
+    verb("submit", &[CONNECT, SPEC, BUILTIN, WATCH], |s| {
+        let (spec_path, builtin) = one_source(s, "submit")?;
+        Ok(Command::Submit(SubmitArgs {
+            connect: s.required(&CONNECT).to_string(),
+            spec_path,
+            builtin,
+            watch: s.has(&WATCH),
+        }))
+    }),
+    verb("status", &[CONNECT], |s| {
+        Ok(Command::Status(connect_args(s)))
+    }),
+    verb("cancel", &[CONNECT, ID], |s| {
+        Ok(Command::Cancel(CancelArgs {
+            connect: s.required(&CONNECT).to_string(),
+            id: parse_num(s.required(&ID), ID.name)?,
+        }))
+    }),
+    verb("stop", &[CONNECT], |s| Ok(Command::Stop(connect_args(s)))),
+    verb(
+        "cache",
+        &[DIR, MAX_AGE, MAX_SIZE, DELETE_BAD],
+        cache_command,
+    )
+    .with_operand("stats|verify|prune", true),
+    verb("reproduce", &[JOBS, QUIET, CACHE, RESUME, WORKERS], |s| {
+        let profile = match s.operand {
+            None | Some("smoke") => EffortProfile::Smoke,
+            Some("paper") => EffortProfile::Paper,
+            Some(other) => {
+                return Err(CliError(format!("unknown profile `{other}` (smoke|paper)")))
+            }
+        };
+        Ok(Command::Reproduce(ReproduceArgs {
+            profile,
+            jobs: jobs(s)?,
+            quiet: s.has(&QUIET),
+            resume: s.string(&RESUME),
+            cache_dir: s.string(&CACHE),
+            distributed: s.checked(&WORKERS, |n: usize| {
+                (1..=MAX_LOCAL_WORKERS)
+                    .contains(&n)
+                    .then_some(n)
+                    .ok_or_else(|| format!("must be between 1 and {MAX_LOCAL_WORKERS}"))
+            })?,
+        }))
+    })
+    .with_operand("smoke|paper", false),
+];
 
 /// Parses a full argument vector (without the program name).
 ///
@@ -475,88 +644,128 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     let Some((cmd, rest)) = args.split_first() else {
         return Ok(Command::Help);
     };
-    match cmd.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "optimize" => Ok(Command::Optimize(parse_optimize(rest, &[])?)),
-        "baseline" => {
-            let objective = match get_flag(rest, "--objective")? {
-                Some(o) => Objective::from_keyword(&o).map_err(CliError)?,
-                None => return Err(CliError("baseline requires --objective r|tm|tmr".into())),
-            };
-            Ok(Command::Baseline(BaselineArgs {
-                common: parse_optimize(rest, &["--objective"])?,
-                objective,
-            }))
-        }
-        "simulate" => Ok(Command::Simulate(parse_design(rest, &[])?)),
-        "sweep" => Ok(Command::Sweep(parse_sweep(rest)?)),
-        "generate" => Ok(Command::Generate(parse_generate(rest)?)),
-        "campaign" => Ok(Command::Campaign(parse_campaign_cmd(rest)?)),
-        "report" => Ok(Command::Report(parse_report_cmd(rest)?)),
-        "serve" => Ok(Command::Serve(parse_serve_cmd(rest)?)),
-        "worker" => Ok(Command::Worker(parse_worker_cmd(rest)?)),
-        "daemon" => Ok(Command::Daemon(parse_daemon_cmd(rest)?)),
-        "submit" => Ok(Command::Submit(parse_submit_cmd(rest)?)),
-        "status" => Ok(Command::Status(parse_connect_cmd(rest, "status")?)),
-        "cancel" => Ok(Command::Cancel(parse_cancel_cmd(rest)?)),
-        "stop" => Ok(Command::Stop(parse_connect_cmd(rest, "stop")?)),
-        "cache" => Ok(Command::CacheCmd(parse_cache_cmd(rest)?)),
-        "recovery" => {
-            let policy = match get_flag(rest, "--policy")? {
-                Some(p) => parse_policy(&p)?,
-                None => PolicySpec::None,
-            };
-            Ok(Command::Recovery(RecoveryArgs {
-                design: parse_design(rest, &["--policy"])?,
-                policy,
-            }))
-        }
-        other => Err(CliError(format!(
-            "unknown command `{other}` (try `sea-dse help`)"
-        ))),
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        return Ok(Command::Help);
     }
+    let verb = VERBS
+        .iter()
+        .find(|v| v.name == cmd)
+        .ok_or_else(|| CliError(format!("unknown command `{cmd}` (try `sea-dse help`)")))?;
+    (verb.build)(&Scan::new(verb, rest)?)
 }
 
-fn get_flag(args: &[String], name: &str) -> Result<Option<String>, CliError> {
-    let mut value = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == name {
-            let Some(v) = args.get(i + 1) else {
-                return Err(CliError(format!("flag {name} needs a value")));
-            };
-            if value.is_some() {
-                // Last-wins duplicate handling silently drops user intent;
-                // make the conflict loud instead.
+/// One left-to-right pass over a verb's arguments: the operand, then
+/// each flag's value (`""` for a given switch).
+struct Scan<'a> {
+    flags: &'static [Flag],
+    operand: Option<&'a str>,
+    values: Vec<Option<&'a str>>,
+}
+
+impl<'a> Scan<'a> {
+    fn new(verb: &Verb, args: &'a [String]) -> Result<Self, CliError> {
+        let mut args = args.iter().map(String::as_str).peekable();
+        let operand = match verb.operand {
+            Some(_) if args.peek().is_some_and(|first| !first.starts_with("--")) => args.next(),
+            Some((placeholder, true)) => {
                 return Err(CliError(format!(
-                    "flag {name} given more than once (remove the duplicate)"
+                    "{} needs {placeholder} as its first argument",
+                    verb.name
+                )))
+            }
+            _ => None,
+        };
+        let mut values = vec![None; verb.flags.len()];
+        while let Some(arg) = args.next() {
+            let Some(k) = verb.flags.iter().position(|f| f.name == arg) else {
+                let names: Vec<&str> = verb.flags.iter().map(|f| f.name).collect();
+                return Err(CliError(format!(
+                    "unknown flag `{arg}` ({})",
+                    names.join("|")
+                )));
+            };
+            if values[k].is_some() {
+                return Err(CliError(format!(
+                    "flag {arg} given more than once (remove the duplicate)"
                 )));
             }
-            value = Some(v.clone());
-            i += 2;
-        } else {
-            i += 1;
+            values[k] = match verb.flags[k].value {
+                None => Some(""),
+                Some(_) => match args.next_if(|v| !v.starts_with("--")) {
+                    Some(v) => Some(v),
+                    None => return Err(CliError(format!("flag {arg} needs a value"))),
+                },
+            };
         }
+        if let Some(flag) = verb
+            .flags
+            .iter()
+            .zip(&values)
+            .find_map(|(f, v)| (f.required && v.is_none()).then_some(f))
+        {
+            return Err(CliError(format!(
+                "{} needs {} {}",
+                verb.name,
+                flag.name,
+                flag.value.unwrap_or_default()
+            )));
+        }
+        Ok(Scan {
+            flags: verb.flags,
+            operand,
+            values,
+        })
     }
-    Ok(value)
+
+    fn get(&self, flag: &Flag) -> Option<&'a str> {
+        let k = self.flags.iter().position(|f| f.name == flag.name)?;
+        self.values[k]
+    }
+
+    fn has(&self, flag: &Flag) -> bool {
+        self.get(flag).is_some()
+    }
+
+    fn string(&self, flag: &Flag) -> Option<String> {
+        self.get(flag).map(str::to_string)
+    }
+
+    /// A required flag's value, which the scan has checked is there.
+    fn required(&self, flag: &Flag) -> &'a str {
+        self.get(flag).unwrap_or_default()
+    }
+
+    fn num<T: FromStr>(&self, flag: &Flag) -> Result<Option<T>, CliError> {
+        self.get(flag)
+            .map(|raw| parse_num(raw, flag.name))
+            .transpose()
+    }
+
+    fn checked<T: FromStr, U>(
+        &self,
+        flag: &Flag,
+        check: impl FnOnce(T) -> Result<U, String>,
+    ) -> Result<Option<U>, CliError> {
+        self.get(flag)
+            .map(|raw| check_value(flag, raw, check))
+            .transpose()
+    }
 }
 
-fn has_switch(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
-fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, CliError> {
+fn parse_num<T: FromStr>(s: &str, what: &str) -> Result<T, CliError> {
     s.parse()
         .map_err(|_| CliError(format!("cannot parse {what} from `{s}`")))
 }
 
-fn parse_app(args: &[String]) -> Result<AppSpec, CliError> {
-    let Some(spec) = get_flag(args, "--app")? else {
-        return Err(CliError(
-            "missing --app (mpeg2 | fig8 | random:<tasks>[:<seed>])".into(),
-        ));
-    };
-    parse_app_spec(&spec)
+/// Parses `raw`, the value of `flag`, and checks it into its domain:
+/// `check` returns the value or the predicate it fails.
+fn check_value<T: FromStr, U>(
+    flag: &Flag,
+    raw: &str,
+    check: impl FnOnce(T) -> Result<U, String>,
+) -> Result<U, CliError> {
+    check(parse_num(raw, flag.name)?)
+        .map_err(|e| CliError(format!("{} {e}, got `{raw}`", flag.name)))
 }
 
 /// Parses an application spec string through the shared
@@ -570,223 +779,54 @@ pub fn parse_app_spec(spec: &str) -> Result<AppSpec, CliError> {
         .map_err(|e: crate::taskgraph::SpecError| CliError(e.to_string()))
 }
 
-fn parse_cores(args: &[String]) -> Result<usize, CliError> {
-    let Some(c) = get_flag(args, "--cores")? else {
-        return Err(CliError("missing --cores".into()));
-    };
-    let cores: usize = parse_num(&c, "core count")?;
-    if cores == 0 {
-        return Err(CliError("--cores must be at least 1".into()));
-    }
-    Ok(cores)
-}
-
-/// Parses the flags `optimize` shares with `baseline`, which also
-/// accepts the value flags in `extra`.
-fn parse_optimize(args: &[String], extra: &[&str]) -> Result<OptimizeArgs, CliError> {
-    let flags = [
-        &[
-            "--app",
-            "--cores",
-            "--levels",
-            "--budget",
-            "--seed",
-            "--selection",
-            "--jobs",
-        ],
-        extra,
-    ]
-    .concat();
-    reject_unknown_flags(
-        args,
-        &flags,
-        &["--csv"],
-        &format!("{}|--csv", flags.join("|")),
-    )?;
-    let levels = match get_flag(args, "--levels")? {
-        Some(l) => {
-            let l: usize = parse_num(&l, "level count")?;
-            if !(2..=4).contains(&l) {
-                return Err(CliError("--levels must be 2, 3 or 4".into()));
-            }
-            l
-        }
-        None => 3,
-    };
-    let paper_budget = match get_flag(args, "--budget")? {
-        None => false,
-        Some(b) if b == "fast" => false,
-        Some(b) if b == "paper" => true,
+/// The flags `optimize` shares with `baseline`.
+fn optimize_args(s: &Scan<'_>) -> Result<OptimizeArgs, CliError> {
+    let levels = s.checked(&LEVELS, check_levels)?.unwrap_or(3);
+    let paper_budget = match s.get(&OPT_BUDGET) {
+        None | Some("fast") => false,
+        Some("paper") => true,
         Some(b) => return Err(CliError(format!("unknown budget `{b}` (fast|paper)"))),
     };
-    let selection = match get_flag(args, "--selection")? {
+    let selection = match s.get(&SELECTION) {
+        Some(k) => SelectionPolicy::from_keyword(k).map_err(CliError)?,
         None => SelectionPolicy::default(),
-        Some(s) => SelectionPolicy::from_keyword(&s).map_err(CliError)?,
     };
-    let jobs = parse_jobs(args)?;
+    let jobs = jobs(s)?;
     Ok(OptimizeArgs {
-        app: parse_app(args)?,
-        cores: parse_cores(args)?,
+        app: parse_app_spec(s.required(&APP))?,
+        cores: check_value(&CORES, s.required(&CORES), check_cores)?,
         levels,
         paper_budget,
-        seed: match get_flag(args, "--seed")? {
-            Some(s) => parse_num(&s, "seed")?,
-            None => 0x5EA,
-        },
+        seed: s.num(&SEED)?.unwrap_or(0x5EA),
         selection,
         jobs,
-        csv: has_switch(args, "--csv"),
+        csv: s.has(&CSV),
     })
 }
 
-/// Parses a `|`-separated group list like `0,1,2|3|4,5`.
-///
-/// # Errors
-///
-/// Returns [`CliError`] for malformed indices.
-pub fn parse_groups(s: &str) -> Result<Vec<Vec<usize>>, CliError> {
-    s.split('|')
-        .map(|group| {
-            let group = group.trim();
-            if group.is_empty() {
-                return Ok(Vec::new());
-            }
-            group
-                .split(',')
-                .map(|t| parse_num(t.trim(), "task index"))
-                .collect()
-        })
-        .collect()
-}
-
-fn parse_scaling(s: &str) -> Result<Vec<u8>, CliError> {
-    s.split(',')
-        .map(|x| parse_num(x.trim(), "scaling coefficient"))
-        .collect()
-}
-
-/// Parses the design flags `simulate` shares with `recovery`, which
-/// also accepts the value flags in `extra`.
-fn parse_design(args: &[String], extra: &[&str]) -> Result<DesignArgs, CliError> {
-    let flags = [
-        &[
-            "--app",
-            "--cores",
-            "--scaling",
-            "--groups",
-            "--ser",
-            "--seed",
-        ],
-        extra,
-    ]
-    .concat();
-    reject_unknown_flags(args, &flags, &[], &flags.join("|"))?;
-    let Some(scaling) = get_flag(args, "--scaling")? else {
-        return Err(CliError("missing --scaling (e.g. 2,2,3,2)".into()));
-    };
-    let Some(groups) = get_flag(args, "--groups")? else {
-        return Err(CliError("missing --groups (e.g. \"0,1|2,3\")".into()));
-    };
+/// The design flags `simulate` shares with `recovery`.
+fn design_args(s: &Scan<'_>) -> Result<DesignArgs, CliError> {
     Ok(DesignArgs {
-        app: parse_app(args)?,
-        cores: parse_cores(args)?,
-        scaling: parse_scaling(&scaling)?,
-        groups: parse_groups(&groups)?,
-        ser: match get_flag(args, "--ser")? {
-            Some(s) => {
-                let ser = parse_num(&s, "SER")?;
-                if !sea_arch::ser::is_valid_ser(ser) {
-                    return Err(CliError(format!(
-                        "--ser must be a rate per bit per cycle in (0, 1], got `{s}`"
-                    )));
-                }
-                ser
-            }
-            None => sea_arch::ser::PAPER_SER,
-        },
-        seed: match get_flag(args, "--seed")? {
-            Some(s) => parse_num(&s, "seed")?,
-            None => 7,
-        },
+        app: parse_app_spec(s.required(&APP))?,
+        cores: check_value(&CORES, s.required(&CORES), check_cores)?,
+        scaling: s
+            .required(&SCALING)
+            .split(',')
+            .map(|x| parse_num(x.trim(), "scaling coefficient"))
+            .collect::<Result<_, _>>()?,
+        groups: parse_groups(s.required(&GROUPS))
+            .map_err(|e| CliError(format!("{}: {e}", GROUPS.name)))?,
+        ser: s
+            .checked(&SER, check_ser)?
+            .unwrap_or(sea_arch::ser::PAPER_SER),
+        seed: s.num(&SEED)?.unwrap_or(7),
     })
 }
 
-fn parse_sweep(args: &[String]) -> Result<SweepArgs, CliError> {
-    reject_unknown_flags(
-        args,
-        &["--app", "--cores", "--count", "--scale", "--seed"],
-        &["--csv"],
-        "--app|--cores|--count|--scale|--seed|--csv",
-    )?;
-    Ok(SweepArgs {
-        app: parse_app(args)?,
-        cores: parse_cores(args)?,
-        count: match get_flag(args, "--count")? {
-            Some(c) => {
-                let count = parse_num(&c, "count")?;
-                if count > MAX_SWEEP_COUNT {
-                    return Err(CliError(format!(
-                        "--count must be at most {MAX_SWEEP_COUNT}, got {count}"
-                    )));
-                }
-                count
-            }
-            None => 120,
-        },
-        scale: match get_flag(args, "--scale")? {
-            Some(s) => parse_num(&s, "scale")?,
-            None => 1,
-        },
-        seed: match get_flag(args, "--seed")? {
-            Some(s) => parse_num(&s, "seed")?,
-            None => 42,
-        },
-        csv: has_switch(args, "--csv"),
-    })
-}
-
-fn parse_generate(args: &[String]) -> Result<GenerateArgs, CliError> {
-    reject_unknown_flags(
-        args,
-        &["--tasks", "--seed"],
-        &["--dot"],
-        "--tasks|--seed|--dot",
-    )?;
-    let Some(tasks) = get_flag(args, "--tasks")? else {
-        return Err(CliError("missing --tasks".into()));
-    };
-    Ok(GenerateArgs {
-        tasks: check_random_tasks(parse_num(&tasks, "task count")?)
-            .map_err(|e| CliError(e.to_string()))?,
-        seed: match get_flag(args, "--seed")? {
-            Some(s) => parse_num(&s, "seed")?,
-            None => 7,
-        },
-        dot: has_switch(args, "--dot"),
-    })
-}
-
-fn parse_campaign_cmd(args: &[String]) -> Result<CampaignArgs, CliError> {
-    // Campaign output is flag-selected and consumed by scripts, so a
-    // misspelled flag must fail loudly instead of silently falling back
-    // to a default format/budget.
-    reject_unknown_flags(
-        args,
-        &[
-            "--spec",
-            "--builtin",
-            "--jobs",
-            "--format",
-            "--budget",
-            "--resume",
-            "--cache",
-        ],
-        &["--list-builtin", "--report-aggregates"],
-        "--spec|--builtin|--list-builtin|--jobs|--format|--budget|--resume|--cache|--report-aggregates",
-    )?;
-    let spec_path = get_flag(args, "--spec")?;
-    let builtin = get_flag(args, "--builtin")?;
-    let list_builtin = has_switch(args, "--list-builtin");
+fn campaign_command(s: &Scan<'_>) -> Result<Command, CliError> {
+    let spec_path = s.string(&SPEC);
+    let builtin = s.string(&BUILTIN);
+    let list_builtin = s.has(&LISTING);
     let sources = usize::from(spec_path.is_some())
         + usize::from(builtin.is_some())
         + usize::from(list_builtin);
@@ -795,212 +835,45 @@ fn parse_campaign_cmd(args: &[String]) -> Result<CampaignArgs, CliError> {
             "campaign needs exactly one of --spec <file>, --builtin <name>, --list-builtin".into(),
         ));
     }
-    let jobs = parse_jobs(args)?;
-    let format = parse_format(args)?;
-    let budget = parse_budget_flag(args)?;
-    let resume = get_flag(args, "--resume")?;
-    let cache_dir = get_flag(args, "--cache")?;
-    let report_aggregates = has_switch(args, "--report-aggregates");
-    if list_builtin && (resume.is_some() || cache_dir.is_some() || report_aggregates) {
+    let args = CampaignArgs {
+        spec_path,
+        builtin,
+        list_builtin,
+        jobs: jobs(s)?,
+        format: format(s)?,
+        budget: budget(s)?,
+        resume: s.string(&RESUME),
+        cache_dir: s.string(&CACHE),
+        report_aggregates: s.has(&AGGREGATES),
+    };
+    if list_builtin && (args.resume.is_some() || args.cache_dir.is_some() || args.report_aggregates)
+    {
         return Err(CliError(
             "--resume/--cache/--report-aggregates make no sense with --list-builtin".into(),
         ));
     }
-    Ok(CampaignArgs {
-        spec_path,
-        builtin,
-        list_builtin,
-        jobs,
-        format,
-        budget,
-        resume,
-        cache_dir,
-        report_aggregates,
-    })
+    Ok(Command::Campaign(args))
 }
 
-fn parse_report_cmd(args: &[String]) -> Result<ReportArgs, CliError> {
-    let Some((source, rest)) = args.split_first() else {
-        return Err(CliError(
-            "report needs a source: a --resume journal file or a --cache directory".into(),
-        ));
-    };
-    if source.starts_with("--") {
+/// `serve` and `submit` take exactly one of `--spec` and `--builtin`.
+fn one_source(s: &Scan<'_>, verb: &str) -> Result<(Option<String>, Option<String>), CliError> {
+    let (spec_path, builtin) = (s.string(&SPEC), s.string(&BUILTIN));
+    if spec_path.is_some() == builtin.is_some() {
         return Err(CliError(format!(
-            "report takes its source positionally (`sea-dse report <journal|cache-dir>`), \
-             got flag `{source}` first"
+            "{verb} needs exactly one of --spec <file>, --builtin <name>"
         )));
     }
-    reject_unknown_flags(rest, &["--format"], &[], "--format")?;
-    Ok(ReportArgs {
-        source: source.clone(),
-        format: parse_format(rest)?,
-    })
+    Ok((spec_path, builtin))
 }
 
-/// Rejects unknown flags: `args` may only contain the given value flags
-/// (each followed by a value) and switches.
-fn reject_unknown_flags(
-    args: &[String],
-    value_flags: &[&str],
-    switches: &[&str],
-    usage: &str,
-) -> Result<(), CliError> {
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        if value_flags.contains(&arg) {
-            i += 2;
-        } else if switches.contains(&arg) {
-            i += 1;
-        } else {
-            return Err(CliError(format!("unknown flag `{arg}` ({usage})")));
-        }
+fn connect_args(s: &Scan<'_>) -> ConnectArgs {
+    ConnectArgs {
+        connect: s.required(&CONNECT).to_string(),
     }
-    Ok(())
 }
 
-fn parse_serve_cmd(args: &[String]) -> Result<ServeArgs, CliError> {
-    reject_unknown_flags(
-        args,
-        &[
-            "--spec",
-            "--builtin",
-            "--listen",
-            "--format",
-            "--budget",
-            "--resume",
-            "--cache",
-            "--timeout",
-        ],
-        &[],
-        "--spec|--builtin|--listen|--format|--budget|--resume|--cache|--timeout",
-    )?;
-    let spec_path = get_flag(args, "--spec")?;
-    let builtin = get_flag(args, "--builtin")?;
-    if usize::from(spec_path.is_some()) + usize::from(builtin.is_some()) != 1 {
-        return Err(CliError(
-            "serve needs exactly one of --spec <file>, --builtin <name>".into(),
-        ));
-    }
-    let Some(listen) = get_flag(args, "--listen")? else {
-        return Err(CliError(
-            "serve needs --listen <addr:port> (e.g. 127.0.0.1:7411; port 0 = ephemeral)".into(),
-        ));
-    };
-    let format = parse_format(args)?;
-    let budget = parse_budget_flag(args)?;
-    let timeout_s = parse_timeout(args)?;
-    Ok(ServeArgs {
-        spec_path,
-        builtin,
-        listen,
-        format,
-        budget,
-        resume: get_flag(args, "--resume")?,
-        cache_dir: get_flag(args, "--cache")?,
-        timeout_s,
-    })
-}
-
-fn parse_worker_cmd(args: &[String]) -> Result<WorkerArgs, CliError> {
-    reject_unknown_flags(
-        args,
-        &["--connect", "--jobs", "--cache", "--retry"],
-        &[],
-        "--connect|--jobs|--cache|--retry",
-    )?;
-    let Some(connect) = get_flag(args, "--connect")? else {
-        return Err(CliError("worker needs --connect <addr:port>".into()));
-    };
-    let jobs = parse_jobs(args)?;
-    let retry_s = match get_flag(args, "--retry")? {
-        Some(r) => parse_num(&r, "retry seconds")?,
-        None => 10,
-    };
-    Ok(WorkerArgs {
-        connect,
-        jobs,
-        cache_dir: get_flag(args, "--cache")?,
-        retry_s,
-    })
-}
-
-fn parse_daemon_cmd(args: &[String]) -> Result<DaemonArgs, CliError> {
-    reject_unknown_flags(
-        args,
-        &["--listen", "--cache", "--journal-dir", "--timeout"],
-        &[],
-        "--listen|--cache|--journal-dir|--timeout",
-    )?;
-    let Some(listen) = get_flag(args, "--listen")? else {
-        return Err(CliError(
-            "daemon needs --listen <addr:port> (e.g. 127.0.0.1:7411; port 0 = ephemeral)".into(),
-        ));
-    };
-    let timeout_s = parse_timeout(args)?;
-    Ok(DaemonArgs {
-        listen,
-        cache_dir: get_flag(args, "--cache")?,
-        journal_dir: get_flag(args, "--journal-dir")?,
-        timeout_s,
-    })
-}
-
-fn parse_submit_cmd(args: &[String]) -> Result<SubmitArgs, CliError> {
-    reject_unknown_flags(
-        args,
-        &["--connect", "--spec", "--builtin"],
-        &["--watch"],
-        "--connect|--spec|--builtin|--watch",
-    )?;
-    let Some(connect) = get_flag(args, "--connect")? else {
-        return Err(CliError("submit needs --connect <addr:port>".into()));
-    };
-    let spec_path = get_flag(args, "--spec")?;
-    let builtin = get_flag(args, "--builtin")?;
-    if usize::from(spec_path.is_some()) + usize::from(builtin.is_some()) != 1 {
-        return Err(CliError(
-            "submit needs exactly one of --spec <file>, --builtin <name>".into(),
-        ));
-    }
-    Ok(SubmitArgs {
-        connect,
-        spec_path,
-        builtin,
-        watch: has_switch(args, "--watch"),
-    })
-}
-
-fn parse_connect_cmd(args: &[String], verb: &str) -> Result<ConnectArgs, CliError> {
-    reject_unknown_flags(args, &["--connect"], &[], "--connect")?;
-    let Some(connect) = get_flag(args, "--connect")? else {
-        return Err(CliError(format!("{verb} needs --connect <addr:port>")));
-    };
-    Ok(ConnectArgs { connect })
-}
-
-fn parse_cancel_cmd(args: &[String]) -> Result<CancelArgs, CliError> {
-    reject_unknown_flags(args, &["--connect", "--id"], &[], "--connect|--id")?;
-    let Some(connect) = get_flag(args, "--connect")? else {
-        return Err(CliError("cancel needs --connect <addr:port>".into()));
-    };
-    let Some(id) = get_flag(args, "--id")? else {
-        return Err(CliError(
-            "cancel needs --id <N> (a campaign id from `submit` or `status`)".into(),
-        ));
-    };
-    Ok(CancelArgs {
-        connect,
-        id: parse_num(&id, "campaign id")?,
-    })
-}
-
-fn parse_cache_cmd(args: &[String]) -> Result<CacheArgs, CliError> {
-    let Some((action, rest)) = args.split_first() else {
-        return Err(CliError("cache needs an action: stats|verify|prune".into()));
-    };
-    let action = match action.as_str() {
+fn cache_command(s: &Scan<'_>) -> Result<Command, CliError> {
+    let action = match s.operand.unwrap_or_default() {
         "stats" => CacheAction::Stats,
         "verify" => CacheAction::Verify,
         "prune" => CacheAction::Prune,
@@ -1010,27 +883,15 @@ fn parse_cache_cmd(args: &[String]) -> Result<CacheArgs, CliError> {
             )))
         }
     };
-    reject_unknown_flags(
-        rest,
-        &["--dir", "--max-age-days", "--max-size-mib"],
-        &["--delete-corrupt"],
-        "--dir|--max-age-days|--max-size-mib|--delete-corrupt",
-    )?;
-    let max_age_days = match get_flag(rest, "--max-age-days")? {
-        Some(d) => {
-            let d: f64 = parse_num(&d, "age in days")?;
-            if !d.is_finite() || d < 0.0 {
-                return Err(CliError("--max-age-days must be non-negative".into()));
-            }
-            Some(d)
+    let max_age_days = s.checked(&MAX_AGE, |d: f64| {
+        if d.is_finite() && d >= 0.0 {
+            Ok(d)
+        } else {
+            Err("must be finite and non-negative".to_string())
         }
-        None => None,
-    };
-    let max_size_mib = match get_flag(rest, "--max-size-mib")? {
-        Some(m) => Some(parse_num(&m, "size in MiB")?),
-        None => None,
-    };
-    let delete_corrupt = has_switch(rest, "--delete-corrupt");
+    })?;
+    let max_size_mib = s.num(&MAX_SIZE)?;
+    let delete_corrupt = s.has(&DELETE_BAD);
     match action {
         CacheAction::Prune if max_age_days.is_none() && max_size_mib.is_none() => {
             return Err(CliError(
@@ -1051,45 +912,42 @@ fn parse_cache_cmd(args: &[String]) -> Result<CacheArgs, CliError> {
         }
         _ => {}
     }
-    Ok(CacheArgs {
+    Ok(Command::CacheCmd(CacheArgs {
         action,
-        dir: get_flag(rest, "--dir")?,
+        dir: s.string(&DIR),
         max_age_days,
         max_size_mib,
         delete_corrupt,
+    }))
+}
+
+/// `--jobs`, which must be at least 1.
+fn jobs(s: &Scan<'_>) -> Result<Option<usize>, CliError> {
+    s.checked(&JOBS, |j: usize| {
+        if j >= 1 {
+            Ok(j)
+        } else {
+            Err("must be at least 1".to_string())
+        }
     })
 }
 
-/// Parses an optional `--jobs <N>`, which must be at least 1.
-fn parse_jobs(args: &[String]) -> Result<Option<usize>, CliError> {
-    let Some(j) = get_flag(args, "--jobs")? else {
-        return Ok(None);
-    };
-    let j: usize = parse_num(&j, "job count")?;
-    if j == 0 {
-        return Err(CliError("--jobs must be at least 1".into()));
-    }
-    Ok(Some(j))
+/// The coordinator's `--timeout` (default 30 s). Workers heartbeat every
+/// 2 s while evaluating; a timeout at or below that would kill every
+/// healthy worker on its first unit and live-lock the campaign.
+fn timeout(s: &Scan<'_>) -> Result<u64, CliError> {
+    Ok(s.checked(&TIMEOUT, |t: u64| {
+        if t >= 5 {
+            Ok(t)
+        } else {
+            Err("must be at least 5 seconds (workers heartbeat every 2 s)".to_string())
+        }
+    })?
+    .unwrap_or(30))
 }
 
-/// Parses the coordinator's `--timeout <secs>` (default 30). Workers
-/// heartbeat every 2 s while evaluating; a timeout at or below that would
-/// kill every healthy worker on its first unit and live-lock the campaign.
-fn parse_timeout(args: &[String]) -> Result<u64, CliError> {
-    let Some(t) = get_flag(args, "--timeout")? else {
-        return Ok(30);
-    };
-    let t: u64 = parse_num(&t, "timeout seconds")?;
-    if t < 5 {
-        return Err(CliError(
-            "--timeout must be at least 5 seconds (workers heartbeat every 2 s)".into(),
-        ));
-    }
-    Ok(t)
-}
-
-fn parse_format(args: &[String]) -> Result<OutputFormat, CliError> {
-    match get_flag(args, "--format")?.as_deref() {
+fn format(s: &Scan<'_>) -> Result<OutputFormat, CliError> {
+    match s.get(&FORMAT) {
         None | Some("human") => Ok(OutputFormat::Human),
         Some("csv") => Ok(OutputFormat::Csv),
         Some("jsonl") => Ok(OutputFormat::Jsonl),
@@ -1099,15 +957,16 @@ fn parse_format(args: &[String]) -> Result<OutputFormat, CliError> {
     }
 }
 
-fn parse_budget_flag(args: &[String]) -> Result<Option<BudgetSpec>, CliError> {
-    match get_flag(args, "--budget")? {
-        None => Ok(None),
-        Some(b) => BudgetSpec::parse(&b).map(Some).map_err(|_| {
-            CliError(format!(
-                "unknown --budget `{b}` (fast|smoke|paper|thorough)"
-            ))
-        }),
-    }
+fn budget(s: &Scan<'_>) -> Result<Option<BudgetSpec>, CliError> {
+    s.get(&BUDGET)
+        .map(|b| {
+            BudgetSpec::parse(b).map_err(|_| {
+                CliError(format!(
+                    "unknown --budget `{b}` (fast|smoke|paper|thorough)"
+                ))
+            })
+        })
+        .transpose()
 }
 
 fn parse_policy(s: &str) -> Result<PolicySpec, CliError> {
@@ -1152,6 +1011,119 @@ fn parse_policy(s: &str) -> Result<PolicySpec, CliError> {
     }
     Ok(policy)
 }
+
+/// The usage text `sea-dse help` prints: each verb's line rendered from
+/// its table entry, then notes on the shared inputs.
+#[must_use]
+pub fn usage() -> String {
+    const WIDTH: usize = 88;
+    let mut out = String::from(
+        "sea-dse - soft error-aware design optimization (DATE 2010 reproduction)\n\nUSAGE:\n",
+    );
+    for verb in VERBS {
+        let operand = verb.operand.map(|(placeholder, required)| {
+            if required {
+                placeholder.to_string()
+            } else {
+                format!("[{placeholder}]")
+            }
+        });
+        let flags = verb.flags.iter().map(|f| match (f.value, f.required) {
+            (Some(v), true) => format!("{} {v}", f.name),
+            (Some(v), false) => format!("[{} {v}]", f.name),
+            (None, _) => format!("[{}]", f.name),
+        });
+        let mut line = format!("  sea-dse {:<9}", verb.name);
+        let indent = line.len() + 1;
+        for token in operand.into_iter().chain(flags) {
+            if line.len() + 1 + token.len() > WIDTH && line.len() > indent {
+                out.push_str(&line);
+                out.push('\n');
+                line = " ".repeat(indent - 1);
+            }
+            line.push(' ');
+            line.push_str(&token);
+        }
+        out.push_str(&line);
+        out.push('\n');
+    }
+    out.push_str("  sea-dse help\n\n");
+    out.push_str(&format!(
+        "\
+APP SPECS: mpeg2 | fig8 | random:<tasks>[:<seed>], 1 to 10000 tasks (as generate --tasks)
+BOUNDS:    --cores 1 to {MAX_CORES}, --count at most {MAX_SWEEP_COUNT} and --ser in (0, 1], as in
+           campaign specs; --distributed 1 to {MAX_LOCAL_WORKERS} workers
+"
+    ));
+    out.push_str(NOTES);
+    out
+}
+
+const NOTES: &str = "\
+GROUPS:    0-based task ids, comma-separated within a core, cores separated by '|'
+           e.g. --groups \"0,1,2,3,4,5|6,7|8|9,10\"
+JOBS:      worker threads for `optimize`'s scaling enumeration; results are
+           identical for every value (default: SEA_JOBS env, else available
+           parallelism). `baseline` is a single sequential annealing chain
+           plus one evaluation per scaling, so --jobs has no effect there.
+CAMPAIGNS: declarative multi-scenario runs (see README \"Campaigns\"):
+           `campaign` takes exactly one of --spec, --builtin and
+           --list-builtin; `serve` and `submit` one of --spec and --builtin.
+           Progress streams to stderr as units complete; the
+           enumeration-order final report prints to stdout and is byte
+           identical for every --jobs value.
+           Campaign budgets name evaluation caps per voltage scaling:
+           fast=2k, smoke=600, paper=20k (the EXPERIMENTS.md harness
+           profile), thorough=60k. NOTE: `campaign --budget paper` is the
+           experiment-harness budget (20k); `optimize --budget paper` is
+           the thorough 60k budget — use `campaign --budget thorough` to
+           match the latter.
+REPRODUCE: `reproduce` regenerates every table and figure of the paper as
+           one merged campaign (`smoke` by default, or `paper`), with the
+           same --cache and --resume as `campaign`. The report prints to
+           stdout and is byte identical for every --jobs value, cache
+           state and --distributed worker count.
+ANALYTICS: `campaign --report-aggregates` appends aggregate sections after
+           the per-unit report: Fig. 10-style win rates (optimize vs each
+           baseline at matched app/cores/levels), Pareto fronts over
+           (P, Gamma) with dominated designs marked, best design per app
+           (min P*Gamma), and cross-seed min/median/max spread. `report`
+           computes the same sections offline from a --resume journal or
+           a --cache directory with zero re-evaluation, byte-identical to
+           the live output. See README \"Campaign analytics\".
+RESUME:    --resume <journal> write-ahead journals every completed unit
+           (fsync'd per record). Re-running with the same spec and journal
+           restores completed units and runs only the missing ones; the
+           final report is byte-identical to an uninterrupted run. A
+           journal written for a different campaign is refused.
+CACHE:     --cache <dir> (or the SEA_CACHE env var) keeps a
+           content-addressed result cache keyed by each unit's stable
+           hash; warm re-runs and overlapping campaigns skip evaluation.
+           Without either, no cache I/O happens at all. `sea-dse cache`
+           maintains such a directory: stats, checksum verification,
+           pruning by age/size.
+DIST:      `serve` expands a campaign and fans units to TCP workers
+           (`worker --connect`); results are verified against each
+           unit's content hash and merged in enumeration order, so the
+           stdout report is byte-identical to a local `campaign` run for
+           any worker count, join/leave order or mid-run worker kill.
+           --resume and --cache work across the network boundary (the
+           cache is probed coordinator-side on the dispatch path, so a
+           warm run sends no work but waits for one worker). See README
+           \"Distributed campaigns\" for the frame-protocol spec.
+SERVICE:   `daemon` is the long-running multi-campaign coordinator: the
+           same workers connect to it, while `submit` registers campaign
+           specs over the wire, `status` reports per-campaign progress
+           plus per-worker fleet stats as JSON, `cancel` withdraws one
+           campaign and `stop` shuts the fleet down. Campaigns share the
+           worker pool fairly (round-robin, cost-model order within each
+           campaign), share one --cache, and deduplicate identical units
+           fleet-wide. `submit --watch` streams records to stderr and
+           the final report to stdout, byte-identical to a local
+           `campaign --format jsonl` run of the same spec. With
+           --journal-dir, re-submitting a spec after a daemon restart
+           resumes from its journal. See README \"Service mode\".
+";
 
 #[cfg(test)]
 mod tests {

@@ -1,19 +1,21 @@
 //! `sea-dse` command-line tool: optimize, simulate, sweep, generate and
 //! analyze MPSoC designs from the shell. Run `sea-dse help` for usage.
 
+use std::io::Write;
 use std::process::ExitCode;
 
 use sea_dse::arch::{Architecture, ScalingVector, SerModel};
 use sea_dse::baselines::BaselineOptimizer;
 use sea_dse::campaign::{
     level_set, open_journal, read_journal_records, run_units_configured, Cache, CsvSink,
-    EntryHealth, HumanSink, JournalPlan, JsonlSink, RunConfig, Sink, Unit,
+    EntryHealth, HumanSink, JournalPlan, JsonlSink, NullSink, RunConfig, Sink, Unit,
 };
 use sea_dse::cli::{
     self, CacheAction, CacheArgs, CampaignArgs, Command, DaemonArgs, DesignArgs, OptimizeArgs,
-    OutputFormat, PolicySpec, ReportArgs, ServeArgs, SubmitArgs, WorkerArgs,
+    OutputFormat, PolicySpec, ReportArgs, ReproduceArgs, ServeArgs, SubmitArgs, WorkerArgs,
 };
 use sea_dse::experiments::campaigns as builtin_campaigns;
+use sea_dse::experiments::paper::Paper;
 use sea_dse::opt::{DesignOptimizer, OptimizationOutcome, OptimizerConfig, SearchBudget};
 use sea_dse::sched::metrics::EvalContext;
 use sea_dse::sched::recovery::{self, RecoveryPolicy};
@@ -31,7 +33,7 @@ fn main() -> ExitCode {
             }
         },
         Err(e) => {
-            eprintln!("error: {e}\n\n{}", cli::USAGE);
+            eprintln!("error: {e}\n\n{}", cli::usage());
             ExitCode::FAILURE
         }
     }
@@ -40,7 +42,7 @@ fn main() -> ExitCode {
 fn run(cmd: Command) -> Result<(), String> {
     match cmd {
         Command::Help => {
-            println!("{}", cli::USAGE);
+            println!("{}", cli::usage());
             Ok(())
         }
         Command::Optimize(a) => {
@@ -193,6 +195,7 @@ fn run(cmd: Command) -> Result<(), String> {
             Ok(())
         }
         Command::CacheCmd(c) => run_cache_cmd(&c),
+        Command::Reproduce(r) => run_reproduce(&r),
         Command::Recovery(r) => {
             let (app, arch, mapping, scaling) = build_design(&r.design)?;
             let ctx = EvalContext::new(&app, &arch).with_ser(SerModel::calibrated(r.design.ser));
@@ -296,10 +299,10 @@ fn make_sink(format: OutputFormat) -> Box<dyn Sink> {
     }
 }
 
-/// The persistence layers `campaign` and `serve` open before a run: the
-/// content-addressed result cache (opt-in via --cache or SEA_CACHE; zero
-/// filesystem writes otherwise) and the write-ahead journal behind
-/// --resume.
+/// The persistence layers `campaign`, `serve` and `reproduce` open before
+/// a run: the content-addressed result cache (opt-in via --cache or
+/// SEA_CACHE; zero filesystem writes otherwise) and the write-ahead
+/// journal behind --resume.
 struct Persistence {
     cache: Option<Cache>,
     journal: Option<JournalPlan>,
@@ -397,6 +400,53 @@ fn run_campaign(c: &CampaignArgs) -> Result<(), String> {
     if let Some(e) = sink.take_io_error() {
         return Err(format!("writing the campaign report failed: {e}"));
     }
+    Ok(())
+}
+
+/// `sea-dse reproduce`: every table and figure of the paper as one
+/// merged campaign, with the same cache and journal as `campaign`. The
+/// report alone goes to stdout, byte-identical for every worker count,
+/// cache state and transport.
+fn run_reproduce(r: &ReproduceArgs) -> Result<(), String> {
+    if let Some(jobs) = r.jobs {
+        // No thread runs yet; every pool and optimizer of the run reads it.
+        std::env::set_var("SEA_JOBS", jobs.to_string());
+    }
+    let jobs = sea_dse::opt::default_jobs();
+    eprintln!("profile: {:?}, jobs: {jobs}\n", r.profile);
+    let t0 = std::time::Instant::now();
+    let paper = Paper::new(r.profile).map_err(|e| e.to_string())?;
+    let units = paper.units();
+    let mut persistence = Persistence::open(
+        r.cache_dir.as_deref(),
+        r.resume.as_deref(),
+        "reproduce",
+        units,
+    )?;
+    let mut sink: Box<dyn Sink> = if r.quiet {
+        Box::new(NullSink)
+    } else {
+        Box::new(HumanSink::new(std::io::stderr(), std::io::sink()))
+    };
+    let config = persistence.config(jobs);
+    let run = match r.distributed {
+        Some(workers) => {
+            builtin_campaigns::run_configured_distributed(units, config, sink.as_mut(), workers)
+        }
+        None => builtin_campaigns::run_configured(units, config, sink.as_mut()),
+    };
+    let (results, stats) = run.map_err(|e| e.to_string())?;
+    if !r.quiet && (persistence.cache.is_some() || r.resume.is_some() || stats.deduped > 0) {
+        eprintln!(
+            "units: {} evaluated, {} cache hit(s), {} deduped, {} journaled",
+            stats.executed, stats.cache_hits, stats.deduped, stats.resumed
+        );
+    }
+    let report = paper.render(&results).map_err(|e| e.to_string())?;
+    std::io::stdout()
+        .write_all(report.as_bytes())
+        .map_err(|e| format!("writing the paper report failed: {e}"))?;
+    eprintln!("total wall time: {:.1} s", t0.elapsed().as_secs_f64());
     Ok(())
 }
 

@@ -3,6 +3,8 @@
 
 use sea_dse::arch::{Architecture, LevelSet, ScalingVector};
 use sea_dse::baselines::{BaselineOptimizer, Objective};
+use sea_dse::experiments::paper::Paper;
+use sea_dse::experiments::{campaigns, EffortProfile};
 use sea_dse::opt::{DesignOptimizer, OptimizerConfig};
 use sea_dse::sched::metrics::EvalContext;
 use sea_dse::sim::{simulate_design, SimConfig};
@@ -145,4 +147,15 @@ fn scaling_enumeration_is_consistent_with_architecture() {
             sea_dse::opt::ScalingIter::count_combinations(cores, 3)
         );
     }
+}
+
+/// The whole `sea-dse reproduce smoke` report, byte for byte.
+#[test]
+fn paper_smoke_report_matches_its_golden() {
+    let paper = Paper::new(EffortProfile::Smoke).unwrap();
+    let results = campaigns::run(paper.units()).unwrap();
+    assert_eq!(
+        paper.render(&results).unwrap(),
+        include_str!("golden/reproduce_smoke.txt")
+    );
 }

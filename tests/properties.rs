@@ -753,6 +753,241 @@ proptest! {
     }
 }
 
+/// A verb of `sea-dse help`, the flags its line names and, of those,
+/// the required ones (written without brackets).
+type CliVerb = (String, Vec<String>, Vec<String>);
+
+/// The verbs `sea-dse help` lists.
+fn cli_verbs() -> &'static Vec<CliVerb> {
+    static VERBS: std::sync::OnceLock<Vec<CliVerb>> = std::sync::OnceLock::new();
+    VERBS.get_or_init(|| {
+        let usage = sea_dse::cli::usage();
+        let mut verbs: Vec<CliVerb> = Vec::new();
+        for line in usage.lines().skip_while(|l| *l != "USAGE:").skip(1) {
+            if line.is_empty() {
+                break;
+            }
+            let mut words = line.split_whitespace().peekable();
+            if words.next_if_eq(&"sea-dse").is_some() {
+                let name = words.next().unwrap_or_default();
+                verbs.push((name.to_string(), Vec::new(), Vec::new()));
+            }
+            let (_, flags, required) = verbs.last_mut().expect("a verb line comes first");
+            for word in words {
+                let flag = word.trim_start_matches('[').trim_end_matches(']');
+                if flag.starts_with("--") {
+                    flags.push(flag.to_string());
+                    if !word.starts_with('[') {
+                        required.push(flag.to_string());
+                    }
+                }
+            }
+        }
+        verbs.retain(|(name, ..)| name != "help");
+        verbs
+    })
+}
+
+/// The domains' boundary values, and words some verb takes first.
+const CLI_VALUES: [&str; 15] = [
+    "0",
+    "64",
+    "65",
+    "18446744073709551615",
+    "-1",
+    "nan",
+    "inf",
+    "",
+    "--x",
+    "4",
+    "10000",
+    "run.jsonl",
+    "stats",
+    "prune",
+    "paper",
+];
+
+/// A value for `flag`, drawn by `pick`: a boundary value, or most of the
+/// time a well-formed one where the flag takes text.
+fn flag_value(flag: &str, pick: usize) -> String {
+    let well_formed = match flag {
+        "--app" => "mpeg2",
+        "--scaling" => "2,2,3,2",
+        "--groups" => "0,1,2,3,4,5|6,7|8|9,10",
+        "--objective" => "tm",
+        "--policy" => "ckpt:0.9:0.1:0",
+        "--spec" => "a.toml",
+        "--builtin" => "quickstart",
+        "--listen" | "--connect" => "127.0.0.1:0",
+        "--format" => "jsonl",
+        "--budget" => "fast",
+        "--selection" => "gamma",
+        "--resume" | "--cache" | "--dir" | "--journal-dir" => "d",
+        _ => "",
+    };
+    if well_formed.is_empty() || pick.is_multiple_of(4) {
+        CLI_VALUES[pick % CLI_VALUES.len()].to_string()
+    } else {
+        well_formed.to_string()
+    }
+}
+
+/// Panics unless an accepted command line's values lie in their domains.
+fn assert_in_domain(command: &sea_dse::cli::Command, argv: &[String]) {
+    use sea_dse::campaign::spec::{MAX_CORES, MAX_SWEEP_COUNT};
+    use sea_dse::cli::{BaselineArgs, Command, PolicySpec, RecoveryArgs};
+    use sea_dse::taskgraph::spec::MAX_RANDOM_TASKS;
+    let cores = |c: usize| assert!((1..=MAX_CORES).contains(&c), "{argv:?}: cores {c}");
+    let jobs = |j: Option<usize>| assert!(j != Some(0), "{argv:?}: jobs {j:?}");
+    let text = |t: Option<&str>| {
+        assert!(
+            !t.is_some_and(|t| t.starts_with("--")),
+            "{argv:?}: value {t:?}"
+        );
+    };
+    match command {
+        Command::Optimize(a) | Command::Baseline(BaselineArgs { common: a, .. }) => {
+            cores(a.cores);
+            assert!((2..=4).contains(&a.levels), "{argv:?}");
+            jobs(a.jobs);
+        }
+        Command::Simulate(d) | Command::Recovery(RecoveryArgs { design: d, .. }) => {
+            cores(d.cores);
+            assert!(d.ser > 0.0 && d.ser <= 1.0, "{argv:?}");
+            if let Command::Recovery(RecoveryArgs {
+                policy: PolicySpec::ReExec { coverage } | PolicySpec::Checkpoint { coverage, .. },
+                ..
+            }) = command
+            {
+                assert!((0.0..=1.0).contains(coverage), "{argv:?}");
+            }
+        }
+        Command::Sweep(s) => {
+            cores(s.cores);
+            assert!(s.count <= MAX_SWEEP_COUNT, "{argv:?}");
+        }
+        Command::Generate(g) => assert!((1..=MAX_RANDOM_TASKS).contains(&g.tasks), "{argv:?}"),
+        Command::Campaign(c) => {
+            jobs(c.jobs);
+            for t in [&c.spec_path, &c.builtin, &c.resume, &c.cache_dir] {
+                text(t.as_deref());
+            }
+        }
+        Command::Report(r) => text(Some(&r.source)),
+        Command::Serve(s) => {
+            assert!(s.timeout_s >= 5, "{argv:?}");
+            text(Some(&s.listen));
+            text(s.cache_dir.as_deref());
+        }
+        Command::Worker(w) => {
+            jobs(w.jobs);
+            text(Some(&w.connect));
+        }
+        Command::Daemon(d) => assert!(d.timeout_s >= 5, "{argv:?}"),
+        Command::CacheCmd(c) => {
+            assert!(
+                c.max_age_days.is_none_or(|d| d.is_finite() && d >= 0.0),
+                "{argv:?}"
+            );
+            text(c.dir.as_deref());
+        }
+        Command::Reproduce(r) => {
+            jobs(r.jobs);
+            assert!(
+                r.distributed.is_none_or(|n| (1..=64).contains(&n)),
+                "{argv:?}"
+            );
+            text(r.cache_dir.as_deref());
+        }
+        _ => {}
+    }
+}
+
+/// The three example specs the spec fuzzer mutates.
+const EXAMPLE_SPECS: [&str; 3] = [
+    include_str!("../examples/campaign_quickstart.toml"),
+    include_str!("../examples/campaign_tight_deadline.toml"),
+    include_str!("../examples/campaign_fault_injection.toml"),
+];
+
+/// Replaces tokens of `source` with forged ranges and counts: the values
+/// a spec must bound before anything grows with them.
+fn forge(source: &str, picks: &[(usize, u8)]) -> String {
+    const FORGED: [&str; 8] = [
+        "1-18446744073709551615",
+        "1-1000000000000",
+        "0-64",
+        "64-65",
+        "1-64",
+        "2-4",
+        "18446744073709551615",
+        "100001",
+    ];
+    let mut bytes = source.as_bytes().to_vec();
+    for &(at, value) in picks {
+        let tokens = token_ranges(&bytes);
+        if !tokens.is_empty() {
+            let forged = FORGED[usize::from(value) % FORGED.len()];
+            bytes.splice(tokens[at % tokens.len()].clone(), forged.bytes());
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Every verb's argv, drawn from every verb's flags and the domains'
+    /// boundary values, parses to a value inside its domains or to an
+    /// error, never a panic.
+    #[test]
+    fn argv_parses_to_a_value_in_its_domains_or_an_error(
+        with_required in any::<bool>(),
+        required_values in proptest::collection::vec(any::<usize>(), 5),
+        picks in proptest::collection::vec((any::<usize>(), any::<usize>(), any::<u8>()), 0..6),
+    ) {
+        let verbs = cli_verbs();
+        let every_flag: Vec<&String> = verbs.iter().flat_map(|(_, flags, _)| flags).collect();
+        for (verb, flags, required) in verbs {
+            let mut argv = vec![verb.clone()];
+            if with_required {
+                for (flag, &v) in required.iter().zip(&required_values) {
+                    argv.extend([flag.clone(), flag_value(flag, v)]);
+                }
+            }
+            for &(f, v, form) in &picks {
+                let flag = match form % 5 {
+                    0 => every_flag[f % every_flag.len()],
+                    _ if flags.is_empty() => every_flag[f % every_flag.len()],
+                    _ => &flags[f % flags.len()],
+                };
+                match form % 3 {
+                    0 => argv.extend([flag.clone(), flag_value(flag, v)]),
+                    1 => argv.push(flag.clone()),
+                    _ => argv.insert(1 + v % argv.len(), CLI_VALUES[v % CLI_VALUES.len()].into()),
+                }
+            }
+            if let Ok(command) = sea_dse::cli::parse(&argv) {
+                assert_in_domain(&command, &argv);
+            }
+        }
+    }
+
+    /// The example specs under byte edits and forged ranges and counts
+    /// parse to a campaign within the unit cap or to an error.
+    #[test]
+    fn mutated_specs_are_values_or_errors(
+        pick in 0usize..3,
+        edits in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<u8>()), 0..4),
+        forged in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..3),
+    ) {
+        let source = forge(&mutate(EXAMPLE_SPECS[pick], &edits), &forged);
+        if let Ok(campaign) = parse_campaign(&source) {
+            prop_assert!(campaign.expand().len() <= sea_dse::campaign::spec::MAX_UNITS);
+        }
+    }
+}
+
 /// Golden hex fixtures: unit and spec hashes must be *stable across
 /// process runs and builds* — journals and cache entries written by one
 /// binary must be readable by the next. A failure here means the

@@ -175,6 +175,43 @@ fn resuming_a_torn_journal_truncates_the_fragment_and_survives_a_second_resume()
     let _ = std::fs::remove_dir_all(dir);
 }
 
+#[test]
+fn resuming_from_every_byte_prefix_of_a_journal_reproduces_the_reports() {
+    // A crash can cut the journal at any byte, the header included: a
+    // cut inside the header (or an empty file) is a fresh journal, one
+    // after it a resume. Against a warm cache no prefix re-evaluates
+    // anything, so the sweep stays fast.
+    let dir = temp_dir();
+    let units = quickstart_units();
+    let cache = Cache::open(dir.join("cache")).unwrap();
+    let resume = |path: &std::path::Path| {
+        let mut plan = open_journal(path, "quickstart", &units)
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let mut config = RunConfig::new(1);
+        config.cache = Some(&cache);
+        config.prefilled = std::mem::take(&mut plan.prefilled);
+        config.journal = Some(plan.writer);
+        run_units_configured(&units, config, &mut NullSink).unwrap()
+    };
+    let full_journal = dir.join("full.jsonl");
+    let golden = reports(&resume(&full_journal).records());
+    let bytes = std::fs::read(&full_journal).unwrap();
+    let header_end = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+    // Debug builds take every header prefix and a stride of the rest.
+    let stride = if cfg!(debug_assertions) { 29 } else { 1 };
+    let path = dir.join("prefix.jsonl");
+    for cut in (0..=bytes.len()).filter(|&c| c <= header_end || c % stride == 0) {
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+        let resumed = resume(&path);
+        assert_eq!(resumed.executed, 0, "prefix of {cut} bytes re-evaluated");
+        assert_eq!(reports(&resumed.records()), golden, "prefix of {cut} bytes");
+        // The resume left a whole journal behind.
+        let finished = parse_journal(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(finished.records.len(), units.len(), "prefix of {cut} bytes");
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 /// A small campaign covering every unit kind for the cache tests.
 const CACHE_SPEC: &str = "\
 name = \"cache-int\"
